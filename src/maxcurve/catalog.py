@@ -14,15 +14,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .curves import CurveParams, Family, params_from_s
+from .gf import _factorize
 from .ramification import NonIntegralGenusError, delta_from_composition, genus_from_rh
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n in ascending order (none for n < 1), as a fresh
+    list."""
+    return list(_divisor_tuple(n))
+
+
+@lru_cache(maxsize=1024)
+def _divisor_tuple(n: int) -> tuple[int, ...]:
+    """The divisors of n, generated from its prime factorization."""
+    if n < 1:
+        return ()
+    out = [1]
+    for prime, e in _factorize(n).items():
+        out = [d * prime**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def _two_g_minus_2(params: CurveParams) -> int:

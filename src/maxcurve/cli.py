@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import __version__
-from .counting import UnsupportedCountError, count_points, default_threads
+from .counting import UnsupportedCountError, count_points, default_threads, positive_threads
 from .curves import Family, genus, hermitian_cover_analysis, params_from_s
 
 EXIT_OK = 0
@@ -52,9 +52,7 @@ def cmd_count(args) -> int:
     family = Family(args.family)
     params = params_from_s(family, args.s)
     try:
-        report = count_points(
-            family, params, args.ext, threads=args.threads, long_ok=args.long
-        )
+        report = count_points(family, params, args.ext, threads=args.threads)
     except UnsupportedCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -67,6 +65,7 @@ def cmd_count(args) -> int:
         "hasse_weil_target": report.hw_target,
         "is_maximal": report.is_maximal,
         "t0_affine": report.t0_affine,
+        "elements_evaluated": report.elements_evaluated,
         "note": report.note,
         "wall_time": round(report.wall_time, 6),
     }
@@ -248,12 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_genus)
 
-    p = sub.add_parser("count", help="streaming rational-point count")
+    p = sub.add_parser("count", help="orbit-reduced rational-point count")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--s", required=True, type=int)
     p.add_argument("--ext", required=True, type=int, help="extension degree over the base field")
     p.add_argument("--verify-maximal", action="store_true")
-    p.add_argument("--long", action="store_true", help="allow long-running counts")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_count)
 
@@ -284,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = default_threads()
     try:
+        if hasattr(args, "threads"):
+            args.threads = (default_threads() if args.threads is None
+                            else positive_threads(args.threads, "--threads"))
         return args.fn(args)
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)

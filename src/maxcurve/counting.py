@@ -1,11 +1,18 @@
-"""Streaming rational-point counts for the four curve families.
+"""Orbit-reduced rational-point counts for the four curve families.
 
-Counts never materialize points: each x contributes the product of the
-Artin-Schreier solution counts (trace conditions) and the Kummer root count
-(power-residue condition), all evaluated through exp/log tables so whole
-x-ranges run as numpy passes.  The one exception is the very large Ree
-extension count, which runs chunked on digit matrices and is gated behind
-an explicit long-run flag.
+Counts never materialize points.  The kernels evaluate, for an array of x
+codes, the fibre count f(x): the product of the Artin-Schreier solution
+counts (trace conditions) and the Kummer root count (power-residue
+condition).  f is invariant under x -> lam*x + a (lam in F_q^*, a in F_q),
+maps that lift to automorphisms fixing the infinite place, so one x per
+orbit suffices:
+
+    N = 1 + q f(0) + q(q-1) * sum of f(x_P) over P in P^{r-2}(F_q),
+
+where x_P = sum_{i=1}^{r-1} c_i g^i with c_i in F_q, g the generator of the
+residue basis, and the last nonzero c_i equal to 1.  Fields up to
+TABLE_LIMIT run the kernels through exp/log tables; the degree-6 Ree field
+runs them on digit matrices.
 """
 
 from __future__ import annotations
@@ -18,18 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveParams, Family, genus, hasse_weil_target
-from .gf import FieldSpec, make_field
+from .curves import CurveParams, Family, genus, hasse_weil_target, params_from_s
+from .gf import TABLE_LIMIT, FieldSpec, _code_to_digits, make_field
 
 CHUNK = 1 << 16
 
 SUPPORTED_EXTENSIONS = {
     Family.SUZUKI_COVER: (1, 2, 4),
     Family.SUZUKI_BASE: (1, 2, 4),
-    Family.REE_COVER: (1, 2, 3),
-    Family.REE_BASE: (1, 2, 3),
+    Family.REE_COVER: (1, 2, 3, 6),
+    Family.REE_BASE: (1, 2, 3, 6),
 }
-LONG_EXTENSIONS = {Family.REE_COVER: (6,), Family.REE_BASE: (6,)}
 SUPPORTED_Q = {2: (8, 32), 3: (27,)}
 
 
@@ -50,31 +56,36 @@ class CountReport:
     wall_time: float
     modulus: tuple[int, ...]
     t0_affine: int
+    elements_evaluated: int
+
+
+def positive_threads(value, source: str) -> int:
+    """value as a thread count; ValueError unless it is a positive integer."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return n
 
 
 def default_threads() -> int:
     env = os.environ.get("MAXCURVE_THREADS")
     if env:
-        return max(1, int(env))
+        return positive_threads(env, "MAXCURVE_THREADS")
     return os.cpu_count() or 1
 
 
-def _check_supported(family: Family, params: CurveParams, r: int, long_ok: bool) -> None:
+def _check_supported(family: Family, params: CurveParams, r: int) -> None:
     if params.q not in SUPPORTED_Q[family.char]:
         raise UnsupportedCountError(f"q={params.q} outside desk scale for {family.value}")
-    if r in SUPPORTED_EXTENSIONS[family]:
-        return
-    if r in LONG_EXTENSIONS.get(family, ()):
-        if not long_ok:
-            raise UnsupportedCountError(
-                f"extension degree {r} for {family.value} is long-running; pass the long flag"
-            )
-        return
-    raise UnsupportedCountError(f"extension degree {r} unsupported for {family.value}")
+    if r not in SUPPORTED_EXTENSIONS[family]:
+        raise UnsupportedCountError(f"extension degree {r} unsupported for {family.value}")
 
 
 # ---------------------------------------------------------------------------
-# table-driven kernels
+# table-driven kernels: x codes in, per-x (f(x), f(x) at t = 0) out
 
 
 def _vmul(a, b, exp, log, n):
@@ -92,20 +103,19 @@ def _vfrob_pow(codes, pe, exp, log, n):
     return out
 
 
-def _digits(codes, k):
+def _digits(codes, k, p=3):
     mat = np.empty((codes.shape[0], k), dtype=np.int64)
     c = codes.copy()
     for i in range(k):
-        c, mat[:, i] = np.divmod(c, 3)
+        c, mat[:, i] = np.divmod(c, p)
     return mat
 
 
-def _suzuki_chunk(field: FieldSpec, params: CurveParams, lo: int, hi: int, with_t: bool):
+def _suzuki_chunk(field: FieldSpec, params: CurveParams, x, with_t: bool):
     exp, log = field.tables()
     n = field.order - 1
     k, d = field.k, 2 * params.s + 1
     q, q0, m = params.q, params.q0, params.m
-    x = np.arange(lo, hi, dtype=np.int64)
     xq = _vfrob_pow(x, q, exp, log, n)
     s = xq ^ x
     xq0 = _vfrob_pow(x, q0, exp, log, n)
@@ -124,16 +134,14 @@ def _suzuki_chunk(field: FieldSpec, params: CurveParams, lo: int, hi: int, with_
         contrib = n_y * n_t
     else:
         contrib = n_y
-    t0 = int(n_y[s == 0].sum())
-    return int(contrib.sum()), t0
+    return contrib, np.where(s == 0, n_y, 0)
 
 
-def _ree_chunk(field: FieldSpec, params: CurveParams, lo: int, hi: int, with_t: bool):
+def _ree_chunk(field: FieldSpec, params: CurveParams, x, with_t: bool):
     exp, log = field.tables()
     n = field.order - 1
     k, d = field.k, 2 * params.s + 1
     q, q0, m = params.q, params.q0, params.m
-    x = np.arange(lo, hi, dtype=np.int64)
     xq = _vfrob_pow(x, q, exp, log, n)
     u_digits = (_digits(xq, k) - _digits(x, k)) % 3
     u = (u_digits * (3 ** np.arange(k, dtype=np.int64))).sum(axis=1)
@@ -158,12 +166,11 @@ def _ree_chunk(field: FieldSpec, params: CurveParams, lo: int, hi: int, with_t: 
         nz = u != 0
         n_t[nz] = np.where(log[u[nz]] % dk == 0, dk, 0)
         contrib = contrib * n_t
-    t0 = int((n_y * n_z)[u == 0].sum())
-    return int(contrib.sum()), t0
+    return contrib, np.where(u == 0, n_y * n_z, 0)
 
 
 # ---------------------------------------------------------------------------
-# tableless digit-matrix engine for the long Ree extension
+# tableless digit-matrix engine for the degree-6 Ree extension
 
 
 class _DigitField:
@@ -171,14 +178,15 @@ class _DigitField:
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.k = field.k
-        tail = np.array([(-c) % 3 for c in field.modulus[:-1]], dtype=np.int64)
-        self.tail = tail
+        self.k = k = field.k
         self.frob = self._frobenius_matrix()
+        # row j: digits of x^(k+j) mod the modulus, folding product column k+j
+        x = field.gen.code
+        self.fold = np.array(
+            [_code_to_digits(field.pow(x, k + j), k, 3) for j in range(k - 1)], dtype=np.int16
+        ).reshape(k - 1, k)
 
     def _frobenius_matrix(self):
-        from .gf import _code_to_digits
-
         f, k = self.field, self.k
         mat = np.zeros((k, k), dtype=np.int64)
         for i in range(k):
@@ -200,17 +208,14 @@ class _DigitField:
         return (D @ mat.T) % 3
 
     def mul(self, A, B):
+        # product columns stay unreduced until one fold: entries reach at most
+        # 4k before it and 4k(2k-1) after, within int16 for k <= 18
         k = self.k
-        C = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int64)
+        A, B = A.astype(np.int16, copy=False), B.astype(np.int16, copy=False)
+        C = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int16)
         for i in range(k):
             C[:, i : i + k] += A[:, i : i + 1] * B
-        C %= 3
-        for j in range(2 * k - 2, k - 1, -1):
-            d = C[:, j]
-            C[:, j - k : j] += d[:, None] * self.tail[None, :]
-            C[:, j] = 0
-            C %= 3
-        return C[:, :k]
+        return (C[:, :k] + C[:, k:] @ self.fold) % 3
 
     def power(self, D, e):
         result = np.zeros_like(D)
@@ -224,11 +229,10 @@ class _DigitField:
         return result
 
 
-def _ree_long_chunk(df: _DigitField, params: CurveParams, lo: int, hi: int):
+def _ree_long_chunk(df: _DigitField, params: CurveParams, x, with_t: bool):
     k = df.k
     q, m = params.q, params.m
-    codes = np.arange(lo, hi, dtype=np.int64)
-    D = _digits(codes, k)
+    D = _digits(x, k)
     Fq = df.matpow(df.frob, 2 * params.s + 1)  # x -> x^q
     Dq = df.apply(Fq, D)
     U = (Dq - D) % 3
@@ -245,16 +249,72 @@ def _ree_long_chunk(df: _DigitField, params: CurveParams, lo: int, hi: int):
     tr2 = (T2 @ TR.T) % 3
     n_y = np.where((tr1 == 0).all(axis=1), q, 0).astype(np.int64)
     n_z = np.where((tr2 == 0).all(axis=1), q, 0).astype(np.int64)
-    dk = math.gcd(m, 3**k - 1)
-    e = (3**k - 1) // dk
-    P = df.power(U, e)
-    is_one = (P[:, 0] == 1) & (P[:, 1:] == 0).all(axis=1)
     u_zero = (U == 0).all(axis=1)
-    n_t = np.where(u_zero, 1, np.where(is_one, dk, 0)).astype(np.int64)
-    return int((n_y * n_z * n_t).sum()), int((n_y * n_z)[u_zero].sum())
+    contrib = n_y * n_z
+    if with_t:
+        # the power-residue test dominates the cost; run it only where the
+        # trace conditions leave a nonzero fibre
+        dk = math.gcd(m, 3**k - 1)
+        live = (contrib != 0) & ~u_zero
+        P = df.power(U[live], (3**k - 1) // dk)
+        n_t = np.ones_like(contrib)
+        n_t[live] = np.where((P[:, 0] == 1) & (P[:, 1:] == 0).all(axis=1), dk, 0)
+        contrib = contrib * n_t
+    return contrib, np.where(u_zero, n_y * n_z, 0)
 
 
 # ---------------------------------------------------------------------------
+
+
+def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
+    """Resolve the family, check support, and bind the kernel for the field."""
+    family = Family(family)
+    if params.family is not family:
+        params = params_from_s(family, params.s)
+    _check_supported(family, params, r)
+    field = make_field(family.char, (2 * params.s + 1) * r, modulus)
+    with_t = family.is_cover
+    if field.order <= TABLE_LIMIT:
+        field.tables()
+        chunk = _suzuki_chunk if field.p == 2 else _ree_chunk
+
+        def kernel(x):
+            return chunk(field, params, x, with_t)
+
+    else:
+        if field.p == 2:
+            raise UnsupportedCountError("no tableless kernel for characteristic 2")
+        df = _DigitField(field)
+
+        def kernel(x):
+            return _ree_long_chunk(df, params, x, with_t)
+
+    return family, params, field, kernel
+
+
+def _orbit_codes(field: FieldSpec, q: int, r: int) -> np.ndarray:
+    """Code 0, then one x_P per point P of P^{r-2}(F_q)."""
+    p, k = field.p, field.k
+    powers = p ** np.arange(k, dtype=np.int64)
+    sub = field.subfield_codes(k // r)
+    reps = [np.zeros((1, k), dtype=np.int8)]
+    span = reps[0]  # every sum of c_i g^i over 1 <= i < j
+    for j in range(1, r):
+        gj = field.pow(field.gen.code, j)
+        reps.append((span + np.array(_code_to_digits(gj, k, p), dtype=np.int8)) % p)
+        if j < r - 1:
+            line = _digits(np.array([field.mul(c, gj) for c in sub]), k, p).astype(np.int8)
+            span = ((span[:, None, :] + line[None, :, :]) % p).reshape(-1, k)
+    return np.concatenate(reps) @ powers
+
+
+def _streamed_count(family: Family | str, params: CurveParams, r: int, modulus=None):
+    """(n_points, t0_affine) summed over every x of the field: the reference
+    that the orbit-reduced count is tested against."""
+    _, _, field, kernel = _prepare(family, params, r, modulus)
+    parts = [kernel(np.arange(lo, min(lo + CHUNK, field.order), dtype=np.int64))
+             for lo in range(0, field.order, CHUNK)]
+    return 1 + sum(int(f.sum()) for f, _ in parts), sum(int(t.sum()) for _, t in parts)
 
 
 def count_points(
@@ -262,49 +322,24 @@ def count_points(
     params: CurveParams,
     r: int,
     threads: int | None = None,
-    long_ok: bool = False,
     modulus=None,
 ) -> CountReport:
     """Count rational places over the degree-r extension of the base field,
     including the single infinite place."""
-    family = Family(family)
-    if params.family is not family:
-        from .curves import params_from_s
-
-        params = params_from_s(family, params.s)
-    _check_supported(family, params, r, long_ok)
-    p = family.char
-    k = (2 * params.s + 1) * r
-    field = make_field(p, k, modulus)
-    threads = threads or default_threads()
+    family, params, field, kernel = _prepare(family, params, r, modulus)
+    threads = default_threads() if threads is None else positive_threads(threads, "threads")
     t_start = time.perf_counter()
-    with_t = family.is_cover
-
-    if field.order <= (1 << 21):
-        field.tables()
-        kernel = _suzuki_chunk if p == 2 else _ree_chunk
-        jobs = [(lo, min(lo + CHUNK, field.order)) for lo in range(0, field.order, CHUNK)]
-
-        def run(job):
-            return kernel(field, params, job[0], job[1], with_t)
-
-    else:
-        if p == 2:
-            raise UnsupportedCountError("no tableless kernel for characteristic 2")
-        df = _DigitField(field)
-        jobs = [(lo, min(lo + CHUNK, field.order)) for lo in range(0, field.order, CHUNK)]
-
-        def run(job):
-            return _ree_long_chunk(df, params, job[0], job[1])
-
+    codes = _orbit_codes(field, params.q, r)
+    jobs = [codes[lo : lo + CHUNK] for lo in range(0, len(codes), CHUNK)]
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            results = list(pool.map(kernel, jobs))
     else:
-        results = [run(job) for job in jobs]
-    affine = sum(x for x, _ in results)
-    t0_affine = sum(t for _, t in results)
-    n_points = 1 + affine
+        results = [kernel(job) for job in jobs]
+    f = np.concatenate([c for c, _ in results])
+    q = params.q
+    n_points = 1 + q * int(f[0]) + q * (q - 1) * int(f[1:].sum())
+    t0_affine = q * int(results[0][1][0])  # t = 0 needs x in F_q, the orbit of 0
 
     ell = field.order
     g = genus(params)
@@ -330,6 +365,7 @@ def count_points(
         wall_time=time.perf_counter() - t_start,
         modulus=field.modulus,
         t0_affine=t0_affine,
+        elements_evaluated=len(codes),
     )
 
 

@@ -377,13 +377,17 @@ class FieldSpec:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""
         if self.k % d != 0:
             raise FieldError("not a subfield degree")
+        sub = self.p**d - 1
+        step = (self.order - 1) // sub
         if self.order <= TABLE_LIMIT:
             exp, _ = self.tables()
-            sub = self.p**d - 1
-            step = (self.order - 1) // sub
-            codes = [0] + [int(exp[i * step]) for i in range(sub)]
-            return sorted(codes)
-        return [c for c in range(self.order) if self.frobenius(c, d) == c]
+            return sorted([0] + [int(exp[i * step]) for i in range(sub)])
+        w = self.pow(self.generator_code(), step)  # generates GF(p^d)^*
+        codes, cur = [0], 1
+        for _ in range(sub):
+            codes.append(cur)
+            cur = self.mul(cur, w)
+        return sorted(codes)
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.k}), modulus={self.modulus})"

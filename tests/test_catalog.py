@@ -396,3 +396,12 @@ class TestGenericTameEvaluators:
 
     def test_base_passthrough(self):
         assert cat.genus_same_as_base_quotient(14) == 14
+
+
+def test_divisors_match_trial_division():
+    for n in range(-2, 5001):
+        got = cat.divisors(n)
+        assert got == [d for d in range(1, n + 1) if n % d == 0]
+    first, second = cat.divisors(12), cat.divisors(12)
+    first.append(0)
+    assert second == [1, 2, 3, 4, 6, 12]

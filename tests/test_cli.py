@@ -50,10 +50,15 @@ class TestCount:
         rec = json.loads(out)
         assert code == EXIT_OK and rec["results"]["n_points"] == 19684
 
-    def test_long_guard(self, capsys):
-        code, _, err = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "6")
+    def test_degree_five_unsupported(self, capsys):
+        code, _, err = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "5")
         assert code == EXIT_USAGE
-        assert "long" in err
+        assert "unsupported" in err
+
+    def test_elements_evaluated_in_results(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["elements_evaluated"] == 29
 
     def test_verify_maximal_failure_exit(self, capsys):
         # base-field count of the cover is not at the bound
@@ -69,6 +74,28 @@ class TestCount:
             del rec["timing"]
             del rec["results"]["wall_time"]
         assert r1 == r2
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_flag(self, capsys, value):
+        code, out, err = run(capsys, "count", "--family", "suzuki-cover", "--s", "1",
+                             "--ext", "1", "--threads", value)
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines() == [f"error: --threads must be a positive integer, got {int(value)}"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MAXCURVE_THREADS", value)
+        code, out, err = run(capsys, "count", "--family", "suzuki-cover", "--s", "1", "--ext", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines() == [f"error: MAXCURVE_THREADS must be a positive integer, got {value!r}"]
+
+    def test_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXCURVE_THREADS", "abc")
+        code, out, _ = run(capsys, "count", "--family", "suzuki-cover", "--s", "1",
+                           "--ext", "1", "--threads", "1")
+        assert code == EXIT_OK and json.loads(out)["results"]["n_points"] == 65
 
 
 class TestSpectrum:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from maxcurve.counting import CountReport, UnsupportedCountError, count_points
-from maxcurve.curves import genus, hasse_weil_target, params_from_s
+from maxcurve import counting
+from maxcurve.counting import (
+    CountReport,
+    UnsupportedCountError,
+    _check_supported,
+    _orbit_codes,
+    _streamed_count,
+    count_points,
+)
+from maxcurve.curves import Family, genus, hasse_weil_target, params_from_s
 from maxcurve.gf import default_modulus, is_irreducible, make_field
 
 P8 = params_from_s("suzuki-cover", 1)
@@ -104,9 +112,11 @@ class TestGuards:
         with pytest.raises(UnsupportedCountError):
             count_points("suzuki-cover", P8, 3)
 
-    def test_long_requires_flag(self):
+    @pytest.mark.parametrize("family", ["ree-cover", "ree-base"])
+    def test_degree_six_supported(self, family):
+        _check_supported(Family(family), params_from_s(family, 1), 6)
         with pytest.raises(UnsupportedCountError):
-            count_points("ree-cover", P27, 6)
+            count_points(family, params_from_s(family, 1), 5)
 
     def test_desk_scale_guard(self):
         with pytest.raises(UnsupportedCountError):
@@ -120,18 +130,80 @@ def test_thread_count_invariance():
     assert values == {19684}
 
 
-def test_alternative_modulus_reproduces_count():
+def _alternative_modulus_2_12():
     code_default = default_modulus(2, 12)
-    alt = None
     for cand in range(1, 4096):
         tail = tuple((cand >> i) & 1 for i in range(12))
         mod = tail + (1,)
         if mod != code_default and is_irreducible(mod, 2):
-            alt = mod
-            break
+            return mod
+
+
+def test_alternative_modulus_reproduces_count():
+    alt = _alternative_modulus_2_12()
     rep = count_points("suzuki-cover", P8, 4, modulus=alt)
     assert rep.modulus == alt
     assert rep.n_points == 29185
+
+
+DESK_JOBS = [
+    ("suzuki-cover", 1, 1),
+    ("suzuki-cover", 1, 2),
+    ("suzuki-cover", 1, 4),
+    ("suzuki-base", 1, 4),
+    ("suzuki-cover", 2, 4),
+    ("suzuki-base", 2, 4),
+    ("ree-cover", 1, 1),
+    ("ree-cover", 1, 2),
+    ("ree-cover", 1, 3),
+    ("ree-base", 1, 3),
+]
+
+
+class TestOrbitReduction:
+    """The orbit-reduced count against the streamed sum over every x."""
+
+    @pytest.mark.parametrize("family,s,r", DESK_JOBS)
+    def test_matches_streamed_sum(self, family, s, r):
+        rep = count_points(family, params_from_s(family, s), r, threads=1)
+        assert (rep.n_points, rep.t0_affine) == _streamed_count(family, params_from_s(family, s), r)
+
+    def test_matches_streamed_sum_alternative_modulus(self):
+        alt = _alternative_modulus_2_12()
+        for family in ("suzuki-cover", "suzuki-base"):
+            rep = count_points(family, P8, 4, modulus=alt)
+            assert (rep.n_points, rep.t0_affine) == _streamed_count(family, P8, 4, modulus=alt)
+
+    @pytest.mark.parametrize("modulus", [None, "alt"])
+    def test_orbits_partition_the_field(self, modulus):
+        """F_8 and the orbits of the x_P under x -> lam*x + a tile GF(2^12)."""
+        f = make_field(2, 12, _alternative_modulus_2_12() if modulus else None)
+        sub = f.subfield_codes(3)
+        codes = [int(c) for c in _orbit_codes(f, 8, 4)]
+        assert codes[0] == 0 and len(codes) == 1 + 73
+        seen = set(sub)
+        for x in codes[1:]:
+            orbit = {f.mul(lam, x) ^ a for lam in sub[1:] for a in sub}
+            assert len(orbit) == 8 * 7 and not orbit & seen
+            seen |= orbit
+        assert len(seen) == f.order
+
+    def test_elements_evaluated(self):
+        assert count_points("suzuki-cover", P32, 4, threads=1).elements_evaluated == 1058
+        assert count_points("ree-cover", P27, 3).elements_evaluated == 29
+
+    def test_jobs_split_across_threads(self, monkeypatch):
+        monkeypatch.setattr(counting, "CHUNK", 100)
+        for t in (1, 2):
+            rep = count_points("suzuki-cover", P32, 4, threads=t)
+            assert (rep.n_points, rep.t0_affine) == (32538625, 1024)
+
+    @pytest.mark.parametrize("family,n_points", [("ree-cover", 10073464156), ("ree-base", 530200972)])
+    def test_ree_maximal_over_degree_six(self, family, n_points):
+        rep = count_points(family, params_from_s(family, 1), 6, threads=2)
+        assert rep.n_points == n_points == rep.hw_target
+        assert rep.is_maximal and rep.t0_affine == 27**3
+        assert rep.elements_evaluated == 1 + (27**5 - 1) // 26
 
 
 def test_report_fields():
@@ -144,7 +216,7 @@ def test_report_fields():
 
 
 class TestDigitFieldEngine:
-    """The tableless engine used by the gated long count, validated against
+    """The tableless engine of the degree-6 Ree count, validated against
     scalar field arithmetic."""
 
     def test_matches_field_ops_gf3_6(self):
@@ -170,11 +242,19 @@ class TestDigitFieldEngine:
         f = make_field(3, 18)
         df = _DigitField(f)
         q, q0, m = 27, 3, 19
-        lo, hi = 3**9 + 12345, 3**9 + 12345 + 150
-        total, t0 = _ree_long_chunk(df, P27, lo, hi)
-        expected = 0
+        orbit = _orbit_codes(f, q, 6)
+        assert len(orbit) == 1 + 1 + 27 + 27**2 + 27**3 + 27**4
+        # a streamed range, the first and last orbit representatives, and a
+        # block of the orbit set: every x of the first 105 and every x with a
+        # nonzero fibre is checked
+        lo = 3**9 + 12345
+        xs = np.concatenate([np.arange(lo, lo + 60), orbit[:3], orbit[-2:], orbit[300000:304096]])
+        contrib, t0 = _ree_long_chunk(df, P27, xs, True)
+        checked = [i for i in range(len(xs)) if i < 105 or contrib[i]]
+        assert len(checked) > 110
+        expected = []
         exp_kummer = (f.order - 1) // 19
-        for x in range(lo, hi):
+        for x in xs[checked].tolist():
             u = f.sub(f.pow(x, q), x)
             cy = f.mul(f.pow(x, q0), u)
             cz = f.mul(f.pow(x, 2 * q0), u)
@@ -190,5 +270,5 @@ class TestDigitFieldEngine:
                 nt = 1
             else:
                 nt = 19 if f.pow(u, exp_kummer) == 1 else 0
-            expected += ny * nz * nt
-        assert total == expected
+            expected.append((ny * nz * nt, ny * nz if u == 0 else 0))
+        assert list(zip(contrib[checked].tolist(), t0[checked].tolist())) == expected

@@ -112,6 +112,14 @@ def test_fixed_field_sizes(f, divs):
         assert sorted(fixed) == f.subfield_codes(d)
 
 
+def test_tableless_subfield_codes():
+    f = make_field(3, 18)
+    for d in (1, 2, 3, 6):
+        codes = f.subfield_codes(d)
+        assert len(set(codes)) == 3**d and codes == sorted(codes)
+        assert all(f.frobenius(c, d) == c for c in codes[:30])
+
+
 def test_field_arith_dispatch():
     f = F2_12
     a, b = f.from_code(99), f.from_code(1234)
