@@ -30,7 +30,7 @@ class PlaceSet:
     field: FieldSpec
     params: CurveParams
     places: list[tuple[int, int, int]]  # affine triples; index 0 is reserved
-    index: dict[tuple[int, int, int], int]
+    keys: np.ndarray  # packed (x, y, t) of each affine place, strictly increasing
     coords: tuple[np.ndarray, np.ndarray, np.ndarray]
     subfield: list[int]
 
@@ -40,15 +40,23 @@ class PlaceSet:
         return len(self.places) + 1
 
     def fq_rational_ids(self) -> list[int]:
-        sub = set(self.subfield)
-        ids = [self.INFTY]
-        for i, (x, y, t) in enumerate(self.places):
-            if x in sub and y in sub and t == 0:
-                ids.append(i + 1)
-        return ids
+        X, Y, T = self.coords
+        rational = np.isin(X, self.subfield) & np.isin(Y, self.subfield) & (T == 0)
+        return [self.INFTY] + (np.flatnonzero(rational) + 1).tolist()
 
     def t_zero_affine_count(self) -> int:
-        return sum(1 for (_, _, t) in self.places if t == 0)
+        return int(np.count_nonzero(self.coords[2] == 0))
+
+    def ids(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+        """Ids of the affine places (x, y, t); ModelError names the first
+        triple that is not a place."""
+        keys = _pack(self.field.k, x, y, t)
+        pos = np.searchsorted(self.keys, keys)
+        found = self.keys[np.minimum(pos, len(self.keys) - 1)] == keys
+        if not found.all():
+            i = int(np.argmin(found))
+            raise ModelError(f"{what} {(int(x[i]), int(y[i]), int(t[i]))} is not a place")
+        return pos + 1
 
 
 @dataclass
@@ -61,6 +69,11 @@ class Automorphism:
         return compose(self, other)
 
 
+def _pack(k: int, x, y, t):
+    """(x, y, t) as one integer; codes below 2^k keep the lexicographic order."""
+    return (x << (2 * k)) | (y << k) | t
+
+
 def build_places(params: CurveParams, modulus=None) -> PlaceSet:
     """Enumerate all places of the q=8 cover over the degree-4 extension,
     in lexicographic coordinate order, infinite place first."""
@@ -70,61 +83,50 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
     exp, log = f.tables()
     n = f.order - 1
     q, q0, m = params.q, params.q0, params.m
+    codes = np.arange(f.order, dtype=np.int64)
 
-    # preimages of the linearized map y -> y^q + y (kernel is the subfield)
-    pre: dict[int, int] = {}
-    for y in range(f.order):
-        img = f.pow(y, q) ^ y
-        pre.setdefault(img, y)
+    # s = x^q + x.  The same map y -> y^q + y is linearized with the
+    # subfield as kernel; pre holds its smallest preimage of each value.
+    s = _vpow(f, codes, q) ^ codes
+    image, first = np.unique(s, return_index=True)
+    pre = np.full(f.order, -1, dtype=np.int64)
+    pre[image] = first
     kernel = sorted(f.subfield_codes(2 * params.s + 1))
-    assert len(kernel) == q
+    if len(kernel) != q:
+        raise ModelError(f"the kernel of y -> y^q + y has {len(kernel)} elements, expected {q}")
 
-    step = n // m
-    zeta = int(exp[step])  # fixed primitive m-th root of unity
+    # x carries places iff y^q + y = x^q0 s and t^m = s are solvable
+    y0 = pre[_vmul(f, _vpow(f, codes, q0), s)]
+    lg = log[s]
+    xs = np.flatnonzero((y0 >= 0) & ((s == 0) | (lg % m == 0)))
+    ys = y0[xs, None] ^ np.array(kernel)
+    # the m roots t0 * zeta^j, zeta = g^(n/m); s = 0 has the single root 0,
+    # whose m copies np.unique merges while it sorts the places
+    ts = np.where(s[xs, None] == 0, 0, exp[(lg[xs, None] // m + (n // m) * np.arange(m)) % n])
+    keys = np.unique(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]))
 
-    places: list[tuple[int, int, int]] = []
-    for x in range(f.order):
-        s = f.pow(x, q) ^ x
-        c = f.mul(f.pow(x, q0), s)
-        if c not in pre:  # not in the image: no y solves the second equation
-            continue
-        y0 = pre[c]
-        ys = sorted(y0 ^ kc for kc in kernel)
-        if s == 0:
-            ts = [0]
-        else:
-            lg = int(log[s])
-            if lg % m != 0:
-                continue
-            t0 = int(exp[lg // m])
-            ts = sorted(f.mul(t0, f.pow(zeta, j)) for j in range(m))
-        for y in ys:
-            for t in ts:
-                places.append((x, y, t))
-
-    index = {pl: i + 1 for i, pl in enumerate(places)}
-    arr = np.array(places, dtype=np.int64)
+    low = (1 << f.k) - 1
+    X, Y, T = keys >> (2 * f.k), (keys >> f.k) & low, keys & low
     return PlaceSet(
         field=f,
         params=params,
-        places=places,
-        index=index,
-        coords=(arr[:, 0], arr[:, 1], arr[:, 2]),
+        places=list(zip(X.tolist(), Y.tolist(), T.tolist())),
+        keys=keys,
+        coords=(X, Y, T),
         subfield=kernel,
     )
+
+
+def _require_bijection(perm: np.ndarray, message: str) -> None:
+    if np.bincount(perm).max() != 1:  # n values in [0, n), none repeated
+        raise ModelError(message)
 
 
 def _perm_from_affine_images(ps: PlaceSet, xi, yi, ti, tag: str, spec=()) -> Automorphism:
     perm = np.empty(len(ps), dtype=np.int32)
     perm[PlaceSet.INFTY] = PlaceSet.INFTY
-    index = ps.index
-    try:
-        for i in range(len(ps.places)):
-            perm[i + 1] = index[(int(xi[i]), int(yi[i]), int(ti[i]))]
-    except KeyError as exc:  # image violates a curve equation
-        raise ModelError(f"{tag}: image {exc} is not a place") from exc
-    if len(np.unique(perm)) != len(perm):
-        raise ModelError(f"{tag}: not a bijection")
+    perm[1:] = ps.ids(xi, yi, ti, f"{tag}: image")
+    _require_bijection(perm, f"{tag}: not a bijection")
     return Automorphism(perm=perm, tag=tag, spec=spec)
 
 
@@ -217,32 +219,18 @@ def gen_phi(ps: PlaceSet) -> Automorphism:
     if ps.places[origin_row] != (0, 0, 0):
         raise ModelError("beta vanishes away from the origin")
 
-    binv = np.ones_like(beta)
-    nz = beta != 0
+    rows = np.flatnonzero(beta)
     exp, log = f.tables()
-    n = f.order - 1
-    binv[nz] = exp[(-log[beta[nz]]) % n]
-    xi = _vmul(f, alpha, binv)
-    yi = _vmul(f, Y, binv)
-    ti = _vmul(f, T, binv)
-
+    binv = exp[(-log[beta[rows]]) % (f.order - 1)]
     perm = np.empty(len(ps), dtype=np.int32)
-    index = ps.index
-    for i in range(len(ps.places)):
-        if i == origin_row:
-            continue
-        key = (int(xi[i]), int(yi[i]), int(ti[i]))
-        if key not in index:
-            raise ModelError(f"involution image {key} is not a place")
-        perm[i + 1] = index[key]
+    perm[rows + 1] = ps.ids(_vmul(f, alpha[rows], binv), _vmul(f, Y[rows], binv),
+                            _vmul(f, T[rows], binv), "involution image")
     perm[origin_row + 1] = PlaceSet.INFTY
     perm[PlaceSet.INFTY] = origin_row + 1
-    if len(np.unique(perm)) != len(perm):
-        raise ModelError("involution is not a bijection")
-    auto = Automorphism(perm=perm, tag="phi")
+    _require_bijection(perm, "involution is not a bijection")
     if not np.array_equal(perm[perm], np.arange(len(ps))):
         raise ModelError("completed map is not an involution")
-    return auto
+    return Automorphism(perm=perm, tag="phi")
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
@@ -259,20 +247,26 @@ def fixed_points(a: Automorphism) -> int:
 
 
 def element_order(a: Automorphism) -> int:
-    order = 1
-    seen = np.zeros(a.perm.shape[0], dtype=bool)
-    perm = a.perm
-    for start in range(perm.shape[0]):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    """The lcm of the cycle lengths.  Pointer doubling labels every point
+    with the smallest point of its cycle in at most ceil(log2 n) rounds:
+    after round r, label[i] is the minimum over i, p(i), ..., p^(2^r - 1)(i).
+
+    A round that changes no label ends the loop early.  Then label[i] <=
+    label[p^(2^r)(i)] for every i, so the labels are constant on each cycle
+    of p^(2^r); the 2^r consecutive points whose window holds the minimum
+    of a p-cycle meet every such cycle inside it, so all carry that minimum.
+    """
+    n = a.perm.shape[0]
+    jump = a.perm.astype(np.intp)
+    label = np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        nxt = np.minimum(label, label[jump])
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+        jump = jump[jump]
+    sizes = np.bincount(label)
+    return math.lcm(*np.unique(sizes[sizes > 0]).tolist())
 
 
 def power(a: Automorphism, n: int) -> Automorphism:
@@ -309,18 +303,18 @@ def verify_orbits(ps: PlaceSet, autos: list[Automorphism]) -> tuple[int, ...]:
     seen = np.zeros(n, dtype=bool)
     sizes = []
     perms = [a.perm for a in autos]
-    for start in range(n):
-        if seen[start]:
-            continue
+    while not seen.all():
+        start = int(np.argmin(seen))  # the first unseen place
         frontier = np.array([start])
         seen[start] = True
         size = 1
         while frontier.size:
-            nxt = np.unique(np.concatenate([p[frontier] for p in perms]))
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            size += nxt.size
-            frontier = nxt
+            reached = np.zeros(n, dtype=bool)
+            for p in perms:
+                reached[p[frontier]] = True
+            frontier = np.flatnonzero(reached & ~seen)
+            seen[frontier] = True
+            size += frontier.size
         sizes.append(size)
     return tuple(sorted(sizes))
 
@@ -350,32 +344,40 @@ def find_element_of_order(
 
 def stabilizer_subgroup_order(ps: PlaceSet, cap: int = 1000) -> int:
     """Order of the group generated by all complement stabilizer elements,
-    via closure on permutations (hashed by their action on the small orbit)."""
-    fq_ids = np.array(ps.fq_rational_ids())
+    via closure on their restrictions to the small orbit (the F_q-rational
+    places), which tell the elements apart."""
+    fq_ids = ps.fq_rational_ids()
+    slot = np.full(len(ps), -1)  # position of each place within fq_ids
+    slot[fq_ids] = np.arange(len(fq_ids))
     nonzero = [c for c in ps.subfield if c != 0]
     gen7 = next(c for c in nonzero if c != 1)
-    gens = [
+    gens = []
+    for g in (
         stabilizer_in_complement(ps, gen7, 0, 0),
         stabilizer_in_complement(ps, 1, nonzero[0], 0),
         stabilizer_in_complement(ps, 1, 0, nonzero[0]),
-    ]
-    seen: dict[bytes, np.ndarray] = {}
+    ):
+        restricted = slot[g.perm[fq_ids]]
+        if (restricted < 0).any():
+            raise ModelError(f"{g.tag} {g.spec} moves an F_q-rational place off the small orbit")
+        gens.append(restricted)
+    seen: set[bytes] = set()
     frontier = []
     for g in gens:
-        key = g.perm[fq_ids].tobytes()
+        key = g.tobytes()
         if key not in seen:
-            seen[key] = g.perm
-            frontier.append(g.perm)
+            seen.add(key)
+            frontier.append(g)
     while frontier:
         nxt = []
         for g in gens:
             for h in frontier:
-                prod = g.perm[h]
-                key = prod[fq_ids].tobytes()
+                prod = g[h]
+                key = prod.tobytes()
                 if key not in seen:
                     if len(seen) >= cap:
                         raise ModelError("closure exceeded cap")
-                    seen[key] = prod
+                    seen.add(key)
                     nxt.append(prod)
         frontier = nxt
     return len(seen)

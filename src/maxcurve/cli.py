@@ -23,7 +23,10 @@ EXIT_INTERNAL = 4
 FAMILIES = [f.value for f in Family]
 
 
-def _record(command: str, inputs: dict, results: dict, started: float, modulus=None) -> str:
+def _record(command: str, inputs: dict, results: dict, started: float, modulus=None,
+            wall_time: float | None = None) -> str:
+    """One JSON record.  `results` holds only deterministic values; the
+    timings sit beside it, so two identical runs differ only there."""
     rec = {
         "command": command,
         "inputs": inputs,
@@ -32,6 +35,8 @@ def _record(command: str, inputs: dict, results: dict, started: float, modulus=N
         "version": __version__,
         "modulus": list(modulus) if modulus is not None else None,
     }
+    if wall_time is not None:
+        rec["wall_time"] = round(wall_time, 6)
     return json.dumps(rec, sort_keys=True)
 
 
@@ -51,8 +56,10 @@ def cmd_count(args) -> int:
     started = time.perf_counter()
     family = Family(args.family)
     params = params_from_s(family, args.s)
+    threads = (default_threads() if args.threads is None
+               else positive_threads(args.threads, "--threads"))
     try:
-        report = count_points(family, params, args.ext, threads=args.threads)
+        report = count_points(family, params, args.ext, threads=threads)
     except UnsupportedCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -67,10 +74,9 @@ def cmd_count(args) -> int:
         "t0_affine": report.t0_affine,
         "elements_evaluated": report.elements_evaluated,
         "note": report.note,
-        "wall_time": round(report.wall_time, 6),
     }
     print(_record("count", {"family": family.value, "s": args.s, "ext": args.ext},
-                  results, started, report.modulus))
+                  results, started, report.modulus, report.wall_time))
     if args.verify_maximal and not report.is_maximal:
         return EXIT_VERIFY
     return EXIT_OK
@@ -262,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--check-table1", action="store_true",
                    help="check containment of the bundled reference genera")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("verify-group", help="brute-force verification of the q=8 action")
@@ -283,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "threads"):
-            args.threads = (default_threads() if args.threads is None
-                            else positive_threads(args.threads, "--threads"))
         return args.fn(args)
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)

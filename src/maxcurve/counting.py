@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveParams, Family, genus, hasse_weil_target, params_from_s
+from .curves import CurveParams, Family, InvariantError, genus, hasse_weil_target, params_from_s
 from .gf import TABLE_LIMIT, FieldSpec, _code_to_digits, make_field
 
 CHUNK = 1 << 16
@@ -346,7 +346,8 @@ def count_points(
     root = math.isqrt(ell)
     if root * root == ell:
         target = hasse_weil_target(ell, g)
-        assert n_points <= target, "count exceeds the Hasse-Weil bound"
+        if n_points > target:
+            raise InvariantError(f"count {n_points} exceeds the Hasse-Weil bound {target}")
         is_max = n_points == target
         note = ""
     else:

@@ -8,6 +8,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+class InvariantError(RuntimeError):
+    """A computed value broke a proven bound: a bug, never bad input."""
+
+
 class Family(str, Enum):
     SUZUKI_BASE = "suzuki-base"
     SUZUKI_COVER = "suzuki-cover"

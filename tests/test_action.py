@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,52 @@ from hypothesis import strategies as st
 
 from maxcurve import action as act
 from maxcurve.action import ModelError
+from maxcurve.gf import FieldSpec, make_field
+
+
+def scalar_places(params):
+    """The place list built one x at a time with scalar field arithmetic:
+    the reference for the array enumeration in build_places."""
+    f = make_field(2, 12)
+    exp, log = f.tables()
+    n = f.order - 1
+    q, q0, m = params.q, params.q0, params.m
+    pre = {}
+    for y in range(f.order):
+        pre.setdefault(f.pow(y, q) ^ y, y)
+    kernel = sorted(f.subfield_codes(2 * params.s + 1))
+    zeta = int(exp[n // m])
+    places = []
+    for x in range(f.order):
+        s = f.pow(x, q) ^ x
+        c = f.mul(f.pow(x, q0), s)
+        if c not in pre:
+            continue
+        ys = sorted(pre[c] ^ kc for kc in kernel)
+        if s == 0:
+            ts = [0]
+        else:
+            lg = int(log[s])
+            if lg % m != 0:
+                continue
+            t0 = int(exp[lg // m])
+            ts = sorted(f.mul(t0, f.pow(zeta, j)) for j in range(m))
+        places.extend((x, y, t) for y in ys for t in ts)
+    return places
+
+
+def cycle_walk_order(perm) -> int:
+    """The lcm of the cycle lengths, found by walking each cycle."""
+    order, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = int(perm[j])
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 class TestPlaceSet:
@@ -31,6 +79,56 @@ class TestPlaceSet:
 
         with pytest.raises(ModelError):
             act.build_places(params_from_s("suzuki-cover", 2))
+
+    def test_matches_scalar_enumeration(self, place_set, q8_params):
+        assert place_set.places == scalar_places(q8_params)
+
+    def test_keys_increase_along_the_place_list(self, place_set):
+        assert np.all(np.diff(place_set.keys) > 0)
+
+    def test_wrong_kernel_size_raises(self, q8_params, monkeypatch):
+        monkeypatch.setattr(FieldSpec, "subfield_codes", lambda self, d: [0, 1])
+        with pytest.raises(ModelError, match="expected 8"):
+            act.build_places(q8_params)
+
+
+class TestPlaceLookup:
+    def test_image_that_is_not_a_place(self, place_set):
+        X, Y, T = place_set.coords
+        # (0, 0, 1) fails t^m = x^q + x
+        with pytest.raises(ModelError, match=r"probe: image \(0, 0, 1\) is not a place"):
+            act._perm_from_affine_images(place_set, X, Y, T ^ 1, "probe")
+
+    def test_image_set_that_is_not_a_bijection(self, place_set):
+        X, Y, T = place_set.coords
+        same = [np.full_like(c, c[5]) for c in (X, Y, T)]
+        with pytest.raises(ModelError, match="probe: not a bijection"):
+            act._perm_from_affine_images(place_set, *same, "probe")
+
+    def test_ids_of_every_place(self, place_set):
+        assert np.array_equal(place_set.ids(*place_set.coords, "place"), np.arange(1, 29185))
+
+
+class TestElementOrder:
+    def test_identity(self):
+        assert act.element_order(act.Automorphism(perm=np.arange(29185, dtype=np.int32), tag="id")) == 1
+
+    def test_one_cycle_through_every_place(self):
+        order = np.random.default_rng(7).permutation(29185)
+        perm = np.empty(29185, dtype=np.int32)
+        perm[order] = np.roll(order, -1)
+        assert cycle_walk_order(perm) == 29185
+        assert act.element_order(act.Automorphism(perm=perm, tag="cycle")) == 29185
+
+    @given(perm=st.integers(1, 400).flatmap(lambda n: st.permutations(range(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_random_permutations(self, perm):
+        arr = np.array(perm, dtype=np.int32)
+        assert act.element_order(act.Automorphism(perm=arr, tag="random")) == cycle_walk_order(perm)
+
+    def test_default_generators(self, generators):
+        for name, a in generators.items():
+            assert act.element_order(a) == cycle_walk_order(a.perm), name
 
 
 class TestStabilizerGenerators:
@@ -112,7 +210,7 @@ class TestPhi:
 
     def test_swaps_infinity_with_origin(self, place_set, generators):
         phi = generators["phi"]
-        origin = place_set.index[(0, 0, 0)]
+        origin = place_set.places.index((0, 0, 0)) + 1
         assert phi.perm[act.PlaceSet.INFTY] == origin
         assert phi.perm[origin] == act.PlaceSet.INFTY
 
@@ -143,6 +241,19 @@ class TestGroupStructure:
 
     def test_stabilizer_closure_order(self, place_set):
         assert act.stabilizer_subgroup_order(place_set) == 448 == 8 * 8 * 7
+
+    def test_closure_rejects_generator_leaving_small_orbit(self, place_set, monkeypatch):
+        small = set(place_set.fq_rational_ids())
+        big = next(i for i in range(len(place_set)) if i not in small)
+
+        def leaky(ps, A, b, c):
+            perm = np.arange(len(ps), dtype=np.int32)
+            perm[[act.PlaceSet.INFTY, big]] = [big, act.PlaceSet.INFTY]
+            return act.Automorphism(perm=perm, tag="leaky")
+
+        monkeypatch.setattr(act, "stabilizer_in_complement", leaky)
+        with pytest.raises(ModelError, match="off the small orbit"):
+            act.stabilizer_subgroup_order(place_set)
 
     def test_wild_elements_fix_one_place(self, place_set, simple_group_gens):
         for seed in (5, 6):

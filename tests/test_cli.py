@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from maxcurve.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from maxcurve import counting
+from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -70,10 +71,17 @@ class TestCount:
         _, out1, _ = run(capsys, "count", "--family", "suzuki-cover", "--s", "1", "--ext", "1")
         _, out2, _ = run(capsys, "count", "--family", "suzuki-cover", "--s", "1", "--ext", "1")
         r1, r2 = json.loads(out1), json.loads(out2)
+        assert r1["wall_time"] >= 0
         for rec in (r1, r2):
             del rec["timing"]
-            del rec["results"]["wall_time"]
+            del rec["wall_time"]
         assert r1 == r2
+
+    def test_hasse_weil_breach_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "hasse_weil_target", lambda ell, g: 0)
+        code, out, err = run(capsys, "count", "--family", "suzuki-cover", "--s", "1", "--ext", "4")
+        assert code == EXIT_INTERNAL and out == ""
+        assert "exceeds the Hasse-Weil bound" in err
 
 
 class TestThreads:
@@ -132,6 +140,11 @@ class TestSpectrum:
         rec = json.loads(out)
         assert code == EXIT_OK
         assert rec["results"]["new_vs_baseline"] == [6, 8, 16, 19, 28, 40, 45, 92]
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--family", "suzuki-cover", "--s", "1", "--threads", "2"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_no_reference_row_for_s3(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "suzuki-cover", "--s", "3",
