@@ -3,12 +3,13 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives and takes a few seconds.
+evaluates 551,882 representatives and takes about a second.
 """
 
 import argparse
+import sys
 
-from maxcurve.counting import count_points
+from maxcurve.counting import count_points, default_threads, positive_threads
 from maxcurve.curves import params_from_s
 
 JOBS = [
@@ -24,13 +25,18 @@ def main() -> None:
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: MAXCURVE_THREADS or the CPU count)")
     args = parser.parse_args()
+    try:
+        threads = default_threads() if args.threads is None else positive_threads(args.threads, "--threads")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     print(f"{'family':14} {'s':>2} {'ext':>3} {'field':>8} {'points':>12} {'target':>12} {'max':>5} "
           f"{'elems':>7} {'wall':>9}")
     for family, s, exts in JOBS:
         params = params_from_s(family, s)
         for r in exts:
-            rep = count_points(family, params, r, threads=args.threads)
+            rep = count_points(family, params, r, threads=threads)
             target = rep.hw_target if rep.hw_target is not None else "-"
             print(
                 f"{family:14} {s:>2} {r:>3} {f'{rep.ell:.0e}' if rep.ell > 10**7 else rep.ell:>8} "

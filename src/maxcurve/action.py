@@ -29,7 +29,6 @@ class ModelError(RuntimeError):
 class PlaceSet:
     field: FieldSpec
     params: CurveParams
-    places: list[tuple[int, int, int]]  # affine triples; index 0 is reserved
     keys: np.ndarray  # packed (x, y, t) of each affine place, strictly increasing
     coords: tuple[np.ndarray, np.ndarray, np.ndarray]
     subfield: list[int]
@@ -37,7 +36,7 @@ class PlaceSet:
     INFTY = 0
 
     def __len__(self) -> int:
-        return len(self.places) + 1
+        return len(self.keys) + 1
 
     def fq_rational_ids(self) -> list[int]:
         X, Y, T = self.coords
@@ -80,14 +79,14 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
     if params.q != 8:
         raise ModelError("place enumeration is desk scale: q=8 only")
     f = make_field(2, 12, modulus)
-    exp, log = f.tables()
+    exp, log = f.tables()  # for the m-th roots
     n = f.order - 1
     q, q0, m = params.q, params.q0, params.m
     codes = np.arange(f.order, dtype=np.int64)
 
     # s = x^q + x.  The same map y -> y^q + y is linearized with the
     # subfield as kernel; pre holds its smallest preimage of each value.
-    s = _vpow(f, codes, q) ^ codes
+    s = f.vpow(codes, q) ^ codes
     image, first = np.unique(s, return_index=True)
     pre = np.full(f.order, -1, dtype=np.int64)
     pre[image] = first
@@ -96,7 +95,7 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
         raise ModelError(f"the kernel of y -> y^q + y has {len(kernel)} elements, expected {q}")
 
     # x carries places iff y^q + y = x^q0 s and t^m = s are solvable
-    y0 = pre[_vmul(f, _vpow(f, codes, q0), s)]
+    y0 = pre[f.vmul(f.vpow(codes, q0), s)]
     lg = log[s]
     xs = np.flatnonzero((y0 >= 0) & ((s == 0) | (lg % m == 0)))
     ys = y0[xs, None] ^ np.array(kernel)
@@ -110,7 +109,6 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
     return PlaceSet(
         field=f,
         params=params,
-        places=list(zip(X.tolist(), Y.tolist(), T.tolist())),
         keys=keys,
         coords=(X, Y, T),
         subfield=kernel,
@@ -130,35 +128,6 @@ def _perm_from_affine_images(ps: PlaceSet, xi, yi, ti, tag: str, spec=()) -> Aut
     return Automorphism(perm=perm, tag=tag, spec=spec)
 
 
-def _vmul_const(f: FieldSpec, const: int, arr: np.ndarray) -> np.ndarray:
-    if const == 0:
-        return np.zeros_like(arr)
-    exp, log = f.tables()
-    n = f.order - 1
-    out = np.zeros_like(arr)
-    nz = arr != 0
-    out[nz] = exp[(log[arr[nz]] + int(log[const])) % n]
-    return out
-
-
-def _vmul(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    exp, log = f.tables()
-    n = f.order - 1
-    out = np.zeros_like(a)
-    nz = (a != 0) & (b != 0)
-    out[nz] = exp[(log[a[nz]] + log[b[nz]]) % n]
-    return out
-
-
-def _vpow(f: FieldSpec, arr: np.ndarray, e: int) -> np.ndarray:
-    exp, log = f.tables()
-    n = f.order - 1
-    out = np.zeros_like(arr)
-    nz = arr != 0
-    out[nz] = exp[(log[arr[nz]] * e) % n]
-    return out
-
-
 def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> Automorphism:
     """Lifted stabilizer element; requires A, b, c in the base subfield,
     A nonzero, and delta^m = A."""
@@ -172,9 +141,9 @@ def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> Automorp
     if f.pow(delta, m) != A:
         raise ModelError("delta^m != A")
     X, Y, T = ps.coords
-    xi = _vmul_const(f, A, X) ^ b
-    yi = _vmul_const(f, f.pow(A, q0 + 1), Y) ^ _vmul_const(f, f.pow(b, q0), X) ^ c
-    ti = _vmul_const(f, delta, T)
+    xi = f.vmul(X, A) ^ b
+    yi = f.vmul(Y, f.pow(A, q0 + 1)) ^ f.vmul(X, f.pow(b, q0)) ^ c
+    ti = f.vmul(T, delta)
     return _perm_from_affine_images(ps, xi, yi, ti, "stabilizer", (A, b, c, delta))
 
 
@@ -192,7 +161,7 @@ def gen_gamma(ps: PlaceSet, lam: int) -> Automorphism:
     if f.pow(lam, m) != 1 or any(f.pow(lam, d) == 1 for d in range(1, m) if m % d == 0):
         raise ModelError("lambda must have exact order m")
     X, Y, T = ps.coords
-    return _perm_from_affine_images(ps, X, Y, _vmul_const(f, lam, T), "gamma", (lam,))
+    return _perm_from_affine_images(ps, X, Y, f.vmul(T, lam), "gamma", (lam,))
 
 
 def default_gamma(ps: PlaceSet) -> Automorphism:
@@ -209,22 +178,21 @@ def gen_phi(ps: PlaceSet) -> Automorphism:
     f, params = ps.field, ps.params
     q0 = params.q0
     X, Y, T = ps.coords
-    alpha = _vpow(f, Y, 2 * q0) ^ _vpow(f, X, 2 * q0 + 1)
-    beta = _vmul(f, X, _vpow(f, Y, 2 * q0)) ^ _vpow(f, alpha, 2 * q0)
+    alpha = f.vpow(Y, 2 * q0) ^ f.vpow(X, 2 * q0 + 1)
+    beta = f.vmul(X, f.vpow(Y, 2 * q0)) ^ f.vpow(alpha, 2 * q0)
 
     degenerate = np.flatnonzero(beta == 0)
     if degenerate.size != 1:
         raise ModelError(f"beta vanishes at {degenerate.size} affine places, expected 1")
     origin_row = int(degenerate[0])
-    if ps.places[origin_row] != (0, 0, 0):
+    if ps.keys[origin_row] != 0:  # the packed key of (0, 0, 0)
         raise ModelError("beta vanishes away from the origin")
 
     rows = np.flatnonzero(beta)
-    exp, log = f.tables()
-    binv = exp[(-log[beta[rows]]) % (f.order - 1)]
+    binv = f.vpow(beta[rows], -1)
     perm = np.empty(len(ps), dtype=np.int32)
-    perm[rows + 1] = ps.ids(_vmul(f, alpha[rows], binv), _vmul(f, Y[rows], binv),
-                            _vmul(f, T[rows], binv), "involution image")
+    perm[rows + 1] = ps.ids(f.vmul(alpha[rows], binv), f.vmul(Y[rows], binv),
+                            f.vmul(T[rows], binv), "involution image")
     perm[origin_row + 1] = PlaceSet.INFTY
     perm[PlaceSet.INFTY] = origin_row + 1
     _require_bijection(perm, "involution is not a bijection")
@@ -342,21 +310,16 @@ def find_element_of_order(
     raise ModelError(f"no element of order {target} found in {max_tries} tries")
 
 
-def stabilizer_subgroup_order(ps: PlaceSet, cap: int = 1000) -> int:
-    """Order of the group generated by all complement stabilizer elements,
-    via closure on their restrictions to the small orbit (the F_q-rational
-    places), which tell the elements apart."""
+def stabilizer_subgroup_order(ps: PlaceSet, generators: list[Automorphism], cap: int = 1000) -> int:
+    """Order of the group generated by complement stabilizer elements, such
+    as torus7, wild_b and wild_c of default_generators, via closure on their
+    restrictions to the small orbit (the F_q-rational places), which tell
+    the elements apart."""
     fq_ids = ps.fq_rational_ids()
     slot = np.full(len(ps), -1)  # position of each place within fq_ids
     slot[fq_ids] = np.arange(len(fq_ids))
-    nonzero = [c for c in ps.subfield if c != 0]
-    gen7 = next(c for c in nonzero if c != 1)
     gens = []
-    for g in (
-        stabilizer_in_complement(ps, gen7, 0, 0),
-        stabilizer_in_complement(ps, 1, nonzero[0], 0),
-        stabilizer_in_complement(ps, 1, 0, nonzero[0]),
-    ):
+    for g in generators:
         restricted = slot[g.perm[fq_ids]]
         if (restricted < 0).any():
             raise ModelError(f"{g.tag} {g.spec} moves an F_q-rational place off the small orbit")

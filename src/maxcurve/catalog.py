@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .curves import CurveParams, Family, params_from_s
+from .curves import CurveParams, Family, params_from_s, require
 from .gf import _factorize
 from .ramification import NonIntegralGenusError, delta_from_composition, genus_from_rh
 
@@ -370,9 +370,10 @@ def _suzuki_subfield_branch(cp: CurveParams, shat: int) -> int:
     else:
         branch = 2 if ((h - 3) // 4) % 2 == 0 else 1
     if branch == 1:
-        assert cp.m % dm == 0 and (cp.q + 2 * cp.q0 + 1) % dp == 0
+        ok = cp.m % dm == 0 and (cp.q + 2 * cp.q0 + 1) % dp == 0
     else:
-        assert (cp.q + 2 * cp.q0 + 1) % dm == 0 and cp.m % dp == 0
+        ok = (cp.q + 2 * cp.q0 + 1) % dm == 0 and cp.m % dp == 0
+    require(ok, f"Suzuki subfield branch {branch} fails at s^ = {shat}")
     return branch
 
 
@@ -1088,11 +1089,12 @@ def _ree_subfield_branch(cp: CurveParams, shat: int) -> int:
     else:
         branch = 2 if ((h - 5) // 6) % 2 == 0 else 1
     if branch == 0:
-        assert (cp.q + 1) % dm == 0 and (cp.q + 1) % dp == 0
+        ok = (cp.q + 1) % dm == 0 and (cp.q + 1) % dp == 0
     elif branch == 1:
-        assert cp.m % dm == 0 and (cp.q + 3 * cp.q0 + 1) % dp == 0
+        ok = cp.m % dm == 0 and (cp.q + 3 * cp.q0 + 1) % dp == 0
     else:
-        assert cp.m % dp == 0 and (cp.q + 3 * cp.q0 + 1) % dm == 0
+        ok = cp.m % dp == 0 and (cp.q + 3 * cp.q0 + 1) % dm == 0
+    require(ok, f"Ree subfield branch {branch} fails at s^ = {shat}")
     return branch
 
 
@@ -1241,23 +1243,26 @@ def order_of(spec: QuotientSpec) -> int:
     return KINDS[spec.kind].order(spec.params, spec.arg_dict)
 
 
-def validate(spec: QuotientSpec) -> Validation:
+def _assess(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
+    """The validation and, for a valid spec, its (order, delta, genus via
+    delta), each computed once."""
     kind = KINDS[spec.kind]
     if kind.char != spec.params.p:
-        return Validation(False, False, "kind belongs to the other family")
+        return Validation(False, False, "kind belongs to the other family"), None
     ok, why = kind.structural(spec.params, spec.arg_dict)
     if not ok:
-        return Validation(False, False, why)
+        return Validation(False, False, why), None
+    order, delta = order_of(spec), delta_of(spec)
     try:
-        genus_via_delta(spec)
+        gd = genus_from_rh(_two_g_minus_2(spec.params), order, delta)
     except NonIntegralGenusError as exc:
-        return Validation(False, False, f"composition fails the RH oracle: {exc}")
+        return Validation(False, False, f"composition fails the RH oracle: {exc}"), None
     cert, creason = kind.certified(spec.params, spec.arg_dict)
-    return Validation(True, cert, creason)
+    return Validation(True, cert, creason), (order, delta, gd)
 
 
-def genus_via_delta(spec: QuotientSpec) -> int:
-    return genus_from_rh(_two_g_minus_2(spec.params), order_of(spec), delta_of(spec))
+def validate(spec: QuotientSpec) -> Validation:
+    return _assess(spec)[0]
 
 
 def genus_closed(spec: QuotientSpec) -> int | None:
@@ -1269,25 +1274,28 @@ def genus_closed(spec: QuotientSpec) -> int | None:
     return int(frac)
 
 
-def evaluate(spec: QuotientSpec) -> GenusRecord:
+def _record(spec: QuotientSpec, val: Validation, order: int, delta: int, gd: int) -> GenusRecord:
     kind = KINDS[spec.kind]
-    val = validate(spec)
-    if not val.valid:
-        raise ValueError(f"invalid spec {spec}: {val.reason}")
-    gd = genus_via_delta(spec)
     gc = genus_closed(spec)
     mismatch = gc != gd
     note = kind.known_mismatch or "" if mismatch else ""
     return GenusRecord(
         spec=spec,
-        order=order_of(spec),
-        delta=delta_of(spec),
+        order=order,
+        delta=delta,
         genus_delta=gd,
         genus_closed=gc,
         certified=val.existence_certified,
         mismatch=mismatch,
         note=note,
     )
+
+
+def evaluate(spec: QuotientSpec) -> GenusRecord:
+    val, derived = _assess(spec)
+    if derived is None:
+        raise ValueError(f"invalid spec {spec}: {val.reason}")
+    return _record(spec, val, *derived)
 
 
 @dataclass
@@ -1319,11 +1327,11 @@ def spectrum(family: Family | str, params: CurveParams, kinds: list[str] | None 
             continue
         for args in kind.sweep(params):
             spec = QuotientSpec.make(kid, params, **args)
-            val = validate(spec)
-            if not val.valid:
+            val, derived = _assess(spec)
+            if derived is None:
                 invalid.append((spec, val.reason))
                 continue
-            rec = evaluate(spec)
+            rec = _record(spec, val, *derived)
             records.append(rec)
             if rec.mismatch:
                 mismatches.append(rec)

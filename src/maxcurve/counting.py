@@ -1,6 +1,6 @@
 """Orbit-reduced rational-point counts for the four curve families.
 
-Counts never materialize points.  The kernels evaluate, for an array of x
+Counts never materialize points.  The kernel evaluates, for an array of x
 codes, the fibre count f(x): the product of the Artin-Schreier solution
 counts (trace conditions) and the Kummer root count (power-residue
 condition).  f is invariant under x -> lam*x + a (lam in F_q^*, a in F_q),
@@ -10,9 +10,8 @@ orbit suffices:
     N = 1 + q f(0) + q(q-1) * sum of f(x_P) over P in P^{r-2}(F_q),
 
 where x_P = sum_{i=1}^{r-1} c_i g^i with c_i in F_q, g the generator of the
-residue basis, and the last nonzero c_i equal to 1.  Fields up to
-TABLE_LIMIT run the kernels through exp/log tables; the degree-6 Ree field
-runs them on digit matrices.
+residue basis, and the last nonzero c_i equal to 1.  One kernel, _fibres,
+evaluates every family on FieldSpec's array arithmetic.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curves import CurveParams, Family, InvariantError, genus, hasse_weil_target, params_from_s
-from .gf import TABLE_LIMIT, FieldSpec, _code_to_digits, make_field
+from .gf import FieldSpec, make_field
 
 CHUNK = 1 << 16
 
@@ -85,185 +85,32 @@ def _check_supported(family: Family, params: CurveParams, r: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# table-driven kernels: x codes in, per-x (f(x), f(x) at t = 0) out
+# the kernel: x codes in, per-x (f(x), f(x) at t = 0) out
 
 
-def _vmul(a, b, exp, log, n):
-    out = np.zeros_like(a)
-    nz = (a != 0) & (b != 0)
-    out[nz] = exp[(log[a[nz]] + log[b[nz]]) % n]
-    return out
+def _fibres(field: FieldSpec, params: CurveParams, x, with_t: bool):
+    """Per x code: (f(x), f(x) where u = x^q - x vanishes, else 0).
 
-
-def _vfrob_pow(codes, pe, exp, log, n):
-    """codes^(p^e) via exponent multiplication in the log domain."""
-    out = np.zeros_like(codes)
-    nz = codes != 0
-    out[nz] = exp[(log[codes[nz]] * pe) % n]
-    return out
-
-
-def _digits(codes, k, p=3):
-    mat = np.empty((codes.shape[0], k), dtype=np.int64)
-    c = codes.copy()
-    for i in range(k):
-        c, mat[:, i] = np.divmod(c, p)
-    return mat
-
-
-def _suzuki_chunk(field: FieldSpec, params: CurveParams, x, with_t: bool):
-    exp, log = field.tables()
-    n = field.order - 1
-    k, d = field.k, 2 * params.s + 1
-    q, q0, m = params.q, params.q0, params.m
-    xq = _vfrob_pow(x, q, exp, log, n)
-    s = xq ^ x
-    xq0 = _vfrob_pow(x, q0, exp, log, n)
-    c = _vmul(xq0, s, exp, log, n)
-    acc = c.copy()
-    t = c
-    for _ in range(k // d - 1):
-        t = _vfrob_pow(t, q, exp, log, n)
-        acc ^= t
-    n_y = np.where(acc == 0, q, 0).astype(np.int64)
+    The p-1 Artin-Schreier equations w^q - w = x^(j q0) u, j = 1..p-1, have q
+    solutions each iff the trace to GF(q) of the right side vanishes, and
+    none otherwise.  The cover's t^m = u then has gcd(m, ell-1) roots iff u
+    is a power of that order; the power-residue test, the costliest step on
+    digit arrays, runs only on rows with a nonzero fibre so far.
+    """
+    q, d = params.q, 2 * params.s + 1
+    u = field.vsub(field.vpow(x, q), x)
+    xq0 = field.vpow(x, params.q0)
+    f = np.ones_like(u)
+    c = u
+    for _ in range(field.p - 1):
+        c = field.vmul(xq0, c)
+        f *= np.where(field.vtrace(c, d) == 0, q, 0)
+    t0 = np.where(u == 0, f, 0)
     if with_t:
-        dk = math.gcd(m, field.order - 1)
-        n_t = np.where(s == 0, 1, 0).astype(np.int64)
-        nz = s != 0
-        n_t[nz] = np.where(log[s[nz]] % dk == 0, dk, 0)
-        contrib = n_y * n_t
-    else:
-        contrib = n_y
-    return contrib, np.where(s == 0, n_y, 0)
-
-
-def _ree_chunk(field: FieldSpec, params: CurveParams, x, with_t: bool):
-    exp, log = field.tables()
-    n = field.order - 1
-    k, d = field.k, 2 * params.s + 1
-    q, q0, m = params.q, params.q0, params.m
-    xq = _vfrob_pow(x, q, exp, log, n)
-    u_digits = (_digits(xq, k) - _digits(x, k)) % 3
-    u = (u_digits * (3 ** np.arange(k, dtype=np.int64))).sum(axis=1)
-    xq0 = _vfrob_pow(x, q0, exp, log, n)
-    t1 = _vmul(xq0, u, exp, log, n)          # x^q0 * u
-    t2 = _vmul(xq0, t1, exp, log, n)         # x^(2q0) * u
-
-    def trace_zero(c):
-        acc = _digits(c, k)
-        t = c
-        for _ in range(k // d - 1):
-            t = _vfrob_pow(t, q, exp, log, n)
-            acc += _digits(t, k)
-        return (acc % 3 == 0).all(axis=1)
-
-    n_y = np.where(trace_zero(t1), q, 0).astype(np.int64)
-    n_z = np.where(trace_zero(t2), q, 0).astype(np.int64)
-    contrib = n_y * n_z
-    if with_t:
-        dk = math.gcd(m, field.order - 1)
-        n_t = np.where(u == 0, 1, 0).astype(np.int64)
-        nz = u != 0
-        n_t[nz] = np.where(log[u[nz]] % dk == 0, dk, 0)
-        contrib = contrib * n_t
-    return contrib, np.where(u == 0, n_y * n_z, 0)
-
-
-# ---------------------------------------------------------------------------
-# tableless digit-matrix engine for the degree-6 Ree extension
-
-
-class _DigitField:
-    """GF(3^k) on digit matrices, for fields too large for exp/log tables."""
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self.k = k = field.k
-        self.frob = self._frobenius_matrix()
-        # row j: digits of x^(k+j) mod the modulus, folding product column k+j
-        x = field.gen.code
-        self.fold = np.array(
-            [_code_to_digits(field.pow(x, k + j), k, 3) for j in range(k - 1)], dtype=np.int16
-        ).reshape(k - 1, k)
-
-    def _frobenius_matrix(self):
-        f, k = self.field, self.k
-        mat = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            xi = f.pow(f.gen.code, 3 * i)  # (x^i)^3 mod modulus
-            mat[:, i] = _code_to_digits(xi, k, 3)
-        return mat
-
-    def matpow(self, mat, e):
-        out = np.eye(self.k, dtype=np.int64)
-        base = mat.copy()
-        while e:
-            if e & 1:
-                out = (out @ base) % 3
-            base = (base @ base) % 3
-            e >>= 1
-        return out
-
-    def apply(self, mat, D):
-        return (D @ mat.T) % 3
-
-    def mul(self, A, B):
-        # product columns stay unreduced until one fold: entries reach at most
-        # 4k before it and 4k(2k-1) after, within int16 for k <= 18
-        k = self.k
-        A, B = A.astype(np.int16, copy=False), B.astype(np.int16, copy=False)
-        C = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int16)
-        for i in range(k):
-            C[:, i : i + k] += A[:, i : i + 1] * B
-        return (C[:, :k] + C[:, k:] @ self.fold) % 3
-
-    def power(self, D, e):
-        result = np.zeros_like(D)
-        result[:, 0] = 1
-        base = D % 3
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-
-def _ree_long_chunk(df: _DigitField, params: CurveParams, x, with_t: bool):
-    k = df.k
-    q, m = params.q, params.m
-    D = _digits(x, k)
-    Fq = df.matpow(df.frob, 2 * params.s + 1)  # x -> x^q
-    Dq = df.apply(Fq, D)
-    U = (Dq - D) % 3
-    Dq0 = df.apply(df.matpow(df.frob, params.s), D)  # x -> x^q0
-    T1 = df.mul(Dq0, U)
-    T2 = df.mul(Dq0, T1)
-    # Tr to GF(q) as one digit matrix: sum of Fq powers
-    TR = np.zeros((k, k), dtype=np.int64)
-    P = np.eye(k, dtype=np.int64)
-    for _ in range(k // (2 * params.s + 1)):
-        TR = (TR + P) % 3
-        P = (Fq @ P) % 3
-    tr1 = (T1 @ TR.T) % 3
-    tr2 = (T2 @ TR.T) % 3
-    n_y = np.where((tr1 == 0).all(axis=1), q, 0).astype(np.int64)
-    n_z = np.where((tr2 == 0).all(axis=1), q, 0).astype(np.int64)
-    u_zero = (U == 0).all(axis=1)
-    contrib = n_y * n_z
-    if with_t:
-        # the power-residue test dominates the cost; run it only where the
-        # trace conditions leave a nonzero fibre
-        dk = math.gcd(m, 3**k - 1)
-        live = (contrib != 0) & ~u_zero
-        P = df.power(U[live], (3**k - 1) // dk)
-        n_t = np.ones_like(contrib)
-        n_t[live] = np.where((P[:, 0] == 1) & (P[:, 1:] == 0).all(axis=1), dk, 0)
-        contrib = contrib * n_t
-    return contrib, np.where(u_zero, n_y * n_z, 0)
-
-
-# ---------------------------------------------------------------------------
+        dk = math.gcd(params.m, field.order - 1)
+        live = (f != 0) & (u != 0)
+        f[live] *= np.where(field.vpow(u[live], (field.order - 1) // dk) == 1, dk, 0)
+    return f, t0
 
 
 def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
@@ -273,39 +120,20 @@ def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
         params = params_from_s(family, params.s)
     _check_supported(family, params, r)
     field = make_field(family.char, (2 * params.s + 1) * r, modulus)
-    with_t = family.is_cover
-    if field.order <= TABLE_LIMIT:
-        field.tables()
-        chunk = _suzuki_chunk if field.p == 2 else _ree_chunk
-
-        def kernel(x):
-            return chunk(field, params, x, with_t)
-
-    else:
-        if field.p == 2:
-            raise UnsupportedCountError("no tableless kernel for characteristic 2")
-        df = _DigitField(field)
-
-        def kernel(x):
-            return _ree_long_chunk(df, params, x, with_t)
-
-    return family, params, field, kernel
+    return family, params, field, partial(_fibres, field, params, with_t=family.is_cover)
 
 
 def _orbit_codes(field: FieldSpec, q: int, r: int) -> np.ndarray:
     """Code 0, then one x_P per point P of P^{r-2}(F_q)."""
-    p, k = field.p, field.k
-    powers = p ** np.arange(k, dtype=np.int64)
-    sub = field.subfield_codes(k // r)
-    reps = [np.zeros((1, k), dtype=np.int8)]
+    sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64)
+    reps = [np.zeros(1, dtype=np.int64)]
     span = reps[0]  # every sum of c_i g^i over 1 <= i < j
     for j in range(1, r):
         gj = field.pow(field.gen.code, j)
-        reps.append((span + np.array(_code_to_digits(gj, k, p), dtype=np.int8)) % p)
+        reps.append(field.vadd(span, gj))
         if j < r - 1:
-            line = _digits(np.array([field.mul(c, gj) for c in sub]), k, p).astype(np.int8)
-            span = ((span[:, None, :] + line[None, :, :]) % p).reshape(-1, k)
-    return np.concatenate(reps) @ powers
+            span = field.vadd(span[:, None], field.vmul(sub, gj)).reshape(-1)
+    return np.concatenate(reps)
 
 
 def _streamed_count(family: Family | str, params: CurveParams, r: int, modulus=None):
@@ -332,6 +160,7 @@ def count_points(
     codes = _orbit_codes(field, params.q, r)
     jobs = [codes[lo : lo + CHUNK] for lo in range(0, len(codes), CHUNK)]
     if threads > 1 and len(jobs) > 1:
+        kernel(codes[:1])  # builds the field's lazy tables before threads share it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(kernel, jobs))
     else:

@@ -12,6 +12,12 @@ class InvariantError(RuntimeError):
     """A computed value broke a proven bound: a bug, never bad input."""
 
 
+def require(ok: bool, what: str) -> None:
+    """Raise InvariantError(what) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise InvariantError(what)
+
+
 class Family(str, Enum):
     SUZUKI_BASE = "suzuki-base"
     SUZUKI_COVER = "suzuki-cover"
@@ -40,17 +46,15 @@ class CurveParams:
         return self.family.char
 
     def __post_init__(self):
-        p = self.p
-        assert self.q0 == p**self.s
-        assert self.q == p * self.q0**2
-        assert self.m == self.q - p * self.q0 + 1
+        p, s, q0, q, m = self.p, self.s, self.q0, self.q, self.m
+        require(q0 == p**s, f"q0 = {q0} is not {p}^{s}")
+        require(q == p * q0**2, f"q = {q} is not {p} q0^2")
+        require(m == q - p * q0 + 1, f"m = {m} is not q - {p} q0 + 1")
         # m divides q^2+1 (char 2) resp. q^3+1 (char 3)
         if p == 2:
-            assert (self.q**2 + 1) % self.m == 0
-            assert self.q**2 + 1 == (self.q + 2 * self.q0 + 1) * (self.q - 2 * self.q0 + 1)
+            require(q**2 + 1 == m * (q + 2 * q0 + 1), "q^2 + 1 != m (q + 2 q0 + 1)")
         else:
-            assert (self.q**3 + 1) % self.m == 0
-            assert self.q**3 + 1 == (self.q + 1) * (self.q + 3 * self.q0 + 1) * (self.q - 3 * self.q0 + 1)
+            require(q**3 + 1 == m * (q + 1) * (q + 3 * q0 + 1), "q^3 + 1 != m (q + 1) (q + 3 q0 + 1)")
 
 
 def params_from_s(family: Family | str, s: int) -> CurveParams:

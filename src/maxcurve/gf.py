@@ -5,7 +5,11 @@ code gives the coefficient vector in the residue basis {1, x, ..., x^(k-1)}.
 Code order therefore coincides with lexicographic order on coefficient
 vectors, which is the iteration order used by every exhaustive loop here.
 
-Alongside scalar arithmetic the module exposes the two solution-counting
+FieldSpec does arithmetic on single codes and, through its v* methods, on
+int64 arrays of codes.  The array layer multiplies through exp/log tables up
+to TABLE_LIMIT and on digit arrays beyond it.
+
+Alongside the arithmetic the module exposes the two solution-counting
 primitives the curve counts are built from: additive (Artin-Schreier) counts
 via subfield traces, and multiplicative (Kummer) counts via power residues.
 """
@@ -20,8 +24,8 @@ import numpy as np
 
 SUPPORTED_DEGREES = {2: 20, 3: 18}
 
-# Fields up to this order get exp/log tables (and the numpy kernels that
-# need them); larger fields fall back to scalar polynomial arithmetic.
+# Fields up to this order get exp/log tables, and their array arithmetic
+# runs through them; larger fields run it on digit arrays.
 TABLE_LIMIT = 1 << 21
 
 
@@ -211,8 +215,9 @@ class FieldElement:
 class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
-    Immutable after construction; the lazily built exp/log tables are
-    read-only caches, so instances are safe to share across threads.
+    Immutable after construction; the lazily built exp/log tables, digit
+    table and digit matrices are read-only caches, so instances are safe to
+    share across threads.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
@@ -232,6 +237,8 @@ class FieldSpec:
         self._mod_int = _digits_to_code(mod, p) if p == 2 else None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._generator_code: int | None = None
+        self._digit_table: np.ndarray | None = None
+        self._matrices: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- scalar arithmetic on codes ------------------------------------
 
@@ -297,6 +304,142 @@ class FieldSpec:
 
     def frobenius(self, a: int, j: int = 1) -> int:
         return self.pow(a, self.p**j)
+
+    # -- array arithmetic on int64 code arrays -------------------------
+    #
+    # The operands of vadd, vsub and vmul broadcast; either may be one scalar
+    # code.  Fields up to TABLE_LIMIT multiply through the exp/log tables.
+    # Larger ones work on digit arrays: uint8, with the k base-p digits of
+    # each code along a new first axis, so that every step acts on whole
+    # contiguous digit rows.
+
+    def vadd(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        return self._codes(self._digits(a) + self._digits(b))
+
+    def vsub(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        return self._codes(self._digits(a) + (self.p - 1) * self._digits(b))
+
+    def vmul(self, a, b) -> np.ndarray:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        if self.order > TABLE_LIMIT:
+            return self._codes(self._dmul(self._digits(a), self._digits(b)))
+        exp, log = self.tables()
+        out = np.zeros(a.shape, dtype=np.int64)
+        nz = (a != 0) & (b != 0)
+        out[nz] = exp[(log[a[nz]] + log[b[nz]]) % (self.order - 1)]
+        return out
+
+    def vpow(self, a, e: int) -> np.ndarray:
+        """a^e elementwise, with 0^0 = 1; e < 0 needs every entry nonzero."""
+        a = np.asarray(a, dtype=np.int64)
+        zero = a == 0
+        if e < 0 and zero.any():
+            raise ZeroDivisionError("inverse of zero")
+        n = self.order - 1
+        r = e % n
+        if self.order <= TABLE_LIMIT:
+            exp, log = self.tables()
+            out = np.empty_like(a)
+            out[~zero] = exp[log[a[~zero]] * r % n]
+        else:
+            j = next((j for j in range(self.k) if self.p**j == r), None)
+            digits = self._digits(a)
+            frobenius = self._digit_matrices()[0]
+            out = self._codes(self._dpow(digits, r) if j is None else self._linear(frobenius[j], digits))
+        return np.where(zero, 0 if e else 1, out)
+
+    def vtrace(self, a, d: int) -> np.ndarray:
+        """The trace of each entry down to GF(p^d): the sum of its conjugates
+        a^(p^(d j)), on digit arrays as one GF(p)-linear map."""
+        if self.k % d != 0:
+            raise FieldError(f"{d} does not divide {self.k}")
+        if self.order > TABLE_LIMIT:
+            trace = self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
+            return self._codes(self._linear(trace, self._digits(a)))
+        acc = cur = np.asarray(a, dtype=np.int64)
+        for _ in range(self.k // d - 1):
+            cur = self.vpow(cur, self.p**d)
+            acc = self.vadd(acc, cur)
+        return acc
+
+    # -- digit arrays ----------------------------------------------------
+    #
+    # A reduced digit array holds values up to p - 1.  Unreduced ones stay
+    # below 256: the largest is a sum of k digit products, (p - 1)^2 k <= 72.
+
+    def _digits(self, a) -> np.ndarray:
+        """Digits of codes, shape (k,) + a.shape, from a table of the codes
+        below p^h, h = ceil(k/2), applied to both halves of each code."""
+        h = (self.k + 1) // 2
+        if self._digit_table is None:
+            table = np.zeros((h, self.p**h), dtype=np.uint8)
+            c = np.arange(self.p**h)
+            for i in range(h):
+                c, table[i] = np.divmod(c, self.p)
+            self._digit_table = table
+        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), self.p**h)
+        table = self._digit_table
+        return np.concatenate([np.take(table, lo, axis=1), np.take(table[: self.k - h], hi, axis=1)])
+
+    def _codes(self, digits: np.ndarray) -> np.ndarray:
+        """Codes of digit arrays, reducing each digit mod p first."""
+        powers = self.p ** np.arange(self.k, dtype=np.int64)
+        return (digits % self.p * powers.reshape((-1,) + (1,) * (digits.ndim - 1))).sum(axis=0)
+
+    def _linear(self, mat: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The GF(p)-linear map mat on a reduced digit array, unreduced.  One
+        broadcast step per digit row: a matmul would call BLAS, whose own
+        threads contend with the count's thread pool."""
+        out = np.zeros((mat.shape[0],) + digits.shape[1:], dtype=np.uint8)
+        for i, row in enumerate(digits):
+            out += mat[:, i].reshape((-1,) + (1,) * row.ndim) * row
+        return out
+
+    def _dmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Products of reduced digit arrays, reduced: the 2k-1 product rows,
+        reduced, fold once through the digits of x^(k+j) mod the modulus."""
+        k = self.k
+        C = np.zeros((2 * k - 1,) + np.broadcast_shapes(A.shape[1:], B.shape[1:]), dtype=np.uint8)
+        for i in range(k):
+            C[i : i + k] += A[i] * B
+        C %= self.p
+        return (C[:k] + self._linear(self._digit_matrices()[1], C[k:])) % self.p
+
+    def _dpow(self, A: np.ndarray, e: int) -> np.ndarray:
+        """Square-and-multiply on a digit array, e >= 0."""
+        result = np.zeros_like(A)
+        result[0] = 1
+        while e:
+            if e & 1:
+                result = self._dmul(result, A)
+            e >>= 1
+            if e:
+                A = self._dmul(A, A)
+        return result
+
+    def _digit_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the matrices of a -> a^(p^j) for j < k, stacked; the k x (k-1)
+        matrix whose column j holds the digits of x^(k+j)), as uint8, from
+        the powers of x by shift and reduce."""
+        if self._matrices is None:
+            p, k = self.p, self.k
+            cols, cur = [], [1] + [0] * (k - 1)
+            for _ in range(max(p * (k - 1), 2 * k - 2) + 1):
+                cols.append(cur)
+                top = cur[-1]
+                cur = [(lo - top * m) % p for lo, m in zip([0] + cur[:-1], self.modulus)]
+            cols = np.array(cols, dtype=np.int64).T
+            frobenius = [np.eye(k, dtype=np.int64)]
+            for _ in range(k - 1):
+                frobenius.append(cols[:, p * np.arange(k)] @ frobenius[-1] % p)
+            self._matrices = (np.array(frobenius, dtype=np.uint8), cols[:, k : 2 * k - 1].astype(np.uint8))
+        return self._matrices
 
     # -- element constructors ------------------------------------------
 
@@ -402,18 +545,13 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
         raise FieldError(f"unsupported field GF({p}^{k})")
     factors = list(_factorize(p**k - 1))
     for code in range(p**k):
-        tail = _code_to_digits(code, k, p)
-        mod = _poly_trim(tuple(tail) + (1,))
-        if len(mod) - 1 != k or not is_irreducible(mod, p):
+        try:
+            field = FieldSpec(p, k, _code_to_digits(code, k, p) + (1,))
+        except FieldError:  # reducible
             continue
-        field = FieldSpec.__new__(FieldSpec)
-        field.p, field.k, field.modulus, field.order = p, k, mod, p**k
-        field._mod_int = _digits_to_code(mod, p) if p == 2 else None
-        field._tables = None
-        field._generator_code = None
         x = field.gen.code
         if x != 0 and all(field.pow(x, (p**k - 1) // f) != 1 for f in factors):
-            return mod
+            return field.modulus
     raise FieldError(f"no primitive modulus for GF({p}^{k})")  # pragma: no cover
 
 
@@ -431,27 +569,6 @@ def make_field(p: int, k: int, modulus: Sequence[int] | None = None) -> FieldSpe
     if modulus is None:
         return _cached_default_field(p, k)
     return FieldSpec(p, k, tuple(modulus))
-
-
-def field_arith(e1: FieldElement, e2: FieldElement | None, op: str, n: int | None = None) -> FieldElement:
-    """Operation dispatcher: op in {add, sub, mul, div, pow, inv, neg}."""
-    if op == "add":
-        return e1 + e2
-    if op == "sub":
-        return e1 - e2
-    if op == "mul":
-        return e1 * e2
-    if op == "div":
-        return e1 / e2
-    if op == "pow":
-        if n is None:
-            raise FieldError("pow needs an exponent")
-        return e1**n
-    if op == "inv":
-        return e1.inverse()
-    if op == "neg":
-        return -e1
-    raise FieldError(f"unknown op {op!r}")
 
 
 def subfield_trace(e: FieldElement, sub_degree: int) -> FieldElement:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveParams, Family
+from .curves import CurveParams, Family, require
 
 # Class tags for the conjugacy types of nontrivial elements of the full
 # automorphism group, written as sigma * tau^k with sigma in the lifted
@@ -123,7 +123,7 @@ def filtration(family: Family | str, params: CurveParams) -> RamificationFiltrat
             ("wild_order_le_4", q * q, m),
             ("involutions", q, m * (2 * q0 + 1)),
         )
-        assert m * (2 * q0 + 1) == q * q + 1 - m * q
+        require(m * (2 * q0 + 1) == q * q + 1 - m * q, "m (2 q0 + 1) != q^2 + 1 - m q")
     else:
         levels = (
             ("full_stabilizer", q**3 * (q - 1) * m, 0),
@@ -131,7 +131,7 @@ def filtration(family: Family | str, params: CurveParams) -> RamificationFiltrat
             ("derived", q * q, m * (3 * q0 + 1)),
             ("center", q, m * (q + 3 * q0 + 1)),
         )
-        assert m * (q + 3 * q0 + 1) == q * q - q + 1
+        require(m * (q + 3 * q0 + 1) == q * q - q + 1, "m (q + 3 q0 + 1) != q^2 - q + 1")
     return RamificationFiltration(family=family, levels=levels)
 
 

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxcurve
 from maxcurve import counting
 from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+
+SRC = str(Path(maxcurve.__file__).resolve().parents[1])  # the directory holding the package
 
 
 def run(capsys, *argv):
@@ -104,6 +111,20 @@ class TestThreads:
         code, out, _ = run(capsys, "count", "--family", "suzuki-cover", "--s", "1",
                            "--ext", "1", "--threads", "1")
         assert code == EXIT_OK and json.loads(out)["results"]["n_points"] == 65
+
+    @pytest.mark.parametrize("flag,env,message", [
+        (["--threads", "0"], None, "error: --threads must be a positive integer, got 0"),
+        ([], "abc", "error: MAXCURVE_THREADS must be a positive integer, got 'abc'"),
+    ])
+    def test_run_counts_script(self, flag, env, message):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_counts.py"
+        environ = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        environ.pop("MAXCURVE_THREADS", None)
+        if env is not None:
+            environ["MAXCURVE_THREADS"] = env
+        proc = subprocess.run([sys.executable, str(script), *flag], capture_output=True, text=True, env=environ)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
 
 
 class TestSpectrum:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from maxcurve import counting
+from maxcurve import counting, gf
 from maxcurve.counting import (
     CountReport,
     UnsupportedCountError,
     _check_supported,
+    _fibres,
     _orbit_codes,
     _streamed_count,
     count_points,
@@ -168,6 +169,14 @@ class TestOrbitReduction:
         rep = count_points(family, params_from_s(family, s), r, threads=1)
         assert (rep.n_points, rep.t0_affine) == _streamed_count(family, params_from_s(family, s), r)
 
+    @pytest.mark.parametrize("family,s,r", DESK_JOBS)
+    def test_digit_path_matches_tables(self, family, s, r, monkeypatch):
+        params = params_from_s(family, s)
+        tabled = count_points(family, params, r, threads=1)
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+        digits = count_points(family, params, r, threads=1)
+        assert (digits.n_points, digits.t0_affine) == (tabled.n_points, tabled.t0_affine)
+
     def test_matches_streamed_sum_alternative_modulus(self):
         alt = _alternative_modulus_2_12()
         for family in ("suzuki-cover", "suzuki-base"):
@@ -216,31 +225,24 @@ def test_report_fields():
 
 
 class TestDigitFieldEngine:
-    """The tableless engine of the degree-6 Ree count, validated against
-    scalar field arithmetic."""
+    """The digit-array arithmetic of tableless fields, which runs the
+    degree-6 Ree count, validated against scalar field arithmetic."""
 
     def test_matches_field_ops_gf3_6(self):
-        from maxcurve.counting import _DigitField, _digits
-
         f = make_field(3, 6)
-        df = _DigitField(f)
         rng = np.random.default_rng(17)
         codes = rng.integers(0, f.order, 64, dtype=np.int64)
         other = rng.integers(0, f.order, 64, dtype=np.int64)
-        A, B = _digits(codes, 6), _digits(other, 6)
-        powers = 3 ** np.arange(6, dtype=np.int64)
-        prod = (df.mul(A, B) * powers).sum(axis=1)
+        A, B = f._digits(codes), f._digits(other)
+        prod = f._codes(f._dmul(A, B))
         assert all(int(prod[i]) == f.mul(int(codes[i]), int(other[i])) for i in range(64))
-        cubes = (df.apply(df.frob, A) * powers).sum(axis=1)
+        cubes = f._codes(f._linear(f._digit_matrices()[0][1], A))
         assert all(int(cubes[i]) == f.pow(int(codes[i]), 3) for i in range(64))
-        p7 = (df.power(A, 7) * powers).sum(axis=1)
+        p7 = f._codes(f._dpow(A, 7))
         assert all(int(p7[i]) == f.pow(int(codes[i]), 7) for i in range(64))
 
     def test_long_kernel_slice_matches_scalar(self):
-        from maxcurve.counting import _DigitField, _ree_long_chunk
-
         f = make_field(3, 18)
-        df = _DigitField(f)
         q, q0, m = 27, 3, 19
         orbit = _orbit_codes(f, q, 6)
         assert len(orbit) == 1 + 1 + 27 + 27**2 + 27**3 + 27**4
@@ -249,7 +251,7 @@ class TestDigitFieldEngine:
         # nonzero fibre is checked
         lo = 3**9 + 12345
         xs = np.concatenate([np.arange(lo, lo + 60), orbit[:3], orbit[-2:], orbit[300000:304096]])
-        contrib, t0 = _ree_long_chunk(df, P27, xs, True)
+        contrib, t0 = _fibres(f, P27, xs, True)
         checked = [i for i in range(len(xs)) if i < 105 or contrib[i]]
         assert len(checked) > 110
         expected = []

@@ -1,12 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+import maxcurve
+from maxcurve.catalog import _ree_subfield_branch, _suzuki_subfield_branch
 from maxcurve.curves import (
+    CurveParams,
     Family,
+    InvariantError,
     genus,
     hasse_weil_target,
     hermitian_cover_analysis,
     params_from_s,
 )
+from maxcurve.ramification import filtration
 
 
 @pytest.mark.parametrize(
@@ -96,3 +107,33 @@ def test_family_enum_round_trip():
     assert Family("suzuki-cover").char == 2
     assert Family("ree-base").char == 3
     assert Family("ree-cover").is_cover and not Family("ree-base").is_cover
+
+
+class TestInvariants:
+    def test_inconsistent_params_raise(self):
+        with pytest.raises(InvariantError, match="q0 = 5"):
+            CurveParams(Family.SUZUKI_COVER, 1, 5, 7, 9)
+        with pytest.raises(InvariantError):
+            CurveParams(Family.REE_COVER, 1, 3, 27, 20)
+
+    def test_raised_under_optimize(self):
+        """Unlike an assert, the check survives python -O."""
+        code = ("from maxcurve.curves import CurveParams, Family, InvariantError\n"
+                "try:\n    CurveParams(Family.SUZUKI_COVER, 1, 5, 7, 9)\n"
+                "except InvariantError:\n    print('raised')\n")
+        src = str(Path(maxcurve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout == "raised\n"
+
+    def test_filtration_and_subfield_branches(self):
+        # the checks follow from consistent parameters, so break them directly
+        bad = SimpleNamespace(s=1, q0=2, q=8, m=6)
+        with pytest.raises(InvariantError):
+            filtration(Family.SUZUKI_COVER, bad)
+        with pytest.raises(InvariantError):
+            filtration(Family.REE_COVER, SimpleNamespace(s=1, q0=3, q=27, m=20))
+        with pytest.raises(InvariantError):
+            _suzuki_subfield_branch(SimpleNamespace(s=2, q0=4, q=32, m=24), 0)
+        with pytest.raises(InvariantError):
+            _ree_subfield_branch(SimpleNamespace(s=1, q0=3, q=26, m=19), 0)

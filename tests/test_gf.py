@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxcurve import gf
 from maxcurve.gf import (
     FieldError,
     artin_schreier_count,
     default_modulus,
-    field_arith,
     is_irreducible,
     make_field,
     mth_root_count,
@@ -91,6 +91,8 @@ def test_inverse_and_lagrange():
             assert (e * e.inverse()).code == 1
             assert (e ** (f.order - 1)).code == 1
             assert (e**f.order).code == a  # Frobenius power of the full field
+        with pytest.raises(ZeroDivisionError):
+            f.from_code(a) / f.zero
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -118,22 +120,6 @@ def test_tableless_subfield_codes():
         codes = f.subfield_codes(d)
         assert len(set(codes)) == 3**d and codes == sorted(codes)
         assert all(f.frobenius(c, d) == c for c in codes[:30])
-
-
-def test_field_arith_dispatch():
-    f = F2_12
-    a, b = f.from_code(99), f.from_code(1234)
-    assert field_arith(a, b, "add").code == (a + b).code
-    assert field_arith(a, b, "sub").code == (a - b).code
-    assert field_arith(a, b, "mul").code == (a * b).code
-    assert field_arith(a, b, "div").code == (a / b).code
-    assert field_arith(a, None, "inv").code == a.inverse().code
-    assert field_arith(a, None, "neg").code == (-a).code
-    assert field_arith(a, None, "pow", n=5).code == (a**5).code
-    with pytest.raises(FieldError):
-        field_arith(a, b, "xor")
-    with pytest.raises(ZeroDivisionError):
-        field_arith(a, f.zero, "div")
 
 
 class TestSubfieldTrace:
@@ -233,3 +219,55 @@ def test_alternative_modulus_same_counts():
     assert sum(artin_schreier_count(c, 8) for c in f.elements()) == 4096
     count8 = sum(1 for c in f.elements() if artin_schreier_count(c, 8) == 8)
     assert count8 == 2**9
+
+
+class TestArrayLayer:
+    """FieldSpec's array arithmetic against its scalar arithmetic, on the
+    exp/log tables and, with TABLE_LIMIT forced to 0, on digit arrays."""
+
+    @staticmethod
+    def check(f, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, f.order, n, dtype=np.int64)
+        b = rng.integers(0, f.order, n, dtype=np.int64)
+        a[:3], b[3:6] = 0, 0
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+        assert f.vmul(a, int(b[7])).tolist() == [f.mul(x, int(b[7])) for x, _ in pairs]
+        assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+        assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+        units = np.where(a == 0, 1, a)
+        for e in (0, 1, 2, f.p, f.p ** (f.k - 1), 7, (f.order - 1) // 2, f.order - 1, f.order, -1, -5):
+            base = a if e >= 0 else units
+            assert f.vpow(base, e).tolist() == [f.pow(x, e) for x in base.tolist()], e
+        x, y = int(a[7]), int(b[8])
+        assert (int(f.vmul(x, y)), int(f.vpow(x, 5)), int(f.vsub(x, y))) == (f.mul(x, y), f.pow(x, 5), f.sub(x, y))
+        for d in range(1, f.k + 1):
+            if f.k % d == 0:
+                assert f.vtrace(a, d).tolist() == [subfield_trace(f.from_code(x), d).code for x in a.tolist()], d
+
+    @pytest.mark.parametrize("p,k", [(2, 12), (3, 9)])
+    def test_tabled(self, p, k):
+        self.check(make_field(p, k), 200, k)
+
+    def test_tableless_gf3_18_sample(self):
+        self.check(make_field(3, 18), 40, 18)
+
+    @pytest.mark.parametrize("p,k", [(2, 12), (3, 6)])
+    def test_digit_path_of_tabled_fields(self, p, k, monkeypatch):
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+        self.check(make_field(p, k), 300, k + 1)
+
+    def test_broadcasting(self):
+        f = F3_6
+        a, b = np.arange(5)[:, None], np.arange(100, 103)
+        assert f.vadd(a, b).tolist() == [[f.add(x, y) for y in range(100, 103)] for x in range(5)]
+        assert f.vmul(a, b).tolist() == [[f.mul(x, y) for y in range(100, 103)] for x in range(5)]
+
+    def test_inverse_of_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            F2_12.vpow(np.array([3, 0]), -1)
+
+    def test_bad_trace_degree(self):
+        with pytest.raises(FieldError):
+            F2_12.vtrace(np.arange(4), 5)
