@@ -1231,33 +1231,24 @@ def _composition_from_counts(counts: dict[str, int], special: int, n: int):
     return comp
 
 
-def delta_of(spec: QuotientSpec) -> int:
-    kind = KINDS[spec.kind]
-    a = spec.arg_dict
-    counts, special = kind.counts(spec.params, a)
-    comp = _composition_from_counts(counts, special, a["n"])
-    return delta_from_composition(comp, spec.params)
-
-
-def order_of(spec: QuotientSpec) -> int:
-    return KINDS[spec.kind].order(spec.params, spec.arg_dict)
-
-
 def _assess(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
     """The validation and, for a valid spec, its (order, delta, genus via
     delta), each computed once."""
     kind = KINDS[spec.kind]
-    if kind.char != spec.params.p:
+    cp, a = spec.params, spec.arg_dict
+    if kind.char != cp.p:
         return Validation(False, False, "kind belongs to the other family"), None
-    ok, why = kind.structural(spec.params, spec.arg_dict)
+    ok, why = kind.structural(cp, a)
     if not ok:
         return Validation(False, False, why), None
-    order, delta = order_of(spec), delta_of(spec)
+    order = kind.order(cp, a)
+    counts, special = kind.counts(cp, a)
+    delta = delta_from_composition(_composition_from_counts(counts, special, a["n"]), cp)
     try:
-        gd = genus_from_rh(_two_g_minus_2(spec.params), order, delta)
+        gd = genus_from_rh(_two_g_minus_2(cp), order, delta)
     except NonIntegralGenusError as exc:
         return Validation(False, False, f"composition fails the RH oracle: {exc}"), None
-    cert, creason = kind.certified(spec.params, spec.arg_dict)
+    cert, creason = kind.certified(cp, a)
     return Validation(True, cert, creason), (order, delta, gd)
 
 
@@ -1311,7 +1302,7 @@ class SpectrumResult:
         return sorted({rec.genus for rec in self.records})
 
 
-def spectrum(family: Family | str, params: CurveParams, kinds: list[str] | None = None) -> SpectrumResult:
+def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     """Enumerate all valid specs of every kind over the default sweep ranges,
     with the dual-path comparison applied to each."""
     family = Family(family)
@@ -1323,7 +1314,7 @@ def spectrum(family: Family | str, params: CurveParams, kinds: list[str] | None 
     unexplained: list[GenusRecord] = []
     invalid: list[tuple[QuotientSpec, str]] = []
     for kid, kind in KINDS.items():
-        if kind.char != char or (kinds is not None and kid not in kinds):
+        if kind.char != char:
             continue
         for args in kind.sweep(params):
             spec = QuotientSpec.make(kid, params, **args)

@@ -83,12 +83,24 @@ def cmd_count(args) -> int:
 
 
 def _load_baseline(path: str) -> set[int]:
+    """The genera of a baseline file: one nonnegative integer per line, `#`
+    comments and blank lines ignored.  Raises ValueError (a usage error) when
+    the file cannot be read or a line is not such an integer."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read baseline {path}: not UTF-8 text") from None
     values: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.add(int(line))
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"baseline {path} line {lineno}: {text!r} is not a nonnegative integer")
+        values.add(int(text))
     return values
 
 
@@ -98,10 +110,9 @@ def cmd_spectrum(args) -> int:
     started = time.perf_counter()
     family = Family(args.family)
     params = params_from_s(family, args.s)
-    res = spectrum(family, params)
-    genera = res.genera()
-
-    table1 = None
+    # bad input ends the command before the sweep, so no record is printed
+    baseline = _load_baseline(args.baseline) if args.baseline else None
+    label = None
     if args.check_table1:
         label = next(
             (lab for lab, (fam, s) in TABLE1_PARAMS.items() if fam is family and s == args.s),
@@ -110,6 +121,12 @@ def cmd_spectrum(args) -> int:
         if label is None:
             print("error: no bundled reference row for this family and s", file=sys.stderr)
             return EXIT_USAGE
+
+    res = spectrum(family, params)
+    genera = res.genera()
+
+    table1 = None
+    if label is not None:
         contained, missing = table1_check(label, genera)
         table1 = {"field": label, "contained": contained, "missing": missing}
 
@@ -118,8 +135,7 @@ def cmd_spectrum(args) -> int:
         for rec in res.records:
             pstr = ";".join(f"{k}={v}" for k, v in rec.spec.args)
             print(f"{rec.spec.kind},{pstr},{rec.order},{rec.delta},{rec.genus}")
-        if args.baseline:
-            baseline = _load_baseline(args.baseline)
+        if baseline is not None:
             for g in sorted(set(genera) - baseline):
                 print(g, file=sys.stderr)
         if table1 is not None:
@@ -148,8 +164,7 @@ def cmd_spectrum(args) -> int:
                 for rec in res.records
             ],
         }
-        if args.baseline:
-            baseline = _load_baseline(args.baseline)
+        if baseline is not None:
             results["new_vs_baseline"] = sorted(set(genera) - baseline)
         if table1 is not None:
             results["table1"] = table1

@@ -197,7 +197,3 @@ def count_points(
         t0_affine=t0_affine,
         elements_evaluated=len(codes),
     )
-
-
-def verify_maximal(family: Family | str, params: CurveParams, r: int, **kw) -> bool:
-    return count_points(family, params, r, **kw).is_maximal

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class InvariantError(RuntimeError):
@@ -41,8 +42,9 @@ class CurveParams:
     q: int
     m: int
 
-    @property
+    @cached_property
     def p(self) -> int:
+        # read several times per spec of a catalog sweep: resolved once
         return self.family.char
 
     def __post_init__(self):

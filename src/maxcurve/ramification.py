@@ -5,6 +5,7 @@ Riemann-Hurwitz genus solver used as the integrality oracle everywhere."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curves import CurveParams, Family, require
 
@@ -73,8 +74,21 @@ def _ree_table(params: CurveParams) -> dict[str, tuple[int, int]]:
     }
 
 
-def _table(params: CurveParams) -> dict[str, tuple[int, int]]:
-    return _suzuki_table(params) if params.p == 2 else _ree_table(params)
+@lru_cache(maxsize=64)
+def _contributions(params: CurveParams) -> tuple[dict[str, tuple[int, int]], int]:
+    """The class table of the curve and the value 4m resp. 6m of a special
+    (sigma, tau^j) pair, built once per parameter set.  The dict is shared by
+    every caller and never mutated."""
+    if params.p == 2:
+        return _suzuki_table(params), 4 * params.m
+    return _ree_table(params), 6 * params.m
+
+
+def _row(table: dict[str, tuple[int, int]], cls: str, params: CurveParams) -> tuple[int, int]:
+    row = table.get(cls)
+    if row is None:
+        raise UnknownClassError(f"unknown class {cls!r} for {params.family}")
+    return row
 
 
 def i_sigma(cls: str, params: CurveParams):
@@ -84,21 +98,15 @@ def i_sigma(cls: str, params: CurveParams):
     matching tau power, returns the pair (plain value, special value); the
     special value occurs for exactly one tau exponent per such element.
     """
-    special = 4 * params.m if params.p == 2 else 6 * params.m
+    table, special = _contributions(params)
     if cls == "div_m_special_j":
         return (0, special)
-    table = _table(params)
-    if cls not in table:
-        raise UnknownClassError(f"unknown class {cls!r} for {params.family}")
-    return table[cls][0]
+    return _row(table, cls, params)[0]
 
 
 def i_sigma_tau(cls: str, params: CurveParams) -> int:
     """Contribution of (class element) * tau^k for k != 0, special j aside."""
-    table = _table(params)
-    if cls not in table:
-        raise UnknownClassError(f"unknown class {cls!r} for {params.family}")
-    return table[cls][1]
+    return _row(_contributions(params)[0], cls, params)[1]
 
 
 @dataclass(frozen=True)
@@ -163,19 +171,17 @@ def delta_from_composition(composition, params: CurveParams) -> int:
     cross value from the contribution table applies.  div_m_special_j
     entries count declared special (sigma, tau^j) pairs at 4m resp. 6m.
     """
-    special = 4 * params.m if params.p == 2 else 6 * params.m
+    table, special = _contributions(params)
     total = 0
     for entry in composition:
         cls, mult = entry[0], entry[1]
-        with_tau = entry[2] if len(entry) > 2 else False
         if mult < 0:
             raise ValueError("negative multiplicity")
         if cls == "div_m_special_j":
             total += mult * special
-        elif with_tau:
-            total += mult * i_sigma_tau(cls, params)
         else:
-            total += mult * i_sigma(cls, params)
+            with_tau = len(entry) > 2 and entry[2]
+            total += mult * _row(table, cls, params)[1 if with_tau else 0]
     return total
 
 

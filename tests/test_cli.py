@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,41 @@ class TestSpectrum:
         rec = json.loads(out)
         assert code == EXIT_OK
         assert rec["results"]["new_vs_baseline"] == [6, 8, 16, 19, 28, 40, 45, 92]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: None, "cannot read baseline"),
+        (lambda path: path.mkdir(), "cannot read baseline"),
+        (lambda path: path.write_text("196\n14x\n"), "line 2: '14x' is not a nonnegative integer"),
+        (lambda path: path.write_text("# known\n196\n\n-3\n"), "line 4: '-3' is not a nonnegative integer"),
+        (lambda path: path.write_bytes(b"196\n\xff\n"), "not UTF-8 text"),
+    ], ids=["missing", "directory", "malformed", "negative", "binary"])
+    def test_bad_baseline_before_sweep(self, capsys, monkeypatch, tmp_path, fmt, make, message):
+        from maxcurve import catalog
+
+        baseline = tmp_path / "known.txt"
+        make(baseline)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the baseline was read")
+
+        monkeypatch.setattr(catalog, "spectrum", no_sweep)
+        code, out, err = run(capsys, "spectrum", "--family", "suzuki-cover", "--s", "1",
+                             "--format", fmt, "--baseline", str(baseline))
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("family,s,digest", [
+        ("suzuki-cover", 1, "4f1f0a8e42f0"),
+        ("suzuki-cover", 2, "5f2ca1c7e3f1"),
+        ("suzuki-cover", 7, "358e47a8a064"),
+        ("ree-cover", 1, "5441aa139fa8"),
+        ("ree-cover", 3, "abe5bd0f3480"),
+    ])
+    def test_csv_bytes_pinned(self, capsys, family, s, digest):
+        code, out, _ = run(capsys, "spectrum", "--family", family, "--s", str(s), "--format", "csv")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

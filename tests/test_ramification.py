@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxcurve.catalog import KINDS, _composition_from_counts, spectrum
 from maxcurve.curves import params_from_s
 from maxcurve.ramification import (
     NonIntegralGenusError,
@@ -106,6 +107,60 @@ class TestDeltaFromComposition:
     def test_negative_multiplicity(self):
         with pytest.raises(ValueError):
             delta_from_composition([("order2", -1)], P8)
+
+    @pytest.mark.parametrize("entry", [("nonsense", 1), ("nonsense", 1, True)])
+    def test_unknown_class(self, entry):
+        with pytest.raises(UnknownClassError, match="unknown class 'nonsense'"):
+            delta_from_composition([("order2", 1), entry], P27)
+
+    @pytest.mark.parametrize("entry", [("order3_central", 2), ("order9", 3, True), ("order6", 1)])
+    def test_ree_class_on_suzuki_curve(self, entry):
+        with pytest.raises(UnknownClassError, match=f"unknown class '{entry[0]}'"):
+            delta_from_composition([entry], P8)
+        assert delta_from_composition([entry], P27) > 0
+
+    @pytest.mark.parametrize("params", [P8, P32, P27], ids=["P8", "P32", "P27"])
+    def test_every_spectrum_composition_matches_per_entry_sum(self, params):
+        compositions = list(_swept_compositions(params))
+        assert len(compositions) >= len(spectrum(params.family, params).records)
+        for comp in compositions:
+            assert delta_from_composition(comp, params) == _per_entry_delta(comp, params)
+
+    def test_tables_stay_distinct_per_curve(self):
+        # P8 and P32 share family and class names; each keeps its own values
+        for _ in range(2):
+            assert i_sigma("order2", P8) == 26 and i_sigma("order2", P32) == 226
+            assert i_sigma_tau("tau_power", P8) == 65 and i_sigma_tau("tau_power", P32) == 1025
+            assert delta_from_composition([("order4", 1), ("div_m_special_j", 1)], P8) == 6 + 20
+            assert delta_from_composition([("order4", 1), ("div_m_special_j", 1)], P32) == 26 + 100
+        # an equal parameter set built anew reads the same table
+        assert i_sigma("order2", params_from_s("suzuki-cover", 2)) == 226
+
+
+def _swept_compositions(params):
+    """The composition of every spec of the sweep that passes the structural
+    check: each valid spec of the spectrum, found without the delta under test."""
+    for kind in KINDS.values():
+        if kind.char != params.p:
+            continue
+        for args in kind.sweep(params):
+            if kind.structural(params, args)[0]:
+                counts, special = kind.counts(params, args)
+                yield _composition_from_counts(counts, special, args["n"])
+
+
+def _per_entry_delta(composition, params):
+    """Reference: one i_sigma / i_sigma_tau lookup per entry."""
+    special = i_sigma("div_m_special_j", params)[1]
+    total = 0
+    for cls, mult, *tau in composition:
+        if cls == "div_m_special_j":
+            total += mult * special
+        elif tau and tau[0]:
+            total += mult * i_sigma_tau(cls, params)
+        else:
+            total += mult * i_sigma(cls, params)
+    return total
 
 
 class TestGenusFromRH:
