@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import __version__
-from .counting import UnsupportedCountError, count_points, default_threads, positive_threads
+from .counting import CountReport, UnsupportedCountError, count_points, default_threads, positive_threads
 from .curves import Family, genus, hermitian_cover_analysis, params_from_s
 
 EXIT_OK = 0
@@ -24,9 +24,10 @@ FAMILIES = [f.value for f in Family]
 
 
 def _record(command: str, inputs: dict, results: dict, started: float, modulus=None,
-            wall_time: float | None = None) -> str:
+            **extra) -> str:
     """One JSON record.  `results` holds only deterministic values; the
-    timings sit beside it, so two identical runs differ only there."""
+    timings, and the `extra` keys, sit beside it at the top level, so two
+    identical runs differ only there."""
     rec = {
         "command": command,
         "inputs": inputs,
@@ -34,10 +35,25 @@ def _record(command: str, inputs: dict, results: dict, started: float, modulus=N
         "timing": round(time.perf_counter() - started, 6),
         "version": __version__,
         "modulus": list(modulus) if modulus is not None else None,
+        **extra,
     }
-    if wall_time is not None:
-        rec["wall_time"] = round(wall_time, 6)
     return json.dumps(rec, sort_keys=True)
+
+
+def count_results(report: CountReport) -> dict:
+    """The deterministic `results` of a count record."""
+    return {
+        "family": report.family.value,
+        "s": report.params.s,
+        "ext": report.r,
+        "ell": report.ell,
+        "n_points": report.n_points,
+        "hasse_weil_target": report.hw_target,
+        "is_maximal": report.is_maximal,
+        "t0_affine": report.t0_affine,
+        "elements_evaluated": report.elements_evaluated,
+        "note": report.note,
+    }
 
 
 def cmd_genus(args) -> int:
@@ -63,20 +79,10 @@ def cmd_count(args) -> int:
     except UnsupportedCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    results = {
-        "family": family.value,
-        "s": args.s,
-        "ext": args.ext,
-        "ell": report.ell,
-        "n_points": report.n_points,
-        "hasse_weil_target": report.hw_target,
-        "is_maximal": report.is_maximal,
-        "t0_affine": report.t0_affine,
-        "elements_evaluated": report.elements_evaluated,
-        "note": report.note,
-    }
     print(_record("count", {"family": family.value, "s": args.s, "ext": args.ext},
-                  results, started, report.modulus, report.wall_time))
+                  count_results(report), started, report.modulus,
+                  wall_time=round(report.wall_time, 6), threads=report.threads,
+                  stages={k: round(v, 6) for k, v in report.stages.items()}))
     if args.verify_maximal and not report.is_maximal:
         return EXIT_VERIFY
     return EXIT_OK

@@ -57,6 +57,8 @@ class CountReport:
     modulus: tuple[int, ...]
     t0_affine: int
     elements_evaluated: int
+    threads: int
+    stages: dict[str, float]  # seconds per stage: tables, representatives, kernel, reduction
 
 
 def positive_threads(value, source: str) -> int:
@@ -157,14 +159,17 @@ def count_points(
     family, params, field, kernel = _prepare(family, params, r, modulus)
     threads = default_threads() if threads is None else positive_threads(threads, "threads")
     t_start = time.perf_counter()
+    field.precompute()  # before threads share the field
+    t_tables = time.perf_counter()
     codes = _orbit_codes(field, params.q, r)
+    t_reps = time.perf_counter()
     jobs = [codes[lo : lo + CHUNK] for lo in range(0, len(codes), CHUNK)]
     if threads > 1 and len(jobs) > 1:
-        kernel(codes[:1])  # builds the field's lazy tables before threads share it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(kernel, jobs))
     else:
         results = [kernel(job) for job in jobs]
+    t_kernel = time.perf_counter()
     f = np.concatenate([c for c, _ in results])
     q = params.q
     n_points = 1 + q * int(f[0]) + q * (q - 1) * int(f[1:].sum())
@@ -183,6 +188,7 @@ def count_points(
         target = None
         is_max = False
         note = "field size is not a perfect square; maximality not applicable"
+    t_end = time.perf_counter()
     return CountReport(
         family=family,
         params=params,
@@ -192,8 +198,11 @@ def count_points(
         hw_target=target,
         is_maximal=is_max,
         note=note,
-        wall_time=time.perf_counter() - t_start,
+        wall_time=t_end - t_start,
         modulus=field.modulus,
         t0_affine=t0_affine,
         elements_evaluated=len(codes),
+        threads=threads,
+        stages={"tables": t_tables - t_start, "representatives": t_reps - t_tables,
+                "kernel": t_kernel - t_reps, "reduction": t_end - t_kernel},
     )

@@ -106,9 +106,12 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
     For the Suzuki cover: delta = q^4 - q^2 - 2 - |G| (q^3 - 2q^2 + q - 2),
     window q+1 <= |G| <= q+2.  For the Ree cover: delta = q^6 - q^3 - 2 -
     |G| (q^4 - 2q^3 + q - 2), window q^2+q+1 <= |G| <= q^2+2q+4 minus the
-    ruled-out orders q^2+q+1 and q^2+2q+1.
+    ruled-out orders q^2+q+1 and q^2+2q+1.  A group order below 1 is a
+    ValueError.
     """
     family = Family(family)
+    if group_order < 1:
+        raise ValueError(f"group order must be a positive integer, got {group_order}")
     q = params.q
     if family is Family.SUZUKI_COVER:
         two_g_cover_minus_2 = q**4 - q**2 - 2

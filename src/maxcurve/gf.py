@@ -28,6 +28,10 @@ SUPPORTED_DEGREES = {2: 20, 3: 18}
 # runs through them; larger fields run it on digit arrays.
 TABLE_LIMIT = 1 << 21
 
+# The table build maps at most this many codes per step, which keeps its
+# temporaries, and so the peak memory of a count, small.
+TABLE_CHUNK = 1 << 16
+
 
 class FieldError(ValueError):
     pass
@@ -373,19 +377,23 @@ class FieldSpec:
     # A reduced digit array holds values up to p - 1.  Unreduced ones stay
     # below 256: the largest is a sum of k digit products, (p - 1)^2 k <= 72.
 
-    def _digits(self, a) -> np.ndarray:
-        """Digits of codes, shape (k,) + a.shape, from a table of the codes
-        below p^h, h = ceil(k/2), applied to both halves of each code."""
-        h = (self.k + 1) // 2
+    def _half_digits(self) -> np.ndarray:
+        """The digits of the codes below p^h, h = ceil(k/2): shape (h, p^h)."""
         if self._digit_table is None:
+            h = (self.k + 1) // 2
             table = np.zeros((h, self.p**h), dtype=np.uint8)
             c = np.arange(self.p**h)
             for i in range(h):
                 c, table[i] = np.divmod(c, self.p)
             self._digit_table = table
-        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), self.p**h)
-        table = self._digit_table
-        return np.concatenate([np.take(table, lo, axis=1), np.take(table[: self.k - h], hi, axis=1)])
+        return self._digit_table
+
+    def _digits(self, a) -> np.ndarray:
+        """Digits of codes, shape (k,) + a.shape, from the half-digit table
+        applied to both halves of each code."""
+        table = self._half_digits()
+        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), table.shape[1])
+        return np.concatenate([np.take(table, lo, axis=1), np.take(table[: self.k - len(table)], hi, axis=1)])
 
     def _codes(self, digits: np.ndarray) -> np.ndarray:
         """Codes of digit arrays, reducing each digit mod p first."""
@@ -490,31 +498,53 @@ class FieldSpec:
         """(exp, log): exp[i] = g^i for 0 <= i < order-1, log[exp[i]] = i.
 
         log[0] is set to -1 and must never be used as an exponent.
+
+        exp is built by block doubling, exp[b:2b] = exp[:b] * g^b, for any
+        characteristic and any generator g.  Multiplication by the constant
+        c = g^b is GF(p)-linear: its k x k matrix has the digits of x^i c in
+        column i.  It runs as two lookup tables over the codes below p^h, the
+        half-split of _digits, one for the low and one for the high half of
+        each code; vadd adds the two lookups.  Each block, and its entries of
+        log, go through in chunks of at most TABLE_CHUNK codes, which bounds
+        the temporaries.
         """
         if self.order > TABLE_LIMIT:
             raise FieldError(f"field of order {self.order} too large for tables")
         if self._tables is None:
-            n = self.order - 1
-            exp = np.zeros(n, dtype=np.int64)
-            g = self.generator_code()
-            if self.p == 2 and g == 2:
-                # multiplication by x is a shift-xor; fast sequential build
-                mod, top = self._mod_int, 1 << self.k
-                cur = 1
-                for i in range(n):
-                    exp[i] = cur
-                    cur <<= 1
-                    if cur & top:
-                        cur ^= mod
-            else:
-                cur = 1
-                for i in range(n):
-                    exp[i] = cur
-                    cur = self.mul(cur, g)
+            p, k, n = self.p, self.k, self.order - 1
+            half = self._half_digits()
+            h = len(half)
+            # windows[:, i, j] holds the digits of x^(i+j) mod the modulus
+            powers = np.concatenate([np.eye(k, dtype=np.int64), self._digit_matrices()[1]], axis=1)
+            windows = np.lib.stride_tricks.sliding_window_view(powers, k, axis=1)
+            c = np.array(_code_to_digits(self.generator_code(), k, p), dtype=np.int64)
+            exp = np.empty(n, dtype=np.int64)
             log = np.full(self.order, -1, dtype=np.int64)
-            log[exp] = np.arange(n, dtype=np.int64)
+            exp[0], log[1] = 1, 0
+            b = 1
+            while b < n:
+                times_c = windows @ c % p
+                low = self._codes(self._linear(times_c[:, :h].astype(np.uint8), half))
+                high = self._codes(self._linear(times_c[:, h:].astype(np.uint8), half[: k - h]))
+                end = min(2 * b, n)
+                for start in range(b, end, TABLE_CHUNK):
+                    hi, lo = np.divmod(exp[start - b : min(start + TABLE_CHUNK, end) - b], p**h)
+                    block = self.vadd(low[lo], high[hi])
+                    exp[start : start + len(block)] = block
+                    log[block] = np.arange(start, start + len(block))
+                c = times_c @ c % p  # c^2 = g^(2b)
+                b = end
             self._tables = (exp, log)
         return self._tables
+
+    def precompute(self) -> None:
+        """Build the lazy caches that the array layer reads: the exp/log
+        tables up to TABLE_LIMIT, the digit table and matrices beyond it.
+        Afterwards threads share the field read-only."""
+        if self.order <= TABLE_LIMIT:
+            self.tables()
+        self._half_digits()
+        self._digit_matrices()
 
     def subfield_codes(self, d: int) -> list[int]:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""

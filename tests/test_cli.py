@@ -14,6 +14,11 @@ from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 SRC = str(Path(maxcurve.__file__).resolve().parents[1])  # the directory holding the package
 
 
+def results_digest(results: dict) -> str:
+    """The first 12 hex digits of the sha256 of a record's `results`."""
+    return hashlib.sha256((json.dumps(results, sort_keys=True) + "\n").encode()).hexdigest()[:12]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -83,7 +88,37 @@ class TestCount:
         for rec in (r1, r2):
             del rec["timing"]
             del rec["wall_time"]
+            del rec["stages"]
         assert r1 == r2
+
+    def test_threads_and_stages_beside_results(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "3",
+                           "--threads", "2")
+        rec = json.loads(out)
+        assert code == EXIT_OK and rec["threads"] == 2
+        assert sorted(rec["stages"]) == ["kernel", "reduction", "representatives", "tables"]
+        assert all(v >= 0 for v in rec["stages"].values())
+        assert sum(rec["stages"].values()) <= rec["wall_time"] + 1e-5
+        assert not {"threads", "stages"} & set(rec["results"])
+
+    @pytest.mark.parametrize("family,s,ext,digest", [
+        ("suzuki-cover", 1, 1, "09d06881a5d4"),
+        ("suzuki-cover", 1, 2, "53dbe6cae35b"),
+        ("suzuki-cover", 1, 4, "edaff7d417c2"),
+        ("suzuki-base", 1, 4, "89fce44cb293"),
+        ("suzuki-cover", 2, 4, "4f4d54a495e5"),
+        ("suzuki-base", 2, 4, "a8d8ab6790eb"),
+        ("ree-cover", 1, 1, "276d5319ae30"),
+        ("ree-cover", 1, 2, "ebf6b5a41b2b"),
+        ("ree-cover", 1, 3, "9baf59df27d2"),
+        ("ree-base", 1, 3, "42608289004f"),
+    ])
+    def test_results_pinned(self, capsys, family, s, ext, digest):
+        """The count `results` rest on the field tables: a changed table
+        changes these hashes (the degree-6 ones are in test_counting)."""
+        code, out, _ = run(capsys, "count", "--family", family, "--s", str(s), "--ext", str(ext))
+        assert code == EXIT_OK
+        assert results_digest(json.loads(out)["results"]) == digest
 
     def test_hasse_weil_breach_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "hasse_weil_target", lambda ell, g: 0)
@@ -241,3 +276,10 @@ class TestHermitian:
         assert rec["results"]["delta"] == 1594404
         assert rec["results"]["genus_from_delta"] == 246051
         assert rec["results"]["excluded"] is True
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_group_order_not_positive(self, capsys, order):
+        code, out, err = run(capsys, "hermitian", "--family", "suzuki-cover", "--s", "1",
+                             "--group-order", order)
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines() == [f"error: group order must be a positive integer, got {order}"]

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from maxcurve import counting, gf
+from maxcurve.cli import count_results
 from maxcurve.counting import (
     CountReport,
     UnsupportedCountError,
@@ -213,6 +217,10 @@ class TestOrbitReduction:
         assert rep.n_points == n_points == rep.hw_target
         assert rep.is_maximal and rep.t0_affine == 27**3
         assert rep.elements_evaluated == 1 + (27**5 - 1) // 26
+        # the count record's `results`, hashed as in test_cli's results pins
+        results = json.dumps(count_results(rep), sort_keys=True) + "\n"
+        digest = {"ree-cover": "9e7581e908e7", "ree-base": "92675ee11ed8"}[family]
+        assert hashlib.sha256(results.encode()).hexdigest()[:12] == digest
 
 
 def test_report_fields():
@@ -222,6 +230,8 @@ def test_report_fields():
     assert rep.n_points <= rep.hw_target  # Hasse-Weil upper bound
     assert rep.wall_time >= 0
     assert genus(rep.params) == 196
+    assert rep.threads == counting.default_threads()
+    assert list(rep.stages) == ["tables", "representatives", "kernel", "reduction"]
 
 
 class TestDigitFieldEngine:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,18 +204,22 @@ class TestMthRootCount:
             mth_root_count(F2_12.one, 11)  # 11 does not divide 4095
 
 
-def test_alternative_modulus_same_counts():
-    # the counting results are basis independent; rerun the exhaustive
-    # Artin-Schreier check under a different irreducible
-    alt = None
+def _alternative_modulus_2_12():
+    """The next irreducible of degree 12 after the default modulus."""
     code = default_modulus(2, 12)
     start = sum(c << i for i, c in enumerate(code[:-1])) + 1
     for cand in range(start, 4096):
         tail = tuple((cand >> i) & 1 for i in range(12))
         mod = tail + (1,)
         if is_irreducible(mod, 2):
-            alt = mod
-            break
+            return mod
+    return None
+
+
+def test_alternative_modulus_same_counts():
+    # the counting results are basis independent; rerun the exhaustive
+    # Artin-Schreier check under a different irreducible
+    alt = _alternative_modulus_2_12()
     assert alt is not None and alt != default_modulus(2, 12)
     f = make_field(2, 12, alt)
     assert sum(artin_schreier_count(c, 8) for c in f.elements()) == 4096
@@ -271,3 +277,61 @@ class TestArrayLayer:
     def test_bad_trace_degree(self):
         with pytest.raises(FieldError):
             F2_12.vtrace(np.arange(4), 5)
+
+
+def reference_tables(f):
+    """exp/log by stepping one scalar multiplication at a time: the
+    reference for the block-doubling build of FieldSpec.tables."""
+    g, n = f.generator_code(), f.order - 1
+    exp = np.zeros(n, dtype=np.int64)
+    cur = 1
+    for i in range(n):
+        exp[i] = cur
+        cur = f.mul(cur, g)
+    log = np.full(f.order, -1, dtype=np.int64)
+    log[exp] = np.arange(n)
+    return exp, log
+
+
+class TestTables:
+    """FieldSpec.tables against the scalar loop, and beyond its reach
+    against the digit-array product, which reads no table."""
+
+    @pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 17)] + [(3, k) for k in range(1, 11)])
+    def test_default_fields_match_scalar_loop(self, p, k):
+        f = make_field(p, k)
+        exp, log = f.tables()
+        ref_exp, ref_log = reference_tables(f)
+        assert exp.dtype == log.dtype == np.int64
+        assert exp.tobytes() == ref_exp.tobytes() and log.tobytes() == ref_log.tobytes()
+
+    @pytest.mark.parametrize("p,modulus,x_primitive", [
+        (2, (1, 1, 1, 1, 1), False),  # x^4+x^3+x^2+x+1: x has order 5
+        (3, (1, 0, 1), False),  # x^2+1: x has order 4
+        (2, _alternative_modulus_2_12(), True),
+    ])
+    def test_other_moduli_match_scalar_loop(self, p, modulus, x_primitive):
+        f = gf.FieldSpec(p, len(modulus) - 1, modulus)
+        assert (f.generator_code() == f.gen.code) == x_primitive
+        exp, log = f.tables()
+        ref_exp, ref_log = reference_tables(f)
+        assert exp.tobytes() == ref_exp.tobytes() and log.tobytes() == ref_log.tobytes()
+
+    @pytest.mark.parametrize("p,k,digest", [
+        (2, 20, "d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb"),
+        (3, 9, "eaabbc0a039a44145992e925cd6be0ce8cfde0a8ba0bb9f95560319feca6550b"),
+        (3, 12, "4e159b3bfff9c5db5c06072e474c41600c4c67940214bb91bf66ef5280231df1"),
+    ])
+    def test_exp_bytes_pinned(self, p, k, digest):
+        assert hashlib.sha256(make_field(p, k).tables()[0].tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p,k", [(2, 20), (3, 12)])
+    def test_large_tables_on_digit_path(self, p, k):
+        f = make_field(p, k)
+        exp, log = f.tables()
+        g = f._digits(np.array([f.generator_code()]))
+        chunk = 1 << 16
+        nxt = np.concatenate([f._codes(f._dmul(f._digits(exp[lo : lo + chunk]), g))
+                              for lo in range(0, len(exp), chunk)])
+        assert np.array_equal(nxt, np.roll(exp, -1))  # exp[i] g = exp[i+1], and g^(order-1) = 1
+        assert log[0] == -1 and np.array_equal(log[exp], np.arange(len(exp)))
