@@ -2,6 +2,11 @@
 a kind id, a displayed closed genus formula, and an independent genus via the
 class-composition different degree plus Riemann-Hurwitz.
 
+Each kind is defined once.  Its sweep is its parameter domain: a spec whose
+args the sweep does not yield is invalid.  Its class counts are the class
+census of H minus the identity, so the class equation gives the order,
+|H x C_n| = n (1 + sum of the counts).
+
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
 assembly the kind carries a known-mismatch note and the composition value is
@@ -86,12 +91,10 @@ class GenusRecord:
 class KindDef:
     id: str
     char: int
-    order: Callable
-    counts: Callable            # args -> (class counts dict, special pair count)
+    counts: Callable            # args -> (class census of H minus the identity, special pair count)
     closed: Callable            # args -> Fraction (displayed formula)
-    structural: Callable        # args -> (ok, reason)
     certified: Callable         # args -> (bool, reason)
-    sweep: Callable             # params -> iterator of arg dicts
+    sweep: Callable             # params -> iterator of arg dicts: the parameter domain
     known_mismatch: str | None = None
 
 
@@ -106,27 +109,7 @@ def _register(kind: KindDef) -> None:
 # Suzuki kinds
 
 
-def _sz_structural_common(cp: CurveParams, a: dict) -> tuple[bool, str]:
-    if cp.m % a["n"] != 0:
-        return False, "n must divide m"
-    return True, ""
-
-
-def _sz_uv_ok(cp: CurveParams, u: int, v: int) -> tuple[bool, str]:
-    s = cp.s
-    if not (1 <= u <= min(v, 2 * s + 1)):
-        return False, "need 1 <= u <= min(v, 2s+1)"
-    if v > 2 * u:
-        return False, "squaring map forces v <= 2u"
-    if v > 2 * (2 * s + 1):
-        return False, "v exceeds wild part"
-    return True, ""
-
-
 def _mk_sz_b1():
-    def order(cp, a):
-        return a["r"] * a["n"]
-
     def counts(cp, a):
         return {"div_q_minus_1": a["r"] - 1}, 0
 
@@ -134,27 +117,16 @@ def _mk_sz_b1():
         q, r, n = cp.q, a["r"], a["n"]
         return Fraction(1, 2) * Fraction(q - 1, r) * (Fraction(q * q + 1, n) - q - 1)
 
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if (cp.q - 1) % a["r"] != 0:
-            return False, "r must divide q-1"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.q - 1):
             for n in divisors(cp.m):
                 yield {"r": r, "n": n}
 
-    _register(KindDef("SZ-B1", 2, order, counts, closed, structural,
+    _register(KindDef("SZ-B1", 2, counts, closed,
                       lambda cp, a: (True, "cyclic subgroup of a split torus"), sweep))
 
 
 def _mk_sz_b2():
-    def order(cp, a):
-        return (1 << a["v"]) * a["n"]
-
     def counts(cp, a):
         u, v = a["u"], a["v"]
         return {"order2": (1 << u) - 1, "order4": (1 << v) - (1 << u)}, 0
@@ -164,12 +136,6 @@ def _mk_sz_b2():
         u, v, n = a["u"], a["v"], a["n"]
         num = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v)) - n * (q * q - (1 << (v + 1)) + (1 << v))
         return Fraction(num, (1 << (v + 1)) * n)
-
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        return _sz_uv_ok(cp, a["u"], a["v"])
 
     def certified(cp, a):
         s, u, v = cp.s, a["u"], a["v"]
@@ -184,17 +150,15 @@ def _mk_sz_b2():
     def sweep(cp):
         s = cp.s
         for u in range(1, 2 * s + 1 + 1):
+            # the squaring map forces v <= 2u; v stays within the wild part
             for v in range(u, min(2 * u, 2 * (2 * s + 1)) + 1):
                 for n in divisors(cp.m):
                     yield {"u": u, "v": v, "n": n}
 
-    _register(KindDef("SZ-B2", 2, order, counts, closed, structural, certified, sweep))
+    _register(KindDef("SZ-B2", 2, counts, closed, certified, sweep))
 
 
 def _mk_sz_b3():
-    def order(cp, a):
-        return (1 << a["v"]) * a["r"] * a["n"]
-
     def counts(cp, a):
         u, v, r = a["u"], a["v"], a["r"]
         return {
@@ -208,16 +172,6 @@ def _mk_sz_b3():
         u, v, r, n = a["u"], a["v"], a["r"], a["n"]
         num = m * (q * q + 2 * q0 * q - n * q - 2 * (n + (1 << u)) * q0 - n - (1 << v)) + n * ((1 << (v + 1)) - (1 << v) + 1)
         return Fraction(num, (1 << (v + 1)) * r * n)
-
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if a["v"] < 2 or a["r"] < 2:
-            return False, "needs v > 1 and r > 1"
-        if (cp.q - 1) % a["r"] != 0:
-            return False, "r must divide q-1"
-        return _sz_uv_ok(cp, a["u"], a["v"])
 
     def certified(cp, a):
         s, u, v, r = cp.s, a["u"], a["v"], a["r"]
@@ -233,6 +187,7 @@ def _mk_sz_b3():
     def sweep(cp):
         s = cp.s
         for u in range(1, 2 * s + 1 + 1):
+            # the squaring map forces v <= 2u; v stays within the wild part
             for v in range(max(2, u), min(2 * u, 2 * (2 * s + 1)) + 1):
                 for r in divisors(cp.q - 1):
                     if r == 1:
@@ -240,13 +195,10 @@ def _mk_sz_b3():
                     for n in divisors(cp.m):
                         yield {"u": u, "v": v, "r": r, "n": n}
 
-    _register(KindDef("SZ-B3", 2, order, counts, closed, structural, certified, sweep))
+    _register(KindDef("SZ-B3", 2, counts, closed, certified, sweep))
 
 
 def _mk_sz_b4():
-    def order(cp, a):
-        return 2 * a["r"] * a["n"]
-
     def counts(cp, a):
         r = a["r"]
         return {"order2": r, "div_q_minus_1": r - 1}, 0
@@ -257,14 +209,6 @@ def _mk_sz_b4():
         num = m * (q * q + 2 * q0 * q - n * q - (n + r + 1) * (2 * q0 + 1)) + n * (r + 2)
         return Fraction(num, 4 * r * n)
 
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if a["r"] < 2 or (cp.q - 1) % a["r"] != 0:
-            return False, "needs r > 1 dividing q-1"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.q - 1):
             if r == 1:
@@ -272,14 +216,11 @@ def _mk_sz_b4():
             for n in divisors(cp.m):
                 yield {"r": r, "n": n}
 
-    _register(KindDef("SZ-B4", 2, order, counts, closed, structural,
+    _register(KindDef("SZ-B4", 2, counts, closed,
                       lambda cp, a: (True, "dihedral over a split torus"), sweep))
 
 
 def _mk_sz_c(kid: str, factor: int):
-    def order(cp, a):
-        return factor * a["r"] * a["n"]
-
     def counts(cp, a):
         r = a["r"]
         base = {"div_q_plus_2q0_plus_1": r - 1}
@@ -298,27 +239,16 @@ def _mk_sz_c(kid: str, factor: int):
             return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 4) - Fraction(Fraction(m, n) * (2 * q0 + 1) + 1, 4)
         return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 8) - Fraction(Fraction(m, n) * (2 * q0 + 3) + 3, 8)
 
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if (cp.q + 2 * cp.q0 + 1) % a["r"] != 0:
-            return False, "r must divide q+2q0+1"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.q + 2 * cp.q0 + 1):
             for n in divisors(cp.m):
                 yield {"r": r, "n": n}
 
-    _register(KindDef(kid, 2, order, counts, closed, structural,
+    _register(KindDef(kid, 2, counts, closed,
                       lambda cp, a: (True, "inside a Singer normalizer"), sweep))
 
 
 def _mk_sz_d(kid: str, factor: int):
-    def order(cp, a):
-        return factor * a["r"] * a["n"]
-
     def counts(cp, a):
         r, n = a["r"], a["n"]
         base = {"div_m_plain": r - 1}
@@ -341,20 +271,12 @@ def _mk_sz_d(kid: str, factor: int):
         num = (q * q + 1) * (q - n - 1) - m * (2 * r * q0 + 3 * r - 4 + 4 * g) + 5 * r * n
         return Fraction(num, 8 * r * n)
 
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if cp.m % a["r"] != 0:
-            return False, "r must divide m"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.m):
             for n in divisors(cp.m):
                 yield {"r": r, "n": n}
 
-    _register(KindDef(kid, 2, order, counts, closed, structural,
+    _register(KindDef(kid, 2, counts, closed,
                       lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
 
 
@@ -381,10 +303,6 @@ def _mk_sz_e():
     def _qhat(a):
         qhat0 = 2 ** a["shat"]
         return 2 * qhat0 * qhat0, qhat0
-
-    def order(cp, a):
-        qh, _ = _qhat(a)
-        return qh * qh * (qh * qh + 1) * (qh - 1) * a["n"]
 
     def counts(cp, a):
         qh, qh0 = _qhat(a)
@@ -423,22 +341,13 @@ def _mk_sz_e():
         )
         return 1 + Fraction(_two_g_minus_2(cp) - big_delta, 2 * n * qh * qh * (qh * qh + 1) * (qh - 1))
 
-    def structural(cp, a):
-        ok, why = _sz_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        shat = a["shat"]
-        if shat < 0 or (2 * cp.s + 1) % (2 * shat + 1) != 0 or shat >= cp.s:
-            return False, "subfield parameter must be a proper divisor"
-        return True, ""
-
     def sweep(cp):
         for shat in range(0, cp.s):
             if (2 * cp.s + 1) % (2 * shat + 1) == 0:
                 for n in divisors(cp.m):
                     yield {"shat": shat, "n": n}
 
-    _register(KindDef("SZ-E", 2, order, counts, closed, structural,
+    _register(KindDef("SZ-E", 2, counts, closed,
                       lambda cp, a: (True, "subfield subgroup"), sweep))
 
 
@@ -446,18 +355,7 @@ def _mk_sz_e():
 # Ree kinds
 
 
-def _re_structural_common(cp: CurveParams, a: dict) -> tuple[bool, str]:
-    if cp.m % a["n"] != 0:
-        return False, "n must divide m"
-    if "j" in a and a["j"] not in (1, 2):
-        return False, "j must be 1 or 2"
-    return True, ""
-
-
 def _mk_re_b():
-    def order(cp, a):
-        return 3 ** a["w"] * a["r"] * a["n"]
-
     def counts(cp, a):
         u, v, w, r = a["u"], a["v"], a["w"], a["r"]
         base = {
@@ -488,22 +386,6 @@ def _mk_re_b():
         )
         return Fraction(num, 2 * 3**w * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        u, v, w, r = a["u"], a["v"], a["w"], a["r"]
-        s = cp.s
-        if not (0 <= u <= min(v, 2 * s + 1)):
-            return False, "need 0 <= u <= min(v, 2s+1)"
-        if v - u > 2 * s + 1 or v > 2 * (2 * s + 1):
-            return False, "derived part too large"
-        if not (v <= w <= v + u):
-            return False, "cube map forces v <= w <= v+u"
-        if (cp.q - 1) % r != 0:
-            return False, "r must divide q-1"
-        return True, ""
-
     def certified(cp, a):
         u, v, w, r = a["u"], a["v"], a["w"], a["r"]
         s = cp.s
@@ -517,7 +399,9 @@ def _mk_re_b():
     def sweep(cp):
         s = cp.s
         for u in range(0, 2 * s + 1 + 1):
+            # the derived part bounds v - u by 2s+1
             for v in range(u, min(u + 2 * s + 1, 2 * (2 * s + 1)) + 1):
+                # the cube map forces v <= w <= v+u
                 for w in range(v, min(v + u, 3 * (2 * s + 1)) + 1):
                     if (u, v, w) == (0, 0, 0):
                         continue  # torus-only; covered by the centralizer kinds
@@ -527,16 +411,13 @@ def _mk_re_b():
 
     _register(
         KindDef(
-            "RE-B", 3, order, counts, closed, structural, certified, sweep,
+            "RE-B", 3, counts, closed, certified, sweep,
             known_mismatch="displayed even-r correction disagrees with the proof's class assembly",
         )
     )
 
 
 def _mk_re_c1():
-    def order(cp, a):
-        return a["j"] * 3 ** a["v"] * a["n"]
-
     def counts(cp, a):
         v, j = a["v"], a["j"]
         return {
@@ -557,28 +438,17 @@ def _mk_re_c1():
         )
         return Fraction(num, 2 * j * 3**v * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if not 1 <= a["v"] <= 2 * cp.s + 1:
-            return False, "v out of range"
-        return True, ""
-
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
             for j in (1, 2):
                 for n in divisors(cp.m):
                     yield {"v": v, "j": j, "n": n}
 
-    _register(KindDef("RE-C1", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C1", 3, counts, closed,
                       lambda cp, a: (True, "elementary abelian in an involution centralizer"), sweep))
 
 
 def _mk_re_c2():
-    def order(cp, a):
-        return a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         r, j = a["r"], a["j"]
         even = r % 2 == 0
@@ -594,28 +464,17 @@ def _mk_re_c2():
             Fraction((q * q - q + 1) * (q - 1), j * n) - Fraction(q * q - q, j) - math.gcd(r, 2)
         )
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q + 1) // 2) % a["r"] != 0:
-            return False, "r must divide (q+1)/2"
-        return True, ""
-
     def sweep(cp):
         for r in divisors((cp.q + 1) // 2):
             for j in (1, 2):
                 for n in divisors(cp.m):
                     yield {"r": r, "j": j, "n": n}
 
-    _register(KindDef("RE-C2", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C2", 3, counts, closed,
                       lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
 
 
 def _mk_re_c3():
-    def order(cp, a):
-        return a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         r, j = a["r"], a["j"]
         return {"order2": j - 1, "div_q_minus_1": j * (r - 1)}, 0
@@ -625,28 +484,17 @@ def _mk_re_c3():
         r, j, n = a["r"], a["j"], a["n"]
         return Fraction(q - 1, 2 * r) * (Fraction(q**3 + 1, j * n) - Fraction(q * q + q, j) - 1)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q - 1) // 2) % a["r"] != 0:
-            return False, "r must divide (q-1)/2"
-        return True, ""
-
     def sweep(cp):
         for r in divisors((cp.q - 1) // 2):
             for j in (1, 2):
                 for n in divisors(cp.m):
                     yield {"r": r, "j": j, "n": n}
 
-    _register(KindDef("RE-C3", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C3", 3, counts, closed,
                       lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
 
 
 def _mk_re_c4():
-    def order(cp, a):
-        return 2 * a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         r, j = a["r"], a["j"]
         even = 1 if r % 2 == 0 else 0
@@ -662,28 +510,17 @@ def _mk_re_c4():
             Fraction(q - 1, 2) * Fraction(q * q - (n + 1) * q + 1, j * n) - Fraction(r + math.gcd(r, 2), 2)
         )
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q + 1) // 2) % a["r"] != 0:
-            return False, "r must divide (q+1)/2"
-        return True, ""
-
     def sweep(cp):
         for r in divisors((cp.q + 1) // 2):
             for j in (1, 2):
                 for n in divisors(cp.m):
                     yield {"r": r, "j": j, "n": n}
 
-    _register(KindDef("RE-C4", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C4", 3, counts, closed,
                       lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
 
 
 def _mk_re_c5():
-    def order(cp, a):
-        return 2 * a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         r, j = a["r"], a["j"]
         return {
@@ -696,28 +533,17 @@ def _mk_re_c5():
         r, j, n = a["r"], a["j"], a["n"]
         return Fraction(q * q - 1, 4 * j * r) * (Fraction(q * q - q + 1, n) - q) - Fraction((r + 1) * (q - 1), 4 * r)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q - 1) // 2) % a["r"] != 0:
-            return False, "r must divide (q-1)/2"
-        return True, ""
-
     def sweep(cp):
         for r in divisors((cp.q - 1) // 2):
             for j in (1, 2):
                 for n in divisors(cp.m):
                     yield {"r": r, "j": j, "n": n}
 
-    _register(KindDef("RE-C5", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C5", 3, counts, closed,
                       lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
 
 
 def _mk_re_c6():
-    def order(cp, a):
-        return 12 * a["j"] * a["n"]
-
     def counts(cp, a):
         j = a["j"]
         return {
@@ -739,22 +565,16 @@ def _mk_re_c6():
         )
         return 1 + Fraction(1, 24 * j) * inner
 
-    def structural(cp, a):
-        return _re_structural_common(cp, a)
-
     def sweep(cp):
         for j in (1, 2):
             for n in divisors(cp.m):
                 yield {"j": j, "n": n}
 
-    _register(KindDef("RE-C6", 3, order, counts, closed, structural,
+    _register(KindDef("RE-C6", 3, counts, closed,
                       lambda cp, a: (True, "tetrahedral in an involution centralizer"), sweep))
 
 
 def _mk_re_c7():
-    def order(cp, a):
-        return a["j"] * 3 ** a["v"] * a["r"] * a["n"]
-
     def counts(cp, a):
         v, r, j = a["v"], a["r"], a["j"]
         return {
@@ -776,17 +596,6 @@ def _mk_re_c7():
         )
         return 1 + Fraction(num, 2 * j * 3**v * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        v, r = a["v"], a["r"]
-        if not 1 <= v <= 2 * cp.s + 1:
-            return False, "v out of range"
-        if ((cp.q - 1) // 2) % r != 0 or (3**v - 1) % r != 0:
-            return False, "r must divide both (q-1)/2 and 3^v-1"
-        return True, ""
-
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
             for r in divisors(math.gcd((cp.q - 1) // 2, 3**v - 1)):
@@ -796,7 +605,7 @@ def _mk_re_c7():
 
     _register(
         KindDef(
-            "RE-C7", 3, order, counts, closed, structural,
+            "RE-C7", 3, counts, closed,
             lambda cp, a: (True, "3-group normalized by a torus"), sweep,
             known_mismatch="displayed constant term differs from the class assembly by 2*3^v*(r-1)*(n-2)",
         )
@@ -807,10 +616,6 @@ def _mk_re_c8():
     def _qh(a):
         return 3 ** a["d"]
 
-    def order(cp, a):
-        qh = _qh(a)
-        return a["j"] * (qh + 1) * qh * (qh - 1) // 2 * a["n"]
-
     def counts(cp, a):
         qh, j = _qh(a), a["j"]
         return {
@@ -818,6 +623,7 @@ def _mk_re_c8():
             "div_q_minus_1": j * (qh * (qh + 1) // 2) * ((qh - 3) // 2),
             "order2": j * (qh * (qh - 1) // 2) + (j - 1),
             "order6": (j - 1) * (qh * qh - 1),
+            "div_q_plus_1": j * (qh * (qh - 1) // 2) * ((qh + 1) // 2 - 2),
         }, 0
 
     def closed(cp, a):
@@ -836,14 +642,6 @@ def _mk_re_c8():
         )
         return 1 + term1 - term2
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if a["d"] < 1 or (2 * cp.s + 1) % a["d"] != 0:
-            return False, "subfield degree must divide the base degree"
-        return True, ""
-
     def sweep(cp):
         for d in divisors(2 * cp.s + 1):
             for j in (1, 2):
@@ -852,7 +650,7 @@ def _mk_re_c8():
 
     _register(
         KindDef(
-            "RE-C8", 3, order, counts, closed, structural,
+            "RE-C8", 3, counts, closed,
             lambda cp, a: (True, "linear fractional subgroup of an involution centralizer"), sweep,
             known_mismatch="displayed closed form is not integral at valid parameters; class assembly adopted",
         )
@@ -860,9 +658,6 @@ def _mk_re_c8():
 
 
 def _mk_re_p(kid: str, factor: int):
-    def order(cp, a):
-        return factor * a["r"] * a["n"]
-
     def counts(cp, a):
         r = a["r"]
         base = {"div_q_plus_3q0_plus_1": r - 1}
@@ -887,14 +682,6 @@ def _mk_re_p(kid: str, factor: int):
         num = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
         return 1 + Fraction(num, 12 * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if (cp.q + 3 * cp.q0 + 1) % a["r"] != 0:
-            return False, "r must divide q+3q0+1"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.q + 3 * cp.q0 + 1):
             for n in divisors(cp.m):
@@ -908,15 +695,12 @@ def _mk_re_p(kid: str, factor: int):
         if factor == 6
         else None
     )
-    _register(KindDef(kid, 3, order, counts, closed, structural,
+    _register(KindDef(kid, 3, counts, closed,
                       lambda cp, a: (True, "inside a Singer normalizer"), sweep,
                       known_mismatch=mismatch))
 
 
 def _mk_re_m(kid: str, factor: int):
-    def order(cp, a):
-        return factor * a["r"] * a["n"]
-
     def counts(cp, a):
         r, n = a["r"], a["n"]
         base = {"div_m_plain": r - 1}
@@ -941,46 +725,25 @@ def _mk_re_m(kid: str, factor: int):
             return 1 + Fraction(lead - 2 * r * (q * q - q + n + 1 - m * q), 6 * r * n)
         return 1 + Fraction(lead - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2), 12 * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if cp.m % a["r"] != 0:
-            return False, "r must divide m"
-        return True, ""
-
     def sweep(cp):
         for r in divisors(cp.m):
             for n in divisors(cp.m):
                 yield {"r": r, "n": n}
 
-    _register(KindDef(kid, 3, order, counts, closed, structural,
+    _register(KindDef(kid, 3, counts, closed,
                       lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
 
 
 def _mk_re_q1():
-    def order(cp, a):
-        return a["i"] * a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         i, j, r = a["i"], a["j"], a["r"]
-        return {"order2": i - 1 + i * (j - 1) * r}, 0
+        return {"order2": i - 1 + i * (j - 1) * r, "div_q_plus_1": i * (r - 1)}, 0
 
     def closed(cp, a):
         q = cp.q
         i, j, r, n = a["i"], a["j"], a["r"], a["n"]
         num = (q + 1) * ((q * q - q + 1) * (q - n - 1) - n * (i * (j - 1) * r + i - 1))
         return 1 + Fraction(num, 2 * i * j * r * n)
-
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if a["i"] not in (1, 2, 4):
-            return False, "i must be 1, 2 or 4"
-        if ((cp.q + 1) // 4) % a["r"] != 0:
-            return False, "r must divide (q+1)/4"
-        return True, ""
 
     def sweep(cp):
         for i in (1, 2, 4):
@@ -989,20 +752,18 @@ def _mk_re_q1():
                     for n in divisors(cp.m):
                         yield {"i": i, "j": j, "r": r, "n": n}
 
-    _register(KindDef("RE-Q1", 3, order, counts, closed, structural,
+    _register(KindDef("RE-Q1", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
 
 
 def _mk_re_q2():
-    def order(cp, a):
-        return 12 * a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         j, r = a["j"], a["r"]
         return {
             "order2": 3 + 4 * (j - 1) * r,
             "order3_noncentral": 8 * r,
             "order6": (j - 1) * 8 * r,
+            "div_q_plus_1": 4 * (r - 1),
         }, 0
 
     def closed(cp, a):
@@ -1016,34 +777,24 @@ def _mk_re_q2():
         )
         return Fraction(num, 24 * j * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q + 1) // 4) % a["r"] != 0:
-            return False, "r must divide (q+1)/4"
-        return True, ""
-
     def sweep(cp):
         for j in (1, 2):
             for r in divisors((cp.q + 1) // 4):
                 for n in divisors(cp.m):
                     yield {"j": j, "r": r, "n": n}
 
-    _register(KindDef("RE-Q2", 3, order, counts, closed, structural,
+    _register(KindDef("RE-Q2", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
 
 
 def _mk_re_q3():
-    def order(cp, a):
-        return 3 * a["j"] * a["r"] * a["n"]
-
     def counts(cp, a):
         j, r = a["j"], a["r"]
         return {
             "order2": (j - 1) * r,
             "order3_noncentral": 2 * r,
             "order6": (j - 1) * 2 * r,
+            "div_q_plus_1": r - 1,
         }, 0
 
     def closed(cp, a):
@@ -1057,21 +808,13 @@ def _mk_re_q3():
         )
         return 1 + Fraction(num, 6 * j * r * n)
 
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        if ((cp.q + 1) // 4) % a["r"] != 0:
-            return False, "r must divide (q+1)/4"
-        return True, ""
-
     def sweep(cp):
         for j in (1, 2):
             for r in divisors((cp.q + 1) // 4):
                 for n in divisors(cp.m):
                     yield {"j": j, "r": r, "n": n}
 
-    _register(KindDef("RE-Q3", 3, order, counts, closed, structural,
+    _register(KindDef("RE-Q3", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
 
 
@@ -1103,10 +846,6 @@ def _mk_re_s():
         qh0 = 3 ** a["shat"]
         return 3 * qh0 * qh0, qh0
 
-    def order(cp, a):
-        qh, _ = _qh(a)
-        return qh**3 * (qh**3 + 1) * (qh - 1) * a["n"]
-
     def counts(cp, a):
         qh, qh0 = _qh(a)
         n = a["n"]
@@ -1120,11 +859,13 @@ def _mk_re_s():
             "order9": (qh**3 + 1) * (qh**3 - qh * qh),
             "order6": qh * qh * (qh * qh - qh + 1) * (qh + 1) * (qh - 1),
             "div_q_minus_1": (qh**3 + 1) * qh**3 // 2 * (qh - 3),
+            # the (qh+1)-tori elements that are neither the identity nor an involution
+            "div_q_plus_1": qh**3 * (qh * qh - qh + 1) * (qh - 1) // 6 * (qh - 3),
         }
         branch = _ree_subfield_branch(cp, a["shat"])
         special = 0
         if branch == 0:
-            base["div_q_plus_1"] = minus_elts + plus_elts
+            base["div_q_plus_1"] += minus_elts + plus_elts
         elif branch == 1:
             base["div_m_plain"] = minus_elts
             base["div_q_plus_3q0_plus_1"] = plus_elts
@@ -1138,42 +879,19 @@ def _mk_re_s():
     def closed(cp, a):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        counts_dict, special = counts(cp, a)
-        comp = _composition_from_counts(counts_dict, special, a["n"])
-        delta = delta_from_composition(comp, cp)
-        return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order(cp, a))
-
-    def structural(cp, a):
-        ok, why = _re_structural_common(cp, a)
-        if not ok:
-            return ok, why
-        shat = a["shat"]
-        if shat < 0 or (2 * cp.s + 1) % (2 * shat + 1) != 0:
-            return False, "subfield parameter must divide"
-        h = (2 * cp.s + 1) // (2 * shat + 1)
-        if h == 1 or not _is_prime(h):
-            return False, "extension degree must be prime"
-        return True, ""
+        order, delta = _order_and_delta(*counts(cp, a), a["n"], cp)
+        return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order)
 
     def sweep(cp):
         for shat in range(0, cp.s):
-            if (2 * cp.s + 1) % (2 * shat + 1) == 0 and _is_prime((2 * cp.s + 1) // (2 * shat + 1)):
+            h, rem = divmod(2 * cp.s + 1, 2 * shat + 1)
+            # the extension degree h must be prime
+            if rem == 0 and _factorize(h) == {h: 1}:
                 for n in divisors(cp.m):
                     yield {"shat": shat, "n": n}
 
-    _register(KindDef("RE-S", 3, order, counts, closed, structural,
+    _register(KindDef("RE-S", 3, counts, closed,
                       lambda cp, a: (True, "subfield subgroup"), sweep))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1231,19 +949,17 @@ def _composition_from_counts(counts: dict[str, int], special: int, n: int):
     return comp
 
 
-def _assess(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
+def _order_and_delta(counts: dict[str, int], special: int, n: int, cp: CurveParams) -> tuple[int, int]:
+    """|H x C_n| by the class equation n (1 + sum of the counts), and the
+    different degree of the class composition."""
+    order = n * (1 + sum(counts.values()))
+    return order, delta_from_composition(_composition_from_counts(counts, special, n), cp)
+
+
+def _assess(kind: KindDef, cp: CurveParams, a: dict) -> tuple[Validation, tuple[int, int, int] | None]:
     """The validation and, for a valid spec, its (order, delta, genus via
-    delta), each computed once."""
-    kind = KINDS[spec.kind]
-    cp, a = spec.params, spec.arg_dict
-    if kind.char != cp.p:
-        return Validation(False, False, "kind belongs to the other family"), None
-    ok, why = kind.structural(cp, a)
-    if not ok:
-        return Validation(False, False, why), None
-    order = kind.order(cp, a)
-    counts, special = kind.counts(cp, a)
-    delta = delta_from_composition(_composition_from_counts(counts, special, a["n"]), cp)
+    delta), each computed once.  The args must come from the kind's sweep."""
+    order, delta = _order_and_delta(*kind.counts(cp, a), a["n"], cp)
     try:
         gd = genus_from_rh(_two_g_minus_2(cp), order, delta)
     except NonIntegralGenusError as exc:
@@ -1252,8 +968,21 @@ def _assess(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None
     return Validation(True, cert, creason), (order, delta, gd)
 
 
+def _assess_spec(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
+    """_assess for a spec that did not come from the sweep: its kind must be
+    of the curve's family and its args must lie in the kind's parameter
+    domain."""
+    kind = KINDS[spec.kind]
+    cp, a = spec.params, spec.arg_dict
+    if kind.char != cp.p:
+        return Validation(False, False, "kind belongs to the other family"), None
+    if a not in kind.sweep(cp):
+        return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
+    return _assess(kind, cp, a)
+
+
 def validate(spec: QuotientSpec) -> Validation:
-    return _assess(spec)[0]
+    return _assess_spec(spec)[0]
 
 
 def genus_closed(spec: QuotientSpec) -> int | None:
@@ -1283,7 +1012,7 @@ def _record(spec: QuotientSpec, val: Validation, order: int, delta: int, gd: int
 
 
 def evaluate(spec: QuotientSpec) -> GenusRecord:
-    val, derived = _assess(spec)
+    val, derived = _assess_spec(spec)
     if derived is None:
         raise ValueError(f"invalid spec {spec}: {val.reason}")
     return _record(spec, val, *derived)
@@ -1303,8 +1032,8 @@ class SpectrumResult:
 
 
 def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
-    """Enumerate all valid specs of every kind over the default sweep ranges,
-    with the dual-path comparison applied to each."""
+    """Enumerate all valid specs of every kind over its parameter domain (its
+    sweep), with the dual-path comparison applied to each."""
     family = Family(family)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
@@ -1318,7 +1047,7 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
             continue
         for args in kind.sweep(params):
             spec = QuotientSpec.make(kid, params, **args)
-            val, derived = _assess(spec)
+            val, derived = _assess(kind, params, args)
             if derived is None:
                 invalid.append((spec, val.reason))
                 continue

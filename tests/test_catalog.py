@@ -5,7 +5,6 @@ import pytest
 from maxcurve import catalog as cat
 from maxcurve.catalog import KINDS, QuotientSpec, evaluate, spectrum, table1_check, validate
 from maxcurve.curves import genus as curve_genus, params_from_s
-from maxcurve.ramification import delta_from_composition
 
 P8 = params_from_s("suzuki-cover", 1)
 P32 = params_from_s("suzuki-cover", 2)
@@ -14,11 +13,10 @@ P27 = params_from_s("ree-cover", 1)
 
 def frac_delta_genus(kind, cp, args) -> Fraction:
     """Genus as an exact fraction straight from the class assembly, without
-    any integrality requirement (for identity testing)."""
-    counts, special = kind.counts(cp, args)
-    comp = cat._composition_from_counts(counts, special, args["n"])
-    delta = delta_from_composition(comp, cp)
-    order = kind.order(cp, args)
+    any integrality requirement (for identity testing).  The order comes from
+    the class equation, so the closed formulas' denominators also check the
+    class census."""
+    order, delta = cat._order_and_delta(*kind.counts(cp, args), args["n"], cp)
     return 1 + Fraction(cat._two_g_minus_2(cp) - delta, 2 * order)
 
 
@@ -248,6 +246,41 @@ class TestDualPathIdentities:
                 assert Fraction(KINDS["RE-S"].closed(cp, args)) == frac_delta_genus(KINDS["RE-S"], cp, args)
 
 
+def _named_orders():
+    """(kind, params, args, named |H x C_n|) for the kinds whose group has a
+    name: SZ-E, RE-S and RE-C8 over every swept spec of s=1..7, and
+    RE-Q1/2/3 at r = (q+1)/4 for s=1..3."""
+    for s in range(1, 8):
+        cp = params_from_s("suzuki-cover", s)
+        for a in KINDS["SZ-E"].sweep(cp):
+            qh = 2 * 4 ** a["shat"]
+            yield "SZ-E", cp, a, qh**2 * (qh**2 + 1) * (qh - 1) * a["n"]
+        cp = params_from_s("ree-cover", s)
+        for a in KINDS["RE-S"].sweep(cp):
+            qh = 3 * 9 ** a["shat"]
+            yield "RE-S", cp, a, qh**3 * (qh**3 + 1) * (qh - 1) * a["n"]
+        for a in KINDS["RE-C8"].sweep(cp):
+            qh = 3 ** a["d"]
+            yield "RE-C8", cp, a, a["j"] * qh * (qh * qh - 1) // 2 * a["n"]
+    for s in (1, 2, 3):
+        cp = params_from_s("ree-cover", s)
+        r = (cp.q + 1) // 4
+        for kid in ("RE-Q1", "RE-Q2", "RE-Q3"):
+            for a in KINDS[kid].sweep(cp):
+                if a["r"] == r:
+                    factor = {"RE-Q1": a.get("i"), "RE-Q2": 12, "RE-Q3": 3}[kid]
+                    yield kid, cp, a, factor * a["j"] * r * a["n"]
+
+
+def test_class_census_gives_the_group_order():
+    seen = set()
+    for kid, cp, args, named in _named_orders():
+        order, _ = cat._order_and_delta(*KINDS[kid].counts(cp, args), args["n"], cp)
+        assert order == named, (kid, cp.s, args)
+        seen.add(kid)
+    assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3"}
+
+
 class TestCrossKindAgreement:
     def test_smallest_suzuki_subfield_group_is_singer_normalizer(self):
         # the order-20 subfield subgroup coincides with the full second
@@ -286,7 +319,7 @@ class TestValidate:
         # a 2-group with a single involution and order 8 would be quaternion
         val = validate(QuotientSpec.make("SZ-B2", P8, u=1, v=3, n=1))
         assert not val.valid
-        assert "v <= 2u" in val.reason
+        assert val.reason == "outside the SZ-B2 parameter domain"
 
     def test_rh_oracle_rejects(self):
         val = validate(QuotientSpec.make("SZ-B2", P8, u=2, v=4, n=1))
@@ -306,6 +339,19 @@ class TestValidate:
 
     def test_wrong_family(self):
         assert not validate(QuotientSpec.make("RE-C1", P8, v=1, j=1, n=1)).valid
+
+    @pytest.mark.parametrize("kid,params,args", [
+        ("SZ-B1", P8, dict(r=7)),                   # n missing
+        ("SZ-B1", P8, dict(r=7, n=1, x=3)),         # an argument the kind does not take
+        ("RE-B", P27, dict(u=0, v=0, w=0, r=2, n=1)),  # torus only: left to the centralizer kinds
+    ])
+    def test_outside_the_sweep(self, kid, params, args):
+        spec = QuotientSpec.make(kid, params, **args)
+        val = validate(spec)
+        assert (val.valid, val.existence_certified) == (False, False)
+        assert val.reason == f"outside the {kid} parameter domain"
+        with pytest.raises(ValueError, match="parameter domain"):
+            evaluate(spec)
 
     def test_ree_b_certificate(self):
         assert validate(QuotientSpec.make("RE-B", P27, u=3, v=3, w=3, r=13, n=1)).existence_certified

@@ -233,6 +233,20 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 
+    def test_sweep_spectra_script_bytes_pinned(self, tmp_path):
+        # the only output with the certified and mismatch columns
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_spectra.py"
+        environ = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=environ)
+        assert proc.returncode == 0, proc.stderr
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == {
+            "f212.csv": "4ce071b7ce48c689d6c350d087024bcd649db1687a19222e5d1eca6b9a7b219a",
+            "f220.csv": "a628ec70de4d2529cb72e486e926a172991204d34b971705bbdfc81aa9851ba7",
+            "f318.csv": "d0b86b6e515fb5f7a4f45318b9437e9ee65630e4f41f439237bb7bfad444e7c4",
+        }
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--family", "suzuki-cover", "--s", "1", "--threads", "2"])
