@@ -2,10 +2,11 @@
 a kind id, a displayed closed genus formula, and an independent genus via the
 class-composition different degree plus Riemann-Hurwitz.
 
-Each kind is defined once.  Its sweep is its parameter domain: a spec whose
-args the sweep does not yield is invalid.  Its class counts are the class
-census of H minus the identity, so the class equation gives the order,
-|H x C_n| = n (1 + sum of the counts).
+Each kind is defined once.  Its sweep yields the args of H, and the sweep
+times the divisors n of m is its parameter domain: a spec outside it is
+invalid.  Its class counts are the class census of H minus the identity, so
+the class equation gives the order, |H x C_n| = n (1 + sum of the counts),
+and the different degree is affine in n (see _order_and_delta_of_n).
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -20,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .curves import CurveParams, Family, params_from_s, require
 from .gf import _factorize
-from .ramification import NonIntegralGenusError, delta_from_composition, genus_from_rh
+from .ramification import NonIntegralGenusError, delta_from_composition, genus_from_rh, i_sigma
 
 
 def divisors(n: int) -> list[int]:
@@ -91,11 +92,16 @@ class GenusRecord:
 class KindDef:
     id: str
     char: int
-    counts: Callable            # args -> (class census of H minus the identity, special pair count)
-    closed: Callable            # args -> Fraction (displayed formula)
-    certified: Callable         # args -> (bool, reason)
-    sweep: Callable             # params -> iterator of arg dicts: the parameter domain
+    # H args -> (class census of H minus the identity, (c, d)): H x C_n has
+    # c (gcd(d, n) - 1) special (sigma, tau^j) pairs
+    counts: Callable
+    closed: Callable            # H args and n -> Fraction (displayed formula)
+    certified: Callable         # H args -> (bool, reason)
+    sweep: Callable             # params -> iterator of H arg dicts
     known_mismatch: str | None = None
+
+
+NO_SPECIAL_PAIRS = (0, 1)
 
 
 KINDS: dict[str, KindDef] = {}
@@ -111,7 +117,7 @@ def _register(kind: KindDef) -> None:
 
 def _mk_sz_b1():
     def counts(cp, a):
-        return {"div_q_minus_1": a["r"] - 1}, 0
+        return {"div_q_minus_1": a["r"] - 1}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, r, n = cp.q, a["r"], a["n"]
@@ -119,8 +125,7 @@ def _mk_sz_b1():
 
     def sweep(cp):
         for r in divisors(cp.q - 1):
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     _register(KindDef("SZ-B1", 2, counts, closed,
                       lambda cp, a: (True, "cyclic subgroup of a split torus"), sweep))
@@ -129,7 +134,7 @@ def _mk_sz_b1():
 def _mk_sz_b2():
     def counts(cp, a):
         u, v = a["u"], a["v"]
-        return {"order2": (1 << u) - 1, "order4": (1 << v) - (1 << u)}, 0
+        return {"order2": (1 << u) - 1, "order4": (1 << v) - (1 << u)}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -152,8 +157,7 @@ def _mk_sz_b2():
         for u in range(1, 2 * s + 1 + 1):
             # the squaring map forces v <= 2u; v stays within the wild part
             for v in range(u, min(2 * u, 2 * (2 * s + 1)) + 1):
-                for n in divisors(cp.m):
-                    yield {"u": u, "v": v, "n": n}
+                yield {"u": u, "v": v}
 
     _register(KindDef("SZ-B2", 2, counts, closed, certified, sweep))
 
@@ -165,7 +169,7 @@ def _mk_sz_b3():
             "order2": (1 << u) - 1,
             "order4": (1 << v) - (1 << u),
             "div_q_minus_1": (1 << v) * (r - 1),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -192,8 +196,7 @@ def _mk_sz_b3():
                 for r in divisors(cp.q - 1):
                     if r == 1:
                         continue
-                    for n in divisors(cp.m):
-                        yield {"u": u, "v": v, "r": r, "n": n}
+                    yield {"u": u, "v": v, "r": r}
 
     _register(KindDef("SZ-B3", 2, counts, closed, certified, sweep))
 
@@ -201,7 +204,7 @@ def _mk_sz_b3():
 def _mk_sz_b4():
     def counts(cp, a):
         r = a["r"]
-        return {"order2": r, "div_q_minus_1": r - 1}, 0
+        return {"order2": r, "div_q_minus_1": r - 1}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -213,8 +216,7 @@ def _mk_sz_b4():
         for r in divisors(cp.q - 1):
             if r == 1:
                 continue
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     _register(KindDef("SZ-B4", 2, counts, closed,
                       lambda cp, a: (True, "dihedral over a split torus"), sweep))
@@ -228,7 +230,7 @@ def _mk_sz_c(kid: str, factor: int):
             base["order2"] = r
         if factor == 4:
             base["order4"] = 2 * r
-        return base, 0
+        return base, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -241,8 +243,7 @@ def _mk_sz_c(kid: str, factor: int):
 
     def sweep(cp):
         for r in divisors(cp.q + 2 * cp.q0 + 1):
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     _register(KindDef(kid, 2, counts, closed,
                       lambda cp, a: (True, "inside a Singer normalizer"), sweep))
@@ -250,13 +251,13 @@ def _mk_sz_c(kid: str, factor: int):
 
 def _mk_sz_d(kid: str, factor: int):
     def counts(cp, a):
-        r, n = a["r"], a["n"]
+        r = a["r"]
         base = {"div_m_plain": r - 1}
         if factor >= 2:
             base["order2"] = r
         if factor == 4:
             base["order4"] = 2 * r
-        return base, math.gcd(r, n) - 1
+        return base, (1, r)
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -273,8 +274,7 @@ def _mk_sz_d(kid: str, factor: int):
 
     def sweep(cp):
         for r in divisors(cp.m):
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     _register(KindDef(kid, 2, counts, closed,
                       lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
@@ -306,7 +306,6 @@ def _mk_sz_e():
 
     def counts(cp, a):
         qh, qh0 = _qhat(a)
-        n = a["n"]
         dm, dp = qh - 2 * qh0 + 1, qh + 2 * qh0 + 1
         minus_elts = qh * qh * dp * (qh - 1) * (qh - 2 * qh0) // 4
         plus_elts = qh * qh * dm * (qh - 1) * (qh + 2 * qh0) // 4
@@ -318,12 +317,10 @@ def _mk_sz_e():
         if _suzuki_subfield_branch(cp, a["shat"]) == 1:
             base["div_m_plain"] = minus_elts
             base["div_q_plus_2q0_plus_1"] = plus_elts
-            special = qh * qh * dp * (qh - 1) * (math.gcd(dm, n) - 1) // 4
-        else:
-            base["div_m_plain"] = plus_elts
-            base["div_q_plus_2q0_plus_1"] = minus_elts
-            special = qh * qh * dm * (qh - 1) * (math.gcd(dp, n) - 1) // 4
-        return base, special
+            return base, (qh * qh * dp * (qh - 1) // 4, dm)
+        base["div_m_plain"] = plus_elts
+        base["div_q_plus_2q0_plus_1"] = minus_elts
+        return base, (qh * qh * dm * (qh - 1) // 4, dp)
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -344,8 +341,7 @@ def _mk_sz_e():
     def sweep(cp):
         for shat in range(0, cp.s):
             if (2 * cp.s + 1) % (2 * shat + 1) == 0:
-                for n in divisors(cp.m):
-                    yield {"shat": shat, "n": n}
+                yield {"shat": shat}
 
     _register(KindDef("SZ-E", 2, counts, closed,
                       lambda cp, a: (True, "subfield subgroup"), sweep))
@@ -369,7 +365,7 @@ def _mk_re_b():
             base["div_q_minus_1"] = (r - 2) * 3**w
         else:
             base["div_q_minus_1"] = (r - 1) * 3**w
-        return base, 0
+        return base, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -406,8 +402,7 @@ def _mk_re_b():
                     if (u, v, w) == (0, 0, 0):
                         continue  # torus-only; covered by the centralizer kinds
                     for r in divisors(cp.q - 1):
-                        for n in divisors(cp.m):
-                            yield {"u": u, "v": v, "w": w, "r": r, "n": n}
+                        yield {"u": u, "v": v, "w": w, "r": r}
 
     _register(
         KindDef(
@@ -424,7 +419,7 @@ def _mk_re_c1():
             "order3_noncentral": 3**v - 1,
             "order2": j - 1,
             "order6": (j - 1) * (3**v - 1),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -441,8 +436,7 @@ def _mk_re_c1():
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"v": v, "j": j, "n": n}
+                yield {"v": v, "j": j}
 
     _register(KindDef("RE-C1", 3, counts, closed,
                       lambda cp, a: (True, "elementary abelian in an involution centralizer"), sweep))
@@ -455,7 +449,7 @@ def _mk_re_c2():
         # odd r: only the central involution (when j=2); even r adds the
         # torus involution and its central product
         inv = (2 * j - 1) if even else (j - 1)
-        return {"order2": inv, "div_q_plus_1": j * (r - 1 - (1 if even else 0))}, 0
+        return {"order2": inv, "div_q_plus_1": j * (r - 1 - (1 if even else 0))}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q = cp.q
@@ -467,8 +461,7 @@ def _mk_re_c2():
     def sweep(cp):
         for r in divisors((cp.q + 1) // 2):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"r": r, "j": j, "n": n}
+                yield {"r": r, "j": j}
 
     _register(KindDef("RE-C2", 3, counts, closed,
                       lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
@@ -477,7 +470,7 @@ def _mk_re_c2():
 def _mk_re_c3():
     def counts(cp, a):
         r, j = a["r"], a["j"]
-        return {"order2": j - 1, "div_q_minus_1": j * (r - 1)}, 0
+        return {"order2": j - 1, "div_q_minus_1": j * (r - 1)}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q = cp.q
@@ -487,8 +480,7 @@ def _mk_re_c3():
     def sweep(cp):
         for r in divisors((cp.q - 1) // 2):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"r": r, "j": j, "n": n}
+                yield {"r": r, "j": j}
 
     _register(KindDef("RE-C3", 3, counts, closed,
                       lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
@@ -501,7 +493,7 @@ def _mk_re_c4():
         return {
             "order2": j * r + (j - 1) + j * even,
             "div_q_plus_1": j * (r - 1 - even),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q = cp.q
@@ -513,8 +505,7 @@ def _mk_re_c4():
     def sweep(cp):
         for r in divisors((cp.q + 1) // 2):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"r": r, "j": j, "n": n}
+                yield {"r": r, "j": j}
 
     _register(KindDef("RE-C4", 3, counts, closed,
                       lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
@@ -526,7 +517,7 @@ def _mk_re_c5():
         return {
             "order2": j * r + (j - 1),
             "div_q_minus_1": j * (r - 1),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q = cp.q
@@ -536,8 +527,7 @@ def _mk_re_c5():
     def sweep(cp):
         for r in divisors((cp.q - 1) // 2):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"r": r, "j": j, "n": n}
+                yield {"r": r, "j": j}
 
     _register(KindDef("RE-C5", 3, counts, closed,
                       lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
@@ -550,7 +540,7 @@ def _mk_re_c6():
             "order2": 3 + (j - 1) * 4,
             "order3_noncentral": 8,
             "order6": (j - 1) * 8,
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -567,8 +557,7 @@ def _mk_re_c6():
 
     def sweep(cp):
         for j in (1, 2):
-            for n in divisors(cp.m):
-                yield {"j": j, "n": n}
+            yield {"j": j}
 
     _register(KindDef("RE-C6", 3, counts, closed,
                       lambda cp, a: (True, "tetrahedral in an involution centralizer"), sweep))
@@ -582,7 +571,7 @@ def _mk_re_c7():
             "div_q_minus_1": j * 3**v * (r - 1),
             "order2": j - 1,
             "order6": (j - 1) * (3**v - 1),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -600,8 +589,7 @@ def _mk_re_c7():
         for v in range(1, 2 * cp.s + 1 + 1):
             for r in divisors(math.gcd((cp.q - 1) // 2, 3**v - 1)):
                 for j in (1, 2):
-                    for n in divisors(cp.m):
-                        yield {"v": v, "r": r, "j": j, "n": n}
+                    yield {"v": v, "r": r, "j": j}
 
     _register(
         KindDef(
@@ -624,7 +612,7 @@ def _mk_re_c8():
             "order2": j * (qh * (qh - 1) // 2) + (j - 1),
             "order6": (j - 1) * (qh * qh - 1),
             "div_q_plus_1": j * (qh * (qh - 1) // 2) * ((qh + 1) // 2 - 2),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -645,8 +633,7 @@ def _mk_re_c8():
     def sweep(cp):
         for d in divisors(2 * cp.s + 1):
             for j in (1, 2):
-                for n in divisors(cp.m):
-                    yield {"d": d, "j": j, "n": n}
+                yield {"d": d, "j": j}
 
     _register(
         KindDef(
@@ -667,7 +654,7 @@ def _mk_re_p(kid: str, factor: int):
             base["order3_noncentral"] = 2 * r
         if factor == 6:
             base["order6"] = 2 * r
-        return base, 0
+        return base, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -684,8 +671,7 @@ def _mk_re_p(kid: str, factor: int):
 
     def sweep(cp):
         for r in divisors(cp.q + 3 * cp.q0 + 1):
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     # the order-6r display's leading (q-2) should read (q-n-1): it disagrees
     # with its own class assembly for n > 1 while the parallel second-Singer
@@ -702,7 +688,7 @@ def _mk_re_p(kid: str, factor: int):
 
 def _mk_re_m(kid: str, factor: int):
     def counts(cp, a):
-        r, n = a["r"], a["n"]
+        r = a["r"]
         base = {"div_m_plain": r - 1}
         if factor in (2, 6):
             base["order2"] = r
@@ -710,7 +696,7 @@ def _mk_re_m(kid: str, factor: int):
             base["order3_noncentral"] = 2 * r
         if factor == 6:
             base["order6"] = 2 * r
-        return base, math.gcd(r, n) - 1
+        return base, (1, r)
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -727,8 +713,7 @@ def _mk_re_m(kid: str, factor: int):
 
     def sweep(cp):
         for r in divisors(cp.m):
-            for n in divisors(cp.m):
-                yield {"r": r, "n": n}
+            yield {"r": r}
 
     _register(KindDef(kid, 3, counts, closed,
                       lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
@@ -737,7 +722,7 @@ def _mk_re_m(kid: str, factor: int):
 def _mk_re_q1():
     def counts(cp, a):
         i, j, r = a["i"], a["j"], a["r"]
-        return {"order2": i - 1 + i * (j - 1) * r, "div_q_plus_1": i * (r - 1)}, 0
+        return {"order2": i - 1 + i * (j - 1) * r, "div_q_plus_1": i * (r - 1)}, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q = cp.q
@@ -749,8 +734,7 @@ def _mk_re_q1():
         for i in (1, 2, 4):
             for j in (1, 2):
                 for r in divisors((cp.q + 1) // 4):
-                    for n in divisors(cp.m):
-                        yield {"i": i, "j": j, "r": r, "n": n}
+                    yield {"i": i, "j": j, "r": r}
 
     _register(KindDef("RE-Q1", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
@@ -764,7 +748,7 @@ def _mk_re_q2():
             "order3_noncentral": 8 * r,
             "order6": (j - 1) * 8 * r,
             "div_q_plus_1": 4 * (r - 1),
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -780,8 +764,7 @@ def _mk_re_q2():
     def sweep(cp):
         for j in (1, 2):
             for r in divisors((cp.q + 1) // 4):
-                for n in divisors(cp.m):
-                    yield {"j": j, "r": r, "n": n}
+                yield {"j": j, "r": r}
 
     _register(KindDef("RE-Q2", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
@@ -795,7 +778,7 @@ def _mk_re_q3():
             "order3_noncentral": 2 * r,
             "order6": (j - 1) * 2 * r,
             "div_q_plus_1": r - 1,
-        }, 0
+        }, NO_SPECIAL_PAIRS
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -811,8 +794,7 @@ def _mk_re_q3():
     def sweep(cp):
         for j in (1, 2):
             for r in divisors((cp.q + 1) // 4):
-                for n in divisors(cp.m):
-                    yield {"j": j, "r": r, "n": n}
+                yield {"j": j, "r": r}
 
     _register(KindDef("RE-Q3", 3, counts, closed,
                       lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
@@ -848,7 +830,6 @@ def _mk_re_s():
 
     def counts(cp, a):
         qh, qh0 = _qh(a)
-        n = a["n"]
         dm, dp = qh - 3 * qh0 + 1, qh + 3 * qh0 + 1
         minus_elts = qh**3 * (qh - 1) * (qh + 1) * dp * (qh - 3 * qh0) // 6
         plus_elts = qh**3 * (qh - 1) * (qh + 1) * dm * (qh + 3 * qh0) // 6
@@ -863,23 +844,21 @@ def _mk_re_s():
             "div_q_plus_1": qh**3 * (qh * qh - qh + 1) * (qh - 1) // 6 * (qh - 3),
         }
         branch = _ree_subfield_branch(cp, a["shat"])
-        special = 0
         if branch == 0:
             base["div_q_plus_1"] += minus_elts + plus_elts
-        elif branch == 1:
+            return base, NO_SPECIAL_PAIRS
+        if branch == 1:
             base["div_m_plain"] = minus_elts
             base["div_q_plus_3q0_plus_1"] = plus_elts
-            special = qh**3 * (qh - 1) * (qh + 1) * dp * (math.gcd(dm, n) - 1) // 6
-        else:
-            base["div_m_plain"] = plus_elts
-            base["div_q_plus_3q0_plus_1"] = minus_elts
-            special = qh**3 * (qh - 1) * (qh + 1) * dm * (math.gcd(dp, n) - 1) // 6
-        return base, special
+            return base, (qh**3 * (qh - 1) * (qh + 1) * dp // 6, dm)
+        base["div_m_plain"] = plus_elts
+        base["div_q_plus_3q0_plus_1"] = minus_elts
+        return base, (qh**3 * (qh - 1) * (qh + 1) * dm // 6, dp)
 
     def closed(cp, a):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        order, delta = _order_and_delta(*counts(cp, a), a["n"], cp)
+        order, delta = _order_and_delta_of_n(counts(cp, a), cp)(a["n"])
         return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order)
 
     def sweep(cp):
@@ -887,8 +866,7 @@ def _mk_re_s():
             h, rem = divmod(2 * cp.s + 1, 2 * shat + 1)
             # the extension degree h must be prime
             if rem == 0 and _factorize(h) == {h: 1}:
-                for n in divisors(cp.m):
-                    yield {"shat": shat, "n": n}
+                yield {"shat": shat}
 
     _register(KindDef("RE-S", 3, counts, closed,
                       lambda cp, a: (True, "subfield subgroup"), sweep))
@@ -935,50 +913,59 @@ _mk_re_s()
 # evaluation
 
 
-def _composition_from_counts(counts: dict[str, int], special: int, n: int):
-    comp = []
-    for cls, cnt in counts.items():
-        if cnt:
-            comp.append((cls, cnt, False))
-            if n > 1:
-                comp.append((cls, cnt * (n - 1), True))
-    if n > 1:
-        comp.append(("tau_power", n - 1, False))
-    if special:
-        comp.append(("div_m_special_j", special, False))
-    return comp
+def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int, int]]:
+    """|H x C_n| and its different degree as functions of n, from the
+    counts of H.  The elements h tau^k with k = 0 are H's census (different
+    A); each of the n - 1 powers tau^k != 0 brings tau^k and the census with
+    a tau component (different B); c (gcd(d, n) - 1) of them are special
+    pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B + c (gcd(d, n) - 1) S,
+    and each n costs integer arithmetic only."""
+    census, (pairs, period) = counts
+    size = 1 + sum(census.values())
+    plain = delta_from_composition(list(census.items()), cp)
+    cross = delta_from_composition([("tau_power", 1), *((cls, cnt, True) for cls, cnt in census.items())], cp)
+    special = pairs * i_sigma("div_m_special_j", cp)[1]
+
+    def at(n: int) -> tuple[int, int]:
+        return n * size, plain + (n - 1) * cross + special * (math.gcd(period, n) - 1)
+
+    return at
 
 
-def _order_and_delta(counts: dict[str, int], special: int, n: int, cp: CurveParams) -> tuple[int, int]:
-    """|H x C_n| by the class equation n (1 + sum of the counts), and the
-    different degree of the class composition."""
-    order = n * (1 + sum(counts.values()))
-    return order, delta_from_composition(_composition_from_counts(counts, special, n), cp)
-
-
-def _assess(kind: KindDef, cp: CurveParams, a: dict) -> tuple[Validation, tuple[int, int, int] | None]:
-    """The validation and, for a valid spec, its (order, delta, genus via
-    delta), each computed once.  The args must come from the kind's sweep."""
-    order, delta = _order_and_delta(*kind.counts(cp, a), a["n"], cp)
-    try:
-        gd = genus_from_rh(_two_g_minus_2(cp), order, delta)
-    except NonIntegralGenusError as exc:
-        return Validation(False, False, f"composition fails the RH oracle: {exc}"), None
-    cert, creason = kind.certified(cp, a)
-    return Validation(True, cert, creason), (order, delta, gd)
+def _assess(
+    kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int]
+) -> Iterator[tuple[int, Validation, tuple[int, int, int] | None]]:
+    """(n, validation, derived) of the spec (H, n) for each n in ns, where
+    derived is (order, delta, genus via delta) for a valid spec and None
+    otherwise.  The class sums and the certificate of H are computed once.
+    H must come from the kind's sweep and each n must divide m."""
+    at = _order_and_delta_of_n(kind.counts(cp, h), cp)
+    valid = Validation(True, *kind.certified(cp, h))
+    two_g_minus_2 = _two_g_minus_2(cp)
+    for n in ns:
+        order, delta = at(n)
+        try:
+            gd = genus_from_rh(two_g_minus_2, order, delta)
+        except NonIntegralGenusError as exc:
+            yield n, Validation(False, False, f"composition fails the RH oracle: {exc}"), None
+        else:
+            yield n, valid, (order, delta, gd)
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
     """_assess for a spec that did not come from the sweep: its kind must be
-    of the curve's family and its args must lie in the kind's parameter
-    domain."""
-    kind = KINDS[spec.kind]
-    cp, a = spec.params, spec.arg_dict
+    known and of the curve's family, and its args must lie in the kind's
+    parameter domain: int H args that the sweep yields, and n dividing m."""
+    kind = KINDS.get(spec.kind)
+    cp, h = spec.params, spec.arg_dict
+    if kind is None:
+        return Validation(False, False, "unknown kind"), None
     if kind.char != cp.p:
         return Validation(False, False, "kind belongs to the other family"), None
-    if a not in kind.sweep(cp):
+    n = h.pop("n", None)
+    if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
-    return _assess(kind, cp, a)
+    return next(_assess(kind, cp, h, (n,)))[1:]
 
 
 def validate(spec: QuotientSpec) -> Validation:
@@ -1033,7 +1020,8 @@ class SpectrumResult:
 
 def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     """Enumerate all valid specs of every kind over its parameter domain (its
-    sweep), with the dual-path comparison applied to each."""
+    sweep of H times the divisors n of m), with the dual-path comparison
+    applied to each."""
     family = Family(family)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
@@ -1042,21 +1030,26 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     mismatches: list[GenusRecord] = []
     unexplained: list[GenusRecord] = []
     invalid: list[tuple[QuotientSpec, str]] = []
+    ns = divisors(params.m)
     for kid, kind in KINDS.items():
         if kind.char != char:
             continue
-        for args in kind.sweep(params):
-            spec = QuotientSpec.make(kid, params, **args)
-            val, derived = _assess(kind, params, args)
-            if derived is None:
-                invalid.append((spec, val.reason))
-                continue
-            rec = _record(spec, val, *derived)
-            records.append(rec)
-            if rec.mismatch:
-                mismatches.append(rec)
-                if not kind.known_mismatch:
-                    unexplained.append(rec)
+        for h in kind.sweep(params):
+            # QuotientSpec.make(kid, params, **h, n=n), sorted once per H
+            args = sorted({**h, "n": 0}.items())
+            at = args.index(("n", 0))
+            for n, val, derived in _assess(kind, params, h, ns):
+                args[at] = ("n", n)
+                spec = QuotientSpec(kid, params, tuple(args))
+                if derived is None:
+                    invalid.append((spec, val.reason))
+                    continue
+                rec = _record(spec, val, *derived)
+                records.append(rec)
+                if rec.mismatch:
+                    mismatches.append(rec)
+                    if not kind.known_mismatch:
+                        unexplained.append(rec)
     records.sort(key=lambda r: (r.genus, r.spec.kind, r.spec.args))
     return SpectrumResult(family, params, records, mismatches, unexplained, invalid)
 

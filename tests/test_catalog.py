@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ def frac_delta_genus(kind, cp, args) -> Fraction:
     any integrality requirement (for identity testing).  The order comes from
     the class equation, so the closed formulas' denominators also check the
     class census."""
-    order, delta = cat._order_and_delta(*kind.counts(cp, args), args["n"], cp)
+    order, delta = cat._order_and_delta_of_n(kind.counts(cp, args), cp)(args["n"])
     return 1 + Fraction(cat._two_g_minus_2(cp) - delta, 2 * order)
 
 
@@ -149,8 +151,9 @@ class TestDualPathIdentities:
         self.check_kind("SZ-B3", params, grid3)
 
     def test_suzuki_subfield_kind_both_branches(self):
-        # (s, shat) pairs exercising both divisibility branches
-        cases = [(1, 0), (2, 0), (3, 0), (4, 0), (4, 1)]
+        # (s, shat) pairs exercising both divisibility branches; at (10, 1)
+        # the first branch has special pairs (dm = 5 divides m)
+        cases = [(1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (10, 1)]
         for s, shat in cases:
             cp = params_from_s("suzuki-cover", s)
             for n in range(1, 8):
@@ -246,27 +249,34 @@ class TestDualPathIdentities:
                 assert Fraction(KINDS["RE-S"].closed(cp, args)) == frac_delta_genus(KINDS["RE-S"], cp, args)
 
 
+def _swept(kid, cp):
+    """The args of every spec (H, n) of the kind's sweep at cp."""
+    for h in KINDS[kid].sweep(cp):
+        for n in cat.divisors(cp.m):
+            yield {**h, "n": n}
+
+
 def _named_orders():
     """(kind, params, args, named |H x C_n|) for the kinds whose group has a
     name: SZ-E, RE-S and RE-C8 over every swept spec of s=1..7, and
     RE-Q1/2/3 at r = (q+1)/4 for s=1..3."""
     for s in range(1, 8):
         cp = params_from_s("suzuki-cover", s)
-        for a in KINDS["SZ-E"].sweep(cp):
+        for a in _swept("SZ-E", cp):
             qh = 2 * 4 ** a["shat"]
             yield "SZ-E", cp, a, qh**2 * (qh**2 + 1) * (qh - 1) * a["n"]
         cp = params_from_s("ree-cover", s)
-        for a in KINDS["RE-S"].sweep(cp):
+        for a in _swept("RE-S", cp):
             qh = 3 * 9 ** a["shat"]
             yield "RE-S", cp, a, qh**3 * (qh**3 + 1) * (qh - 1) * a["n"]
-        for a in KINDS["RE-C8"].sweep(cp):
+        for a in _swept("RE-C8", cp):
             qh = 3 ** a["d"]
             yield "RE-C8", cp, a, a["j"] * qh * (qh * qh - 1) // 2 * a["n"]
     for s in (1, 2, 3):
         cp = params_from_s("ree-cover", s)
         r = (cp.q + 1) // 4
         for kid in ("RE-Q1", "RE-Q2", "RE-Q3"):
-            for a in KINDS[kid].sweep(cp):
+            for a in _swept(kid, cp):
                 if a["r"] == r:
                     factor = {"RE-Q1": a.get("i"), "RE-Q2": 12, "RE-Q3": 3}[kid]
                     yield kid, cp, a, factor * a["j"] * r * a["n"]
@@ -275,7 +285,7 @@ def _named_orders():
 def test_class_census_gives_the_group_order():
     seen = set()
     for kid, cp, args, named in _named_orders():
-        order, _ = cat._order_and_delta(*KINDS[kid].counts(cp, args), args["n"], cp)
+        order, _ = cat._order_and_delta_of_n(KINDS[kid].counts(cp, args), cp)(args["n"])
         assert order == named, (kid, cp.s, args)
         seen.add(kid)
     assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3"}
@@ -344,6 +354,10 @@ class TestValidate:
         ("SZ-B1", P8, dict(r=7)),                   # n missing
         ("SZ-B1", P8, dict(r=7, n=1, x=3)),         # an argument the kind does not take
         ("RE-B", P27, dict(u=0, v=0, w=0, r=2, n=1)),  # torus only: left to the centralizer kinds
+        ("SZ-B1", P8, dict(r=7.0, n=1)),            # equal to a swept int, but not an int
+        ("SZ-B1", P8, dict(r=7, n=1.0)),
+        ("SZ-B1", P8, dict(r=True, n=1)),           # a bool is not an int argument
+        ("SZ-B1", P8, dict(r=7, n=True)),
     ])
     def test_outside_the_sweep(self, kid, params, args):
         spec = QuotientSpec.make(kid, params, **args)
@@ -351,6 +365,13 @@ class TestValidate:
         assert (val.valid, val.existence_certified) == (False, False)
         assert val.reason == f"outside the {kid} parameter domain"
         with pytest.raises(ValueError, match="parameter domain"):
+            evaluate(spec)
+
+    def test_unknown_kind(self):
+        spec = QuotientSpec.make("XX", P8, n=1)
+        val = validate(spec)
+        assert (val.valid, val.existence_certified, val.reason) == (False, False, "unknown kind")
+        with pytest.raises(ValueError, match="unknown kind"):
             evaluate(spec)
 
     def test_ree_b_certificate(self):
@@ -398,6 +419,28 @@ class TestSpectrum:
     def test_rejects_base_family(self):
         with pytest.raises(ValueError):
             spectrum("suzuki-base", params_from_s("suzuki-base", 1))
+
+    @pytest.mark.parametrize("family,s,n_invalid,digest", [
+        ("suzuki-cover", 7, 7268, "db6fcaf6a6f8181c3bff0cb09ee848b0b5f060aac892565de875067bbf968581"),
+        ("ree-cover", 3, 4362, "7fb4abec1c7d1a21f0d7ed808f256babef74133e7a6408c0ce5d8806e1c71d17"),
+    ])
+    def test_invalid_list_pinned(self, family, s, n_invalid, digest):
+        # sha256 of the (kind, args, reason) rows of the specs the sweep
+        # rejects, in sweep order
+        invalid = spectrum(family, params_from_s(family, s)).invalid
+        rows = [[spec.kind, [list(a) for a in spec.args], reason] for spec, reason in invalid]
+        assert len(rows) == n_invalid
+        assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("params", [P8, P27], ids=["P8", "P27"])
+    def test_sweep_agrees_with_single_specs(self, params):
+        # the sweep steps through n per H; validate and evaluate take one
+        # spec at a time, and both give the same verdicts and records
+        res = spectrum(params.family, params)
+        for spec, reason in res.invalid:
+            assert validate(spec) == cat.Validation(False, False, reason)
+        for rec in res.records:
+            assert evaluate(rec.spec) == rec
 
 
 class TestTable1:

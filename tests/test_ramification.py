@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxcurve.catalog import KINDS, _composition_from_counts, spectrum
+from maxcurve import catalog as cat
+from maxcurve.catalog import KINDS, divisors, spectrum
 from maxcurve.curves import params_from_s
 from maxcurve.ramification import (
     NonIntegralGenusError,
@@ -19,6 +22,8 @@ from maxcurve.ramification import (
 P8 = params_from_s("suzuki-cover", 1)
 P32 = params_from_s("suzuki-cover", 2)
 P27 = params_from_s("ree-cover", 1)
+S7 = params_from_s("suzuki-cover", 7)
+R3 = params_from_s("ree-cover", 3)
 
 
 class TestContributionValues:
@@ -126,6 +131,30 @@ class TestDeltaFromComposition:
         for comp in compositions:
             assert delta_from_composition(comp, params) == _per_entry_delta(comp, params)
 
+    @pytest.mark.parametrize("params", [P8, P32, P27, S7, R3], ids=["P8", "P32", "P27", "S7", "R3"])
+    def test_sweep_matches_explicit_composition(self, params):
+        # the sweep takes C_n in closed form, delta = A + (n-1) B + special
+        # pairs; the reference spells out every class of H x C_n instead
+        res = spectrum(params.family, params)
+        records = {(r.spec.kind, r.spec.args): r for r in res.records}
+        invalid = {(spec.kind, spec.args) for spec, _ in res.invalid}
+        assert len(records) + len(invalid) == len(res.records) + len(res.invalid)
+        swept = 0
+        for kind, args, census, special in _swept_specs(params):
+            n = args["n"]
+            order = n * (1 + sum(census.values()))
+            delta = delta_from_composition(_composition_from_counts(census, special, n), params)
+            assert cat._order_and_delta_of_n(kind.counts(params, args), params)(n) == (order, delta)
+            key = (kind.id, tuple(sorted(args.items())))
+            if key in records:
+                assert (records[key].order, records[key].delta) == (order, delta), key
+            else:
+                assert key in invalid, key
+                with pytest.raises(NonIntegralGenusError):
+                    genus_from_rh(cat._two_g_minus_2(params), order, delta)
+            swept += 1
+        assert swept == len(records) + len(invalid)
+
     def test_tables_stay_distinct_per_curve(self):
         # P8 and P32 share family and class names; each keeps its own values
         for _ in range(2):
@@ -137,15 +166,40 @@ class TestDeltaFromComposition:
         assert i_sigma("order2", params_from_s("suzuki-cover", 2)) == 226
 
 
-def _swept_compositions(params):
-    """The composition of every spec of the sweep: each valid spec of the
-    spectrum, found without the delta under test."""
+def _composition_from_counts(census, special, n):
+    """Reference: the explicit class composition of H x C_n, one entry per
+    class of elements h tau^k, from the census of H and the number of
+    special pairs."""
+    comp = []
+    for cls, cnt in census.items():
+        if cnt:
+            comp.append((cls, cnt, False))
+            if n > 1:
+                comp.append((cls, cnt * (n - 1), True))
+    if n > 1:
+        comp.append(("tau_power", n - 1, False))
+    if special:
+        comp.append(("div_m_special_j", special, False))
+    return comp
+
+
+def _swept_specs(params):
+    """(kind, args, census, special pair count) of every spec (H, n) of the
+    sweep, n running over the divisors of m."""
     for kind in KINDS.values():
         if kind.char != params.p:
             continue
-        for args in kind.sweep(params):
-            counts, special = kind.counts(params, args)
-            yield _composition_from_counts(counts, special, args["n"])
+        for h in kind.sweep(params):
+            census, (pairs, period) = kind.counts(params, h)
+            for n in divisors(params.m):
+                yield kind, {**h, "n": n}, census, pairs * (math.gcd(period, n) - 1)
+
+
+def _swept_compositions(params):
+    """The composition of every spec of the sweep: each valid spec of the
+    spectrum, found without the delta under test."""
+    for _, args, census, special in _swept_specs(params):
+        yield _composition_from_counts(census, special, args["n"])
 
 
 def _per_entry_delta(composition, params):
