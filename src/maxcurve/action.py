@@ -287,6 +287,21 @@ def verify_orbits(ps: PlaceSet, autos: list[Automorphism]) -> tuple[int, ...]:
     return tuple(sorted(sizes))
 
 
+def _small_orbit_restriction(ps: PlaceSet, generators: list[Automorphism]) -> list[np.ndarray]:
+    """Each generator as a permutation of the small orbit: entry i is the
+    position within fq_rational_ids() of the image of its i-th place."""
+    fq_ids = ps.fq_rational_ids()
+    slot = np.full(len(ps), -1)  # position of each place within fq_ids
+    slot[fq_ids] = np.arange(len(fq_ids))
+    restricted = []
+    for g in generators:
+        r = slot[g.perm[fq_ids]]
+        if (r < 0).any():
+            raise ModelError(f"{g.tag} {g.spec} moves an F_q-rational place off the small orbit")
+        restricted.append(r)
+    return restricted
+
+
 def find_element_of_order(
     ps: PlaceSet,
     target: int,
@@ -295,18 +310,31 @@ def find_element_of_order(
     max_tries: int = 100_000,
 ) -> Automorphism:
     """Deterministic random search for an element of exact order `target`
-    inside the group generated by `generators`."""
+    inside the group generated by `generators`.
+
+    Words are screened on the generators' restrictions to the small orbit
+    (the F_q-rational places), on which the lifted simple group acts
+    faithfully.  Only the first word whose order there is divisible by
+    `target` is composed over all places; its full order must equal its
+    small-orbit order, or ModelError says the restriction is not faithful."""
     rng = random.Random(seed)
-    idperm = np.arange(len(ps), dtype=np.int32)
+    small = _small_orbit_restriction(ps, generators)
     for _ in range(max_tries):
-        word_len = rng.randint(2, 8)
-        perm = idperm
-        for _ in range(word_len):
-            perm = generators[rng.randrange(len(generators))].perm[perm]
-        a = Automorphism(perm=perm, tag="composite")
-        o = element_order(a)
+        word = [rng.randrange(len(generators)) for _ in range(rng.randint(2, 8))]
+        perm = np.arange(len(small[0]))
+        for i in word:
+            perm = small[i][perm]
+        o = element_order(Automorphism(perm=perm, tag="composite"))
         if o % target == 0:
-            return power(a, o // target)
+            perm = np.arange(len(ps), dtype=np.int32)
+            for i in word:
+                perm = generators[i].perm[perm]
+            full = Automorphism(perm=perm, tag="composite")
+            full_order = element_order(full)
+            if full_order != o:
+                raise ModelError(f"a word of order {o} on the small orbit has order {full_order} "
+                                 "on all places: the restriction is not faithful")
+            return power(full, o // target)
     raise ModelError(f"no element of order {target} found in {max_tries} tries")
 
 
@@ -315,15 +343,7 @@ def stabilizer_subgroup_order(ps: PlaceSet, generators: list[Automorphism], cap:
     as torus7, wild_b and wild_c of default_generators, via closure on their
     restrictions to the small orbit (the F_q-rational places), which tell
     the elements apart."""
-    fq_ids = ps.fq_rational_ids()
-    slot = np.full(len(ps), -1)  # position of each place within fq_ids
-    slot[fq_ids] = np.arange(len(fq_ids))
-    gens = []
-    for g in generators:
-        restricted = slot[g.perm[fq_ids]]
-        if (restricted < 0).any():
-            raise ModelError(f"{g.tag} {g.spec} moves an F_q-rational place off the small orbit")
-        gens.append(restricted)
+    gens = _small_orbit_restriction(ps, generators)
     seen: set[bytes] = set()
     frontier = []
     for g in gens:

@@ -954,12 +954,17 @@ def _assess(
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
     """_assess for a spec that did not come from the sweep: its kind must be
-    known and of the curve's family, and its args must lie in the kind's
-    parameter domain: int H args that the sweep yields, and n dividing m."""
+    known, its params those of a cover curve of the kind's family, and its
+    args must lie in the kind's parameter domain: int H args that the sweep
+    yields, and n dividing m."""
     kind = KINDS.get(spec.kind)
     cp, h = spec.params, spec.arg_dict
     if kind is None:
         return Validation(False, False, "unknown kind"), None
+    if not cp.family.is_cover:
+        covers = ", ".join(f.value for f in Family if f.is_cover)
+        return Validation(False, False, f"quotient specs are defined on the cover families ({covers}), "
+                                        f"not {cp.family.value}"), None
     if kind.char != cp.p:
         return Validation(False, False, "kind belongs to the other family"), None
     n = h.pop("n", None)
@@ -972,18 +977,29 @@ def validate(spec: QuotientSpec) -> Validation:
     return _assess_spec(spec)[0]
 
 
+def _checked(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int]]:
+    """_assess_spec of a valid spec; ValueError names the reason otherwise."""
+    val, derived = _assess_spec(spec)
+    if derived is None:
+        raise ValueError(f"invalid spec {spec}: {val.reason}")
+    return val, derived
+
+
+def _closed_genus(kind: KindDef, spec: QuotientSpec) -> int | None:
+    frac = Fraction(kind.closed(spec.params, spec.arg_dict))
+    return int(frac) if frac.denominator == 1 else None
+
+
 def genus_closed(spec: QuotientSpec) -> int | None:
-    """Displayed-formula genus; None when the formula is not integral."""
-    value = KINDS[spec.kind].closed(spec.params, spec.arg_dict)
-    frac = Fraction(value)
-    if frac.denominator != 1:
-        return None
-    return int(frac)
+    """Displayed-formula genus; None when the formula is not integral.
+    ValueError for a spec that validate reports invalid."""
+    _checked(spec)
+    return _closed_genus(KINDS[spec.kind], spec)
 
 
 def _record(spec: QuotientSpec, val: Validation, order: int, delta: int, gd: int) -> GenusRecord:
     kind = KINDS[spec.kind]
-    gc = genus_closed(spec)
+    gc = _closed_genus(kind, spec)
     mismatch = gc != gd
     note = kind.known_mismatch or "" if mismatch else ""
     return GenusRecord(
@@ -999,9 +1015,7 @@ def _record(spec: QuotientSpec, val: Validation, order: int, delta: int, gd: int
 
 
 def evaluate(spec: QuotientSpec) -> GenusRecord:
-    val, derived = _assess_spec(spec)
-    if derived is None:
-        raise ValueError(f"invalid spec {spec}: {val.reason}")
+    val, derived = _checked(spec)
     return _record(spec, val, *derived)
 
 

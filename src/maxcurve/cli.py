@@ -190,8 +190,17 @@ def cmd_verify_group(args) -> int:
         return EXIT_USAGE
     params = params_from_s(Family.SUZUKI_COVER, args.s)
     q, m = params.q, params.m
-    ps = act.build_places(params)
-    gens = act.default_generators(ps)
+    stages = dict.fromkeys(["places", "generators", "order_search", "orbits", "closure"], 0.0)
+
+    def timed(stage, fn, *fn_args):
+        """fn(*fn_args), its seconds added to the stage."""
+        t = time.perf_counter()
+        out = fn(*fn_args)
+        stages[stage] += time.perf_counter() - t
+        return out
+
+    ps = timed("places", act.build_places, params)
+    gens = timed("generators", act.default_generators, ps)
     gamma = gens["gamma"]
     sgens = [gens["torus7"], gens["wild_b"], gens["wild_c"], gens["phi"]]
 
@@ -216,24 +225,25 @@ def cmd_verify_group(args) -> int:
     row("order-7 fixed places", act.fixed_points(t7), i_sigma("div_q_minus_1", params))
     row("order-7 tau products", [act.fixed_points(act.compose(t7, act.power(gamma, j))) for j in range(1, m)],
         [2] * (m - 1))
-    e13 = act.find_element_of_order(ps, 13, sgens)
+    e13 = timed("order_search", act.find_element_of_order, ps, 13, sgens)
     row("order-13 fixed places", act.fixed_points(e13), i_sigma("div_q_plus_2q0_plus_1", params))
     row("order-13 tau products", [act.fixed_points(act.compose(e13, act.power(gamma, j))) for j in range(1, m)],
         [0] * (m - 1))
-    e5 = act.find_element_of_order(ps, 5, sgens)
+    e5 = timed("order_search", act.find_element_of_order, ps, 5, sgens)
     row("order-5 fixed places", act.fixed_points(e5), i_sigma("div_m_plain", params))
     pattern = [act.fixed_points(act.compose(e5, act.power(gamma, j))) for j in range(1, m)]
     # measured reality: the contribution spreads as m at each power; the
     # aggregate 4m is what every different-degree computation consumes
     row("order-5 tau products (aggregate)", sum(pattern), 4 * m)
     row("order-5 tau products (pattern)", sorted(pattern), [m] * (m - 1))
-    row("orbit sizes", list(act.verify_orbits(ps, list(gens.values()))), [65, 29120])
-    row("stabilizer closure order", act.stabilizer_subgroup_order(ps, sgens[:3]), q * q * (q - 1))
+    row("orbit sizes", list(timed("orbits", act.verify_orbits, ps, list(gens.values()))), [65, 29120])
+    row("stabilizer closure order", timed("closure", act.stabilizer_subgroup_order, ps, sgens[:3]),
+        q * q * (q - 1))
 
     ok = all(r["ok"] for r in rows)
     if args.json:
         print(_record("verify-group", {"s": args.s}, {"rows": rows, "all_ok": ok}, started,
-                      ps.field.modulus))
+                      ps.field.modulus, stages={k: round(v, 6) for k, v in stages.items()}))
     else:
         for r in rows:
             mark = "ok " if r["ok"] else "FAIL"

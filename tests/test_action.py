@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def cycle_walk_order(perm) -> int:
         if length:
             order = math.lcm(order, length)
     return order
+
+
+def full_permutation_search(ps, target, generators, seed=20240901, max_tries=100_000):
+    """The order search that composes and orders every random word over all
+    places: the reference for find_element_of_order, which screens words on
+    the small orbit and must return the same element."""
+    rng = random.Random(seed)
+    idperm = np.arange(len(ps), dtype=np.int32)
+    for _ in range(max_tries):
+        word_len = rng.randint(2, 8)
+        perm = idperm
+        for _ in range(word_len):
+            perm = generators[rng.randrange(len(generators))].perm[perm]
+        a = act.Automorphism(perm=perm, tag="composite")
+        o = act.element_order(a)
+        if o % target == 0:
+            return act.power(a, o // target)
+    raise ModelError(f"no element of order {target} found in {max_tries} tries")
 
 
 class TestPlaceSet:
@@ -296,6 +315,22 @@ class TestGroupStructure:
     def test_order7_tau_products(self, generators):
         t7, gamma = generators["torus7"], generators["gamma"]
         assert [act.fixed_points(act.compose(t7, act.power(gamma, j))) for j in range(1, 5)] == [2] * 4
+
+
+class TestOrderSearch:
+    @pytest.mark.parametrize("target", [2, 4, 5, 7, 13])
+    @pytest.mark.parametrize("seed", [20240901, 5, 6, 99])
+    def test_same_element_as_full_permutation_search(self, place_set, simple_group_gens, target, seed):
+        got = act.find_element_of_order(place_set, target, simple_group_gens, seed=seed)
+        want = full_permutation_search(place_set, target, simple_group_gens, seed=seed)
+        assert np.array_equal(got.perm, want.perm)
+        assert cycle_walk_order(got.perm) == target
+
+    def test_generator_acting_trivially_on_small_orbit(self, place_set, generators):
+        # gamma fixes every F_q-rational place, so a word's order on the small
+        # orbit misses gamma's factor 5
+        with pytest.raises(ModelError, match="not faithful"):
+            act.find_element_of_order(place_set, 2, [generators["phi"], generators["gamma"]], seed=1)
 
 
 class TestCompose:

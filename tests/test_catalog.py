@@ -374,6 +374,33 @@ class TestValidate:
         with pytest.raises(ValueError, match="unknown kind"):
             evaluate(spec)
 
+    @pytest.mark.parametrize("family,kid,args", [
+        ("suzuki-base", "SZ-B1", dict(r=7, n=1)),
+        ("ree-base", "RE-C1", dict(v=1, j=1, n=1)),
+    ])
+    def test_base_curve_params(self, family, kid, args):
+        # the kinds are subgroups of the cover's automorphism group: on base
+        # params the sweep's formulas would give a cover quotient's genus
+        spec = QuotientSpec.make(kid, params_from_s(family, 1), **args)
+        val = validate(spec)
+        assert (val.valid, val.existence_certified) == (False, False)
+        assert "suzuki-cover" in val.reason and "ree-cover" in val.reason
+        with pytest.raises(ValueError, match="cover families"):
+            evaluate(spec)
+
+    @pytest.mark.parametrize("kid,params,args,reason", [
+        ("XX", P8, dict(n=1), "unknown kind"),
+        ("SZ-B1", params_from_s("suzuki-base", 1), dict(r=7, n=1), "cover families"),
+        ("SZ-B1", P8, dict(r=3, n=1), "parameter domain"),
+    ])
+    def test_genus_closed_rejects_invalid(self, kid, params, args, reason):
+        with pytest.raises(ValueError, match=reason):
+            cat.genus_closed(QuotientSpec.make(kid, params, **args))
+
+    def test_genus_closed_of_valid_spec(self):
+        spec = QuotientSpec.make("SZ-B1", P8, r=7, n=1)
+        assert cat.genus_closed(spec) == evaluate(spec).genus_closed == 28
+
     def test_ree_b_certificate(self):
         assert validate(QuotientSpec.make("RE-B", P27, u=3, v=3, w=3, r=13, n=1)).existence_certified
         assert not validate(QuotientSpec.make("RE-B", P27, u=3, v=6, w=9, r=1, n=1)).existence_certified

@@ -273,6 +273,11 @@ class TestVerifyGroup:
         assert checks["orbit sizes"]["measured"] == [65, 29120]
         assert checks["stabilizer closure order"]["measured"] == 448
         assert checks["order-5 tau products (aggregate)"]["measured"] == 20
+        # the rows are deterministic; the stage times sit beside them
+        assert results_digest(rec["results"]) == "c399470caabc"
+        assert sorted(rec["stages"]) == ["closure", "generators", "orbits", "order_search", "places"]
+        assert all(v >= 0 for v in rec["stages"].values())
+        assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
 
 
 class TestHermitian:
