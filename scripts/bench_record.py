@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Write a benchmark record: run perfbench/run.py untraced and traced for
+the given workloads and seeds, and save the medians as BENCH_<sha>.json.
+
+    python3 scripts/bench_record.py --workload spectra_wide --seeds 1 2 3 4 5
+    python3 scripts/bench_record.py --root ../parent --root . --workload spectra_wide
+
+Each --root is a checkout whose own perfbench/run.py is run from its root.
+With several roots the runs alternate root by root for each seed and trace
+setting, the first root changing from seed to seed, so that drift of the
+machine falls on every root alike.  Each root gets one record in --out
+(default: the current directory).  A record holds:
+- the git sha of the checkout;
+- the git tree id of its src/ as measured, equal to `git rev-parse
+  <commit>:src` of any commit that holds the same sources, and whether it
+  differs from the src/ of the sha;
+- nproc, the machine, and the Python and numpy versions that the benchmark
+  reported;
+- per workload, the median and the runs of every end-to-end (--trace 0) and
+  per-layer (--trace 1) metric, and the check counts.
+A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
+measured src/ differs from that of the sha.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SHORT = 12
+
+
+def git(root: Path, *args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True, text=True,
+                          env=env).stdout.strip()
+
+
+def checkout_id(root: Path) -> dict:
+    """The sha of the checkout, the tree id of its src/ as it is on disk
+    (untracked, not ignored files included), and whether that differs from
+    the src/ of the sha."""
+    sha = git(root, "rev-parse", "HEAD")
+    with tempfile.TemporaryDirectory() as tmp:
+        # a private index, so that the checkout's own index stays untouched
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git(root, "read-tree", "HEAD", env=env)
+        git(root, "add", "-A", "src", env=env)
+        src_tree = git(root, "write-tree", "--prefix=src/", env=env)
+    return {"sha": sha, "dirty": src_tree != git(root, "rev-parse", "HEAD:src"), "src_tree": src_tree}
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench/run.py run; its header fields and its JSON result."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", f"{seconds:g}", "--trace", str(trace)],
+                          cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {root}: run.py {workload} seed {seed} trace {trace} exited with "
+                         f"{proc.returncode}: {proc.stderr.strip()}")
+    header = {}
+    for line in lines[:-1]:
+        if line.startswith("# sha="):
+            header = dict(field.split("=", 1) for field in line[2:].split() if "=" in field)
+    return {"header": header, "result": json.loads(lines[-1])}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Median and runs of every metric, plus the check counts."""
+    names = runs[0]["result"]["metrics"]
+    return {
+        "checks_attempted": sum(r["result"]["attempted"] for r in runs),
+        "checks_failed": sum(r["result"]["failed"] for r in runs),
+        "metrics": {name: {"median": statistics.median(r["result"]["metrics"][name]["value"] for r in runs),
+                           "unit": runs[0]["result"]["metrics"][name]["unit"],
+                           "runs": [r["result"]["metrics"][name]["value"] for r in runs]}
+                    for name in names},
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, action="append", help="checkout to measure (repeatable; default: this one)")
+    ap.add_argument("--workload", action="append", help="workload (repeatable; default: every one in BENCHMARK.json)")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    ap.add_argument("--out", type=Path, default=Path("."))
+    args = ap.parse_args()
+    roots = [root.resolve() for root in args.root or [REPO]]
+    bench = json.loads((roots[0] / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+
+    ids = {root: checkout_id(root) for root in roots}
+    runs = {(root, w, trace): [] for root in roots for w in workloads for trace in (0, 1)}
+    for w in workloads:
+        for i, seed in enumerate(args.seeds):
+            for trace in (0, 1):
+                for root in roots[i % len(roots):] + roots[:i % len(roots)]:
+                    runs[root, w, trace].append(run_bench(root, w, seed, seconds, trace))
+                    print(f"{root}: {w} seed {seed} trace {trace} done", file=sys.stderr)
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    for root in roots:
+        ident = ids[root]
+        header = runs[root, workloads[0], 0][0]["header"]
+        record = {
+            **ident,
+            "nproc": int(header.get("nproc", os.cpu_count())),
+            "python": header.get("python"),
+            "numpy": header.get("numpy"),
+            "machine": header.get("machine"),
+            "seeds": args.seeds,
+            "seconds": seconds,
+            "workloads": {w: {"end_to_end": summarize(runs[root, w, 0]), "per_layer": summarize(runs[root, w, 1])}
+                          for w in workloads},
+        }
+        name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
+        path = args.out / f"BENCH_{name}.json"
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,7 @@ class PlaceSet:
     keys: np.ndarray  # packed (x, y, t) of each affine place, strictly increasing
     coords: tuple[np.ndarray, np.ndarray, np.ndarray]
     subfield: list[int]
+    fq_ids: list[int]  # ids of the F_q-rational places, the infinite place first
 
     INFTY = 0
 
@@ -39,9 +40,7 @@ class PlaceSet:
         return len(self.keys) + 1
 
     def fq_rational_ids(self) -> list[int]:
-        X, Y, T = self.coords
-        rational = np.isin(X, self.subfield) & np.isin(Y, self.subfield) & (T == 0)
-        return [self.INFTY] + (np.flatnonzero(rational) + 1).tolist()
+        return self.fq_ids
 
     def t_zero_affine_count(self) -> int:
         return int(np.count_nonzero(self.coords[2] == 0))
@@ -106,12 +105,14 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
 
     low = (1 << f.k) - 1
     X, Y, T = keys >> (2 * f.k), (keys >> f.k) & low, keys & low
+    rational = np.isin(X, kernel) & np.isin(Y, kernel) & (T == 0)
     return PlaceSet(
         field=f,
         params=params,
         keys=keys,
         coords=(X, Y, T),
         subfield=kernel,
+        fq_ids=[PlaceSet.INFTY] + (np.flatnonzero(rational) + 1).tolist(),
     )
 
 

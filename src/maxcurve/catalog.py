@@ -18,14 +18,14 @@ such case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .curves import CurveParams, Family, params_from_s, require
 from .gf import _factorize
-from .ramification import NonIntegralGenusError, delta_from_composition, genus_from_rh, i_sigma
+from .ramification import census_different, genus_from_rh, solve_rh
 
 
 def divisors(n: int) -> list[int]:
@@ -918,13 +918,10 @@ def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int,
     counts of H.  The elements h tau^k with k = 0 are H's census (different
     A); each of the n - 1 powers tau^k != 0 brings tau^k and the census with
     a tau component (different B); c (gcd(d, n) - 1) of them are special
-    pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B + c (gcd(d, n) - 1) S,
-    and each n costs integer arithmetic only."""
+    pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B + c (gcd(d, n) - 1) S:
+    one pass over the class census per H, and integer arithmetic per n."""
     census, (pairs, period) = counts
-    size = 1 + sum(census.values())
-    plain = delta_from_composition(list(census.items()), cp)
-    cross = delta_from_composition([("tau_power", 1), *((cls, cnt, True) for cls, cnt in census.items())], cp)
-    special = pairs * i_sigma("div_m_special_j", cp)[1]
+    size, plain, cross, special = census_different(census, pairs, cp)
 
     def at(n: int) -> tuple[int, int]:
         return n * size, plain + (n - 1) * cross + special * (math.gcd(period, n) - 1)
@@ -933,26 +930,39 @@ def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int,
 
 
 def _assess(
-    kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int]
-) -> Iterator[tuple[int, Validation, tuple[int, int, int] | None]]:
-    """(n, validation, derived) of the spec (H, n) for each n in ns, where
-    derived is (order, delta, genus via delta) for a valid spec and None
-    otherwise.  The class sums and the certificate of H are computed once.
-    H must come from the kind's sweep and each n must divide m."""
+    kind: KindDef, cp: CurveParams, h: dict, certified: bool, ns: Iterable[int]
+) -> tuple[list[GenusRecord], list[tuple[QuotientSpec, str]]]:
+    """The records of the valid specs (H, n), n in ns, and the invalid ones
+    with their reasons, each list in the order of ns; certified is the first
+    entry of kind.certified(cp, h).  The class sums are computed once; each
+    n costs integer arithmetic, and the closed formula runs once per valid
+    spec.  H must come from the kind's sweep and each n must divide m."""
     at = _order_and_delta_of_n(kind.counts(cp, h), cp)
-    valid = Validation(True, *kind.certified(cp, h))
     two_g_minus_2 = _two_g_minus_2(cp)
+    # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
+    args = sorted({**h, "n": 0}.items())
+    n_at = args.index(("n", 0))
+    hn = dict(h)
+    records: list[GenusRecord] = []
+    invalid: list[tuple[QuotientSpec, str]] = []
     for n in ns:
+        args[n_at] = ("n", n)
+        spec = QuotientSpec(kind.id, cp, tuple(args))
         order, delta = at(n)
-        try:
-            gd = genus_from_rh(two_g_minus_2, order, delta)
-        except NonIntegralGenusError as exc:
-            yield n, Validation(False, False, f"composition fails the RH oracle: {exc}"), None
-        else:
-            yield n, valid, (order, delta, gd)
+        gd, reason = solve_rh(two_g_minus_2, order, delta)
+        if reason is not None:
+            invalid.append((spec, "composition fails the RH oracle: " + reason))
+            continue
+        hn["n"] = n
+        closed = kind.closed(cp, hn)
+        gc = closed.numerator if closed.denominator == 1 else None
+        mismatch = gc != gd
+        note = (kind.known_mismatch or "") if mismatch else ""
+        records.append(GenusRecord(spec, order, delta, gd, gc, certified, mismatch, note))
+    return records, invalid
 
 
-def _assess_spec(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] | None]:
+def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
     """_assess for a spec that did not come from the sweep: its kind must be
     known, its params those of a cover curve of the kind's family, and its
     args must lie in the kind's parameter domain: int H args that the sweep
@@ -970,53 +980,29 @@ def _assess_spec(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int] |
     n = h.pop("n", None)
     if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
-    return next(_assess(kind, cp, h, (n,)))[1:]
+    certificate = kind.certified(cp, h)
+    records, invalid = _assess(kind, cp, h, certificate[0], (n,))
+    if invalid:
+        return Validation(False, False, invalid[0][1]), None
+    return Validation(True, *certificate), replace(records[0], spec=spec)
 
 
 def validate(spec: QuotientSpec) -> Validation:
     return _assess_spec(spec)[0]
 
 
-def _checked(spec: QuotientSpec) -> tuple[Validation, tuple[int, int, int]]:
-    """_assess_spec of a valid spec; ValueError names the reason otherwise."""
-    val, derived = _assess_spec(spec)
-    if derived is None:
+def evaluate(spec: QuotientSpec) -> GenusRecord:
+    """The record of a valid spec; ValueError names the reason otherwise."""
+    val, rec = _assess_spec(spec)
+    if rec is None:
         raise ValueError(f"invalid spec {spec}: {val.reason}")
-    return val, derived
-
-
-def _closed_genus(kind: KindDef, spec: QuotientSpec) -> int | None:
-    frac = Fraction(kind.closed(spec.params, spec.arg_dict))
-    return int(frac) if frac.denominator == 1 else None
+    return rec
 
 
 def genus_closed(spec: QuotientSpec) -> int | None:
     """Displayed-formula genus; None when the formula is not integral.
     ValueError for a spec that validate reports invalid."""
-    _checked(spec)
-    return _closed_genus(KINDS[spec.kind], spec)
-
-
-def _record(spec: QuotientSpec, val: Validation, order: int, delta: int, gd: int) -> GenusRecord:
-    kind = KINDS[spec.kind]
-    gc = _closed_genus(kind, spec)
-    mismatch = gc != gd
-    note = kind.known_mismatch or "" if mismatch else ""
-    return GenusRecord(
-        spec=spec,
-        order=order,
-        delta=delta,
-        genus_delta=gd,
-        genus_closed=gc,
-        certified=val.existence_certified,
-        mismatch=mismatch,
-        note=note,
-    )
-
-
-def evaluate(spec: QuotientSpec) -> GenusRecord:
-    val, derived = _checked(spec)
-    return _record(spec, val, *derived)
+    return evaluate(spec).genus_closed
 
 
 @dataclass
@@ -1039,31 +1025,18 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     family = Family(family)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
-    char = family.char
     records: list[GenusRecord] = []
-    mismatches: list[GenusRecord] = []
-    unexplained: list[GenusRecord] = []
     invalid: list[tuple[QuotientSpec, str]] = []
     ns = divisors(params.m)
-    for kid, kind in KINDS.items():
-        if kind.char != char:
-            continue
-        for h in kind.sweep(params):
-            # QuotientSpec.make(kid, params, **h, n=n), sorted once per H
-            args = sorted({**h, "n": 0}.items())
-            at = args.index(("n", 0))
-            for n, val, derived in _assess(kind, params, h, ns):
-                args[at] = ("n", n)
-                spec = QuotientSpec(kid, params, tuple(args))
-                if derived is None:
-                    invalid.append((spec, val.reason))
-                    continue
-                rec = _record(spec, val, *derived)
-                records.append(rec)
-                if rec.mismatch:
-                    mismatches.append(rec)
-                    if not kind.known_mismatch:
-                        unexplained.append(rec)
+    for kind in KINDS.values():
+        if kind.char == family.char:
+            for h in kind.sweep(params):
+                valid, rejected = _assess(kind, params, h, kind.certified(params, h)[0], ns)
+                records += valid
+                invalid += rejected
+    mismatches = [rec for rec in records if rec.mismatch]
+    # a mismatch carries its kind's known-mismatch note, if the kind has one
+    unexplained = [rec for rec in mismatches if not rec.note]
     records.sort(key=lambda r: (r.genus, r.spec.kind, r.spec.args))
     return SpectrumResult(family, params, records, mismatches, unexplained, invalid)
 

@@ -185,16 +185,46 @@ def delta_from_composition(composition, params: CurveParams) -> int:
     return total
 
 
-def genus_from_rh(two_g_minus_2_cover: int, order: int, delta: int) -> int:
-    """Solve |L| (2 g_L - 2) + delta = 2g - 2 for g_L; raises unless the
-    result is a nonnegative integer (the validity oracle for compositions)."""
+def census_different(census: dict[str, int], pairs: int, params: CurveParams) -> tuple[int, int, int, int]:
+    """(|H|, A, B, C) of a subgroup H from its class census (the nontrivial
+    classes with their element counts) in one pass over the class table.
+
+    A is the different degree of H, B that of one coset H tau^k with k != 0
+    (tau^k and the census with a tau component), and C that of the given
+    number of special (sigma, tau^j) pairs at 4m resp. 6m.  H x C_n with
+    pairs (gcd(d, n) - 1) special pairs then has the different degree
+    A + (n - 1) B + (gcd(d, n) - 1) C.  delta_from_composition stays the
+    per-entry path the sweep is checked against.
+    """
+    table, special = _contributions(params)
+    size, plain, cross = 1, 0, table["tau_power"][0]
+    for cls, cnt in census.items():
+        if cnt < 0:
+            raise ValueError("negative multiplicity")
+        at_1, at_tau = _row(table, cls, params)
+        size += cnt
+        plain += cnt * at_1
+        cross += cnt * at_tau
+    return size, plain, cross, pairs * special
+
+
+def solve_rh(two_g_minus_2_cover: int, order: int, delta: int) -> tuple[int | None, str | None]:
+    """Solve |L| (2 g_L - 2) + delta = 2g - 2 for g_L without raising:
+    (g_L, None) when g_L is a nonnegative integer, else (None, why not)."""
     num = two_g_minus_2_cover - delta + 2 * order
     den = 2 * order
     if num % den != 0 or num < 0:
-        raise NonIntegralGenusError(
-            f"RH gives genus {num}/{den}, not a nonnegative integer"
-        )
-    return num // den
+        return None, f"RH gives genus {num}/{den}, not a nonnegative integer"
+    return num // den, None
+
+
+def genus_from_rh(two_g_minus_2_cover: int, order: int, delta: int) -> int:
+    """solve_rh that raises unless the result is a nonnegative integer (the
+    validity oracle for compositions)."""
+    genus, reason = solve_rh(two_g_minus_2_cover, order, delta)
+    if reason is not None:
+        raise NonIntegralGenusError(reason)
+    return genus
 
 
 def delta_tame_general(l_cm: int, n1: int, n2: int, params: CurveParams) -> int:

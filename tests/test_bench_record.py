@@ -1,0 +1,56 @@
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+
+
+@pytest.fixture(scope="module")
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_checkout_id_names_the_measured_sources(bench_record, tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "README").write_text("r\n")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "c")
+    index = (tmp_path / ".git" / "index").read_bytes()
+    clean = bench_record.checkout_id(tmp_path)
+    assert clean == {"sha": _git(tmp_path, "rev-parse", "HEAD"), "dirty": False,
+                     "src_tree": _git(tmp_path, "rev-parse", "HEAD:src")}
+    # a change outside src/ leaves the measured sources as they are
+    (tmp_path / "README").write_text("changed\n")
+    assert bench_record.checkout_id(tmp_path) == clean
+    # an edited and an untracked source both count; the index is untouched
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    edited = bench_record.checkout_id(tmp_path)
+    (tmp_path / "src" / "b.py").write_text("y = 1\n")
+    added = bench_record.checkout_id(tmp_path)
+    assert edited["dirty"] and added["dirty"]
+    assert len({clean["src_tree"], edited["src_tree"], added["src_tree"]}) == 3
+    assert (tmp_path / ".git" / "index").read_bytes() == index
+
+
+def test_summarize_takes_medians_and_sums_checks(bench_record):
+    def run(value, failed):
+        return {"result": {"attempted": 4, "failed": failed,
+                           "metrics": {"pass_rel": {"value": value, "unit": "ref"}}}}
+
+    assert bench_record.summarize([run(3.0, 0), run(1.0, 1), run(2.0, 0)]) == {
+        "checks_attempted": 12,
+        "checks_failed": 1,
+        "metrics": {"pass_rel": {"median": 2.0, "unit": "ref", "runs": [3.0, 1.0, 2.0]}},
+    }

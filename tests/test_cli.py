@@ -247,6 +247,19 @@ class TestSpectrum:
             "f318.csv": "d0b86b6e515fb5f7a4f45318b9437e9ee65630e4f41f439237bb7bfad444e7c4",
         }
 
+    def test_same_bytes_under_optimize(self):
+        # python -O strips assert statements: accepting or rejecting a spec
+        # must not rest on one
+        environ = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        entry = "import sys; from maxcurve.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["spectrum", "--family", "ree-cover", "--s", "1", "--format", "csv"]
+        plain, optimized = (subprocess.run([sys.executable, *flags, "-c", entry, *argv],
+                                           capture_output=True, env=environ)
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == EXIT_OK, optimized.stderr
+        assert plain.stdout == optimized.stdout
+        assert hashlib.sha256(plain.stdout).hexdigest()[:12] == "5441aa139fa8"
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--family", "suzuki-cover", "--s", "1", "--threads", "2"])

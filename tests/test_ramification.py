@@ -10,6 +10,7 @@ from maxcurve.curves import params_from_s
 from maxcurve.ramification import (
     NonIntegralGenusError,
     UnknownClassError,
+    census_different,
     delta_from_composition,
     delta_tame_general,
     filtration,
@@ -17,6 +18,7 @@ from maxcurve.ramification import (
     i_from_filtration,
     i_sigma,
     i_sigma_tau,
+    solve_rh,
 )
 
 P8 = params_from_s("suzuki-cover", 1)
@@ -137,7 +139,7 @@ class TestDeltaFromComposition:
         # pairs; the reference spells out every class of H x C_n instead
         res = spectrum(params.family, params)
         records = {(r.spec.kind, r.spec.args): r for r in res.records}
-        invalid = {(spec.kind, spec.args) for spec, _ in res.invalid}
+        invalid = {(spec.kind, spec.args): reason for spec, reason in res.invalid}
         assert len(records) + len(invalid) == len(res.records) + len(res.invalid)
         swept = 0
         for kind, args, census, special in _swept_specs(params):
@@ -150,10 +152,35 @@ class TestDeltaFromComposition:
                 assert (records[key].order, records[key].delta) == (order, delta), key
             else:
                 assert key in invalid, key
-                with pytest.raises(NonIntegralGenusError):
+                with pytest.raises(NonIntegralGenusError) as exc:
                     genus_from_rh(cat._two_g_minus_2(params), order, delta)
+                # the sweep rejects without raising, with the oracle's text
+                assert invalid[key] == "composition fails the RH oracle: " + str(exc.value), key
             swept += 1
         assert swept == len(records) + len(invalid)
+
+    @pytest.mark.parametrize("params", [P8, P32, P27], ids=["P8", "P32", "P27"])
+    def test_census_different_matches_per_entry_path(self, params):
+        # one pass over the census gives |H|, A, B and C; the reference
+        # feeds the same classes through delta_from_composition
+        for kind in KINDS.values():
+            if kind.char != params.p:
+                continue
+            for h in kind.sweep(params):
+                census, (pairs, _) = kind.counts(params, h)
+                tau = [(cls, cnt, True) for cls, cnt in census.items()]
+                assert census_different(census, pairs, params) == (
+                    1 + sum(census.values()),
+                    delta_from_composition(list(census.items()), params),
+                    delta_from_composition([("tau_power", 1), *tau], params),
+                    delta_from_composition([("div_m_special_j", pairs)], params),
+                ), (kind.id, h)
+
+    def test_census_different_rejects_what_the_per_entry_path_rejects(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            census_different({"order2": -1}, 0, P8)
+        with pytest.raises(UnknownClassError, match="unknown class 'order9'"):
+            census_different({"order2": 1, "order9": 3}, 0, P8)
 
     def test_tables_stay_distinct_per_curve(self):
         # P8 and P32 share family and class names; each keeps its own values
@@ -224,6 +251,13 @@ class TestGenusFromRH:
 
     def test_non_integral(self):
         with pytest.raises(NonIntegralGenusError):
+            genus_from_rh(390, 7, 5)
+
+    def test_solve_rh_does_not_raise(self):
+        assert solve_rh(390, 5, 260) == (14, None)
+        assert solve_rh(390, 7, 5) == (None, "RH gives genus 399/14, not a nonnegative integer")
+        assert solve_rh(390, 1, 1000) == (None, "RH gives genus -608/2, not a nonnegative integer")
+        with pytest.raises(NonIntegralGenusError, match="^RH gives genus 399/14, not a nonnegative integer$"):
             genus_from_rh(390, 7, 5)
 
     def test_negative(self):
