@@ -3,9 +3,11 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives and takes about a second.  The `tables`
-column is the part of `wall` spent building the field's lazy tables, which
-only the first count over each field pays.
+evaluates 551,882 representatives and takes about a second.  Times are in
+milliseconds, split by stage of `CountReport.stages`: `tables` builds the
+field's lazy tables, which only the first count over each field pays, `reps`
+lists the orbit representatives and `kernel` evaluates them; `wall` is the
+whole count.
 """
 
 import argparse
@@ -35,7 +37,7 @@ def main() -> None:
 
     print(f"threads: {threads}")
     print(f"{'family':14} {'s':>2} {'ext':>3} {'field':>8} {'points':>12} {'target':>12} {'max':>5} "
-          f"{'elems':>7} {'tables':>9} {'wall':>9}")
+          f"{'elems':>7} {'tables':>9} {'reps':>9} {'kernel':>9} {'wall':>9}")
     for family, s, exts in JOBS:
         params = params_from_s(family, s)
         for r in exts:
@@ -44,7 +46,9 @@ def main() -> None:
             print(
                 f"{family:14} {s:>2} {r:>3} {f'{rep.ell:.0e}' if rep.ell > 10**7 else rep.ell:>8} "
                 f"{rep.n_points:>12} {target:>12} {str(rep.is_maximal):>5} "
-                f"{rep.elements_evaluated:>7} {rep.stages['tables']:>8.2f}s {rep.wall_time:>8.2f}s"
+                f"{rep.elements_evaluated:>7} {rep.stages['tables'] * 1e3:>7.2f}ms "
+                f"{rep.stages['representatives'] * 1e3:>7.2f}ms {rep.stages['kernel'] * 1e3:>7.2f}ms "
+                f"{rep.wall_time * 1e3:>7.2f}ms"
             )
 
 

@@ -7,7 +7,8 @@ vectors, which is the iteration order used by every exhaustive loop here.
 
 FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer multiplies through exp/log tables up
-to TABLE_LIMIT and on digit arrays beyond it.
+to TABLE_LIMIT and on digit arrays beyond it; on every field it takes traces
+as one GF(p)-linear map through two lookup tables.
 
 Alongside the arithmetic the module exposes the two solution-counting
 primitives the curve counts are built from: additive (Artin-Schreier) counts
@@ -220,8 +221,8 @@ class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
     Immutable after construction; the lazily built exp/log tables, digit
-    table and digit matrices are read-only caches, so instances are safe to
-    share across threads.
+    table, digit matrices and trace tables are read-only caches, so instances
+    are safe to share across threads once precompute() has built them.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
@@ -243,6 +244,7 @@ class FieldSpec:
         self._generator_code: int | None = None
         self._digit_table: np.ndarray | None = None
         self._matrices: tuple[np.ndarray, np.ndarray] | None = None
+        self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of the trace
 
     # -- scalar arithmetic on codes ------------------------------------
 
@@ -330,14 +332,15 @@ class FieldSpec:
         return self._codes(self._digits(a) + (self.p - 1) * self._digits(b))
 
     def vmul(self, a, b) -> np.ndarray:
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.order > TABLE_LIMIT:
+            a, b = np.broadcast_arrays(a, b)
             return self._codes(self._dmul(self._digits(a), self._digits(b)))
         exp, log = self.tables()
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = exp[(log[a[nz]] + log[b[nz]]) % (self.order - 1)]
-        return out
+        # log[a] + log[b] lies in [-2, 2n - 2], so the wrap takes one step;
+        # the entries it reads for a zero operand are then replaced by 0
+        out = np.take(exp, log[a] + log[b], mode="wrap")
+        return np.where((a == 0) | (b == 0), 0, out)
 
     def vpow(self, a, e: int) -> np.ndarray:
         """a^e elementwise, with 0^0 = 1; e < 0 needs every entry nonzero."""
@@ -349,8 +352,7 @@ class FieldSpec:
         r = e % n
         if self.order <= TABLE_LIMIT:
             exp, log = self.tables()
-            out = np.empty_like(a)
-            out[~zero] = exp[log[a[~zero]] * r % n]
+            out = exp[log[a] * r % n]  # np.take's wrap mode would reduce by repeated subtraction
         else:
             j = next((j for j in range(self.k) if self.p**j == r), None)
             digits = self._digits(a)
@@ -360,17 +362,10 @@ class FieldSpec:
 
     def vtrace(self, a, d: int) -> np.ndarray:
         """The trace of each entry down to GF(p^d): the sum of its conjugates
-        a^(p^(d j)), on digit arrays as one GF(p)-linear map."""
+        a^(p^(d j)), applied as one GF(p)-linear map through half tables."""
         if self.k % d != 0:
             raise FieldError(f"{d} does not divide {self.k}")
-        if self.order > TABLE_LIMIT:
-            trace = self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
-            return self._codes(self._linear(trace, self._digits(a)))
-        acc = cur = np.asarray(a, dtype=np.int64)
-        for _ in range(self.k // d - 1):
-            cur = self.vpow(cur, self.p**d)
-            acc = self.vadd(acc, cur)
-        return acc
+        return self._half_lookup(self._trace_tables(d), a)
 
     # -- digit arrays ----------------------------------------------------
     #
@@ -408,6 +403,30 @@ class FieldSpec:
         for i, row in enumerate(digits):
             out += mat[:, i].reshape((-1,) + (1,) * row.ndim) * row
         return out
+
+    def _trace_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The half tables of the trace to GF(p^d), d | k: the sum of the
+        Frobenius matrices of a -> a^(p^(d j))."""
+        if d not in self._traces:
+            trace = self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
+            self._traces[d] = self._half_tables(trace)
+        return self._traces[d]
+
+    def _half_tables(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The GF(p)-linear map mat (k x k, digits to digits) as two lookup
+        tables over the codes below p^h, the half-split of _digits: the
+        image of each low half and of each high half of a code."""
+        half = self._half_digits()
+        h = len(half)
+        mat = np.asarray(mat, dtype=np.uint8)
+        return (self._codes(self._linear(mat[:, :h], half)),
+                self._codes(self._linear(mat[:, h:], half[: self.k - h])))
+
+    def _half_lookup(self, tables: tuple[np.ndarray, np.ndarray], a) -> np.ndarray:
+        """The map of _half_tables on codes: the images of both halves, added."""
+        low, high = tables
+        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), len(low))
+        return self.vadd(low[lo], high[hi])
 
     def _dmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Products of reduced digit arrays, reduced: the 2k-1 product rows,
@@ -502,18 +521,15 @@ class FieldSpec:
         exp is built by block doubling, exp[b:2b] = exp[:b] * g^b, for any
         characteristic and any generator g.  Multiplication by the constant
         c = g^b is GF(p)-linear: its k x k matrix has the digits of x^i c in
-        column i.  It runs as two lookup tables over the codes below p^h, the
-        half-split of _digits, one for the low and one for the high half of
-        each code; vadd adds the two lookups.  Each block, and its entries of
-        log, go through in chunks of at most TABLE_CHUNK codes, which bounds
-        the temporaries.
+        column i.  It runs through _half_tables, two lookup tables over the
+        codes below p^h, one for each half of a code.  Each block, and its
+        entries of log, go through in chunks of at most TABLE_CHUNK codes,
+        which bounds the temporaries.
         """
         if self.order > TABLE_LIMIT:
             raise FieldError(f"field of order {self.order} too large for tables")
         if self._tables is None:
             p, k, n = self.p, self.k, self.order - 1
-            half = self._half_digits()
-            h = len(half)
             # windows[:, i, j] holds the digits of x^(i+j) mod the modulus
             powers = np.concatenate([np.eye(k, dtype=np.int64), self._digit_matrices()[1]], axis=1)
             windows = np.lib.stride_tricks.sliding_window_view(powers, k, axis=1)
@@ -524,12 +540,10 @@ class FieldSpec:
             b = 1
             while b < n:
                 times_c = windows @ c % p
-                low = self._codes(self._linear(times_c[:, :h].astype(np.uint8), half))
-                high = self._codes(self._linear(times_c[:, h:].astype(np.uint8), half[: k - h]))
+                half_tables = self._half_tables(times_c)
                 end = min(2 * b, n)
                 for start in range(b, end, TABLE_CHUNK):
-                    hi, lo = np.divmod(exp[start - b : min(start + TABLE_CHUNK, end) - b], p**h)
-                    block = self.vadd(low[lo], high[hi])
+                    block = self._half_lookup(half_tables, exp[start - b : min(start + TABLE_CHUNK, end) - b])
                     exp[start : start + len(block)] = block
                     log[block] = np.arange(start, start + len(block))
                 c = times_c @ c % p  # c^2 = g^(2b)
@@ -539,12 +553,16 @@ class FieldSpec:
 
     def precompute(self) -> None:
         """Build the lazy caches that the array layer reads: the exp/log
-        tables up to TABLE_LIMIT, the digit table and matrices beyond it.
-        Afterwards threads share the field read-only."""
+        tables up to TABLE_LIMIT, the digit table and matrices, and the trace
+        tables for every d dividing k.  Afterwards threads share the field
+        read-only."""
         if self.order <= TABLE_LIMIT:
             self.tables()
         self._half_digits()
         self._digit_matrices()
+        for d in range(1, self.k + 1):
+            if self.k % d == 0:
+                self._trace_tables(d)
 
     def subfield_codes(self, d: int) -> list[int]:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""

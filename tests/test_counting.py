@@ -223,6 +223,23 @@ class TestOrbitReduction:
         assert hashlib.sha256(results.encode()).hexdigest()[:12] == digest
 
 
+@pytest.mark.parametrize("family,s,r", [("suzuki-cover", 2, 4), ("ree-cover", 1, 3)])
+def test_threaded_count_builds_no_cache(family, s, r, monkeypatch):
+    """After precompute(), the threads of a count share the field read-only:
+    no lazy cache (exp/log tables, digit table, digit matrices, trace
+    tables) is created or replaced during the count, on F_{2^20} and F_{3^9}."""
+    monkeypatch.setattr(counting, "CHUNK", 8)  # many jobs, so the pool runs
+    params = params_from_s(family, s)
+    field = make_field(Family(family).char, (2 * s + 1) * r)
+    field.precompute()
+    before, traces = dict(vars(field)), dict(field._traces)
+    count_points(family, params, r, threads=2)
+    after = vars(field)
+    assert after.keys() == before.keys() and all(after[name] is value for name, value in before.items())
+    assert field._traces.keys() == traces.keys()
+    assert all(field._traces[d] is tables for d, tables in traces.items())
+
+
 def test_report_fields():
     rep = count_points("suzuki-cover", P8, 4)
     assert isinstance(rep, CountReport)

@@ -279,6 +279,63 @@ class TestArrayLayer:
             F2_12.vtrace(np.arange(4), 5)
 
 
+class TestArrayLayerExhaustive:
+    """vmul, vpow and vtrace on every element of F_{2^6} and F_{3^4}, on
+    the exp/log tables and, with TABLE_LIMIT forced to 0, on digit arrays,
+    element by element against the scalar mul, pow and subfield_trace."""
+
+    @pytest.fixture(params=[(2, 6), (3, 4)], ids=["gf2_6", "gf3_4"])
+    def field(self, request):
+        return make_field(*request.param)
+
+    @pytest.fixture(params=["tables", "digits"], autouse=True)
+    def path(self, request, monkeypatch):
+        if request.param == "digits":
+            monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+
+    def test_vmul(self, field):
+        codes = np.arange(field.order)
+        table = [[field.mul(x, y) for y in codes.tolist()] for x in codes.tolist()]
+        assert field.vmul(codes[:, None], codes).tolist() == table
+        for y in (0, 1, field.gen.code, field.order - 1):
+            assert field.vmul(codes, y).tolist() == [row[y] for row in table]
+            assert field.vmul(y, codes).tolist() == table[y]
+            for x in (0, 1, field.order - 2):
+                out = field.vmul(np.int64(x), y)
+                assert np.shape(out) == () and int(out) == table[x][y]
+
+    def test_vpow(self, field):
+        codes, n, p = np.arange(field.order), field.order - 1, field.p
+        for e in (0, 1, -1, *(p**j for j in range(1, field.k + 1)), n, n + 1, -n):
+            base = codes if e >= 0 else codes[1:]
+            assert field.vpow(base, e).tolist() == [field.pow(x, e) for x in base.tolist()], e
+
+    def test_vtrace(self, field):
+        codes = np.arange(field.order)
+        for d in range(1, field.k + 1):
+            if field.k % d == 0:
+                ref = [subfield_trace(field.from_code(x), d).code for x in codes.tolist()]
+                assert field.vtrace(codes, d).tolist() == ref, d
+
+
+def test_table_and_digit_paths_agree_on_gf2_12(monkeypatch):
+    """Every code of F_{2^12} through vmul, vpow and vtrace, once on the
+    exp/log tables and once on digit arrays."""
+    f = F2_12
+    codes = np.arange(f.order)
+
+    def outputs():
+        out = [f.vmul(codes, codes[::-1]), f.vmul(codes, f.generator_code())]
+        out += [f.vpow(codes, e) for e in (0, 2, 5, 64, f.order - 1, f.order)]
+        out += [f.vpow(codes[1:], e) for e in (-1, -7)]
+        out += [f.vtrace(codes, d) for d in (1, 2, 3, 4, 6, 12)]
+        return [o.tolist() for o in out]
+
+    tabled = outputs()
+    monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+    assert outputs() == tabled
+
+
 def reference_tables(f):
     """exp/log by stepping one scalar multiplication at a time: the
     reference for the block-doubling build of FieldSpec.tables."""
