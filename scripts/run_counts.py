@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the desk-scale point counts and print a timing table.
+"""Run the point counts behind the maximality claims and print a timing table.
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it

@@ -63,9 +63,6 @@ class Automorphism:
     tag: str
     spec: tuple = ()
 
-    def __matmul__(self, other: "Automorphism") -> "Automorphism":
-        return compose(self, other)
-
 
 def _pack(k: int, x, y, t):
     """(x, y, t) as one integer; codes below 2^k keep the lexicographic order."""

@@ -1086,12 +1086,6 @@ def genus_tame_containing_cyclic(params: CurveParams, order: int, sum_fixed: int
     return genus_from_rh(_two_g_minus_2(params), order, delta)
 
 
-def genus_same_as_base_quotient(g_bar: int) -> int:
-    """Any L containing the central cyclic factor has the genus of the
-    corresponding base-curve quotient."""
-    return g_bar
-
-
 # ---------------------------------------------------------------------------
 # bundled reference genera (new-genera table rows, as published)
 

@@ -12,8 +12,9 @@ import sys
 import time
 
 from . import __version__
-from .counting import CountReport, UnsupportedCountError, count_points, default_threads, positive_threads
+from .counting import CountReport, count_points, default_threads, positive_threads
 from .curves import Family, genus, hermitian_cover_analysis, params_from_s
+from .gf import SUPPORTED_DEGREES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,11 +75,7 @@ def cmd_count(args) -> int:
     params = params_from_s(family, args.s)
     threads = (default_threads() if args.threads is None
                else positive_threads(args.threads, "--threads"))
-    try:
-        report = count_points(family, params, args.ext, threads=threads)
-    except UnsupportedCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = count_points(family, params, args.ext, threads=threads)
     print(_record("count", {"family": family.value, "s": args.s, "ext": args.ext},
                   count_results(report), started, report.modulus,
                   wall_time=round(report.wall_time, 6), threads=report.threads,
@@ -287,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="orbit-reduced rational-point count")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--s", required=True, type=int)
-    p.add_argument("--ext", required=True, type=int, help="extension degree over the base field")
+    p.add_argument("--ext", required=True, type=int,
+                   help="extension degree r over F_q, with (2s+1)*r at most "
+                        f"{SUPPORTED_DEGREES[2]} for Suzuki and {SUPPORTED_DEGREES[3]} for Ree families")
     p.add_argument("--verify-maximal", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_count)

@@ -30,18 +30,6 @@ from .gf import FieldSpec, make_field
 
 CHUNK = 1 << 16
 
-SUPPORTED_EXTENSIONS = {
-    Family.SUZUKI_COVER: (1, 2, 4),
-    Family.SUZUKI_BASE: (1, 2, 4),
-    Family.REE_COVER: (1, 2, 3, 6),
-    Family.REE_BASE: (1, 2, 3, 6),
-}
-SUPPORTED_Q = {2: (8, 32), 3: (27,)}
-
-
-class UnsupportedCountError(ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -79,13 +67,6 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _check_supported(family: Family, params: CurveParams, r: int) -> None:
-    if params.q not in SUPPORTED_Q[family.char]:
-        raise UnsupportedCountError(f"q={params.q} outside desk scale for {family.value}")
-    if r not in SUPPORTED_EXTENSIONS[family]:
-        raise UnsupportedCountError(f"extension degree {r} unsupported for {family.value}")
-
-
 # ---------------------------------------------------------------------------
 # the kernel: x codes in, per-x (f(x), f(x) at t = 0) out
 
@@ -116,22 +97,25 @@ def _fibres(field: FieldSpec, params: CurveParams, x, with_t: bool):
 
 
 def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
-    """Resolve the family, check support, and bind the kernel for the field."""
+    """Resolve the family, build the field, and bind the kernel for it.  The
+    field of degree (2s+1) r over GF(p) must be one that gf supports, or
+    make_field raises FieldError."""
     family = Family(family)
     if params.family is not family:
         params = params_from_s(family, params.s)
-    _check_supported(family, params, r)
     field = make_field(family.char, (2 * params.s + 1) * r, modulus)
     return family, params, field, partial(_fibres, field, params, with_t=family.is_cover)
 
 
 def _orbit_codes(field: FieldSpec, q: int, r: int) -> np.ndarray:
     """Code 0, then one x_P per point P of P^{r-2}(F_q)."""
-    sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64)
+    # F_q is read only for the spans of j < r - 1; at r = 1 it is the whole
+    # field, whose codes a tableless field lists one multiplication at a time
+    sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64) if r > 2 else None
     reps = [np.zeros(1, dtype=np.int64)]
     span = reps[0]  # every sum of c_i g^i over 1 <= i < j
     for j in range(1, r):
-        gj = field.pow(field.gen.code, j)
+        gj = field.pow(field.gen, j)
         reps.append(field.vadd(span, gj))
         if j < r - 1:
             span = field.vadd(span[:, None], field.vmul(sub, gj)).reshape(-1)

@@ -9,17 +9,12 @@ FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer multiplies through exp/log tables up
 to TABLE_LIMIT and on digit arrays beyond it; on every field it takes traces
 as one GF(p)-linear map through two lookup tables.
-
-Alongside the arithmetic the module exposes the two solution-counting
-primitives the curve counts are built from: additive (Artin-Schreier) counts
-via subfield traces, and multiplicative (Kummer) counts via power residues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,11 +43,6 @@ def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
     while n > 0 and a[n - 1] == 0:
         n -= 1
     return a[:n]
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
 
 def _poly_sub(a, b, p):
@@ -164,59 +154,6 @@ def _digits_to_code(digits: Sequence[int], p: int) -> int:
     return code
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, stored by integer code."""
-
-    field: "FieldSpec"
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return _code_to_digits(self.code, self.field.k, self.field.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field:
-            raise FieldError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self, j: int = 1):
-        return FieldElement(self.field, self.field.frobenius(self.code, j))
-
-    def trace(self, sub_degree: int):
-        return subfield_trace(self, sub_degree)
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"GF({self.field.p}^{self.field.k}):{self.code}"
-
-
 class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
@@ -239,6 +176,7 @@ class FieldSpec:
         self.k = k
         self.modulus = mod
         self.order = p**k
+        self.gen = p if k > 1 else (-mod[0]) % p  # the code of the residue class of x
         self._mod_int = _digits_to_code(mod, p) if p == 2 else None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._generator_code: int | None = None
@@ -259,11 +197,6 @@ class FieldSpec:
             return a ^ b
         da, db = _code_to_digits(a, self.k, 3), _code_to_digits(b, self.k, 3)
         return _digits_to_code([x - y for x, y in zip(da, db)], 3)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return _digits_to_code([-d for d in _code_to_digits(a, self.k, 3)], 3)
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -304,9 +237,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def frobenius(self, a: int, j: int = 1) -> int:
         return self.pow(a, self.p**j)
@@ -468,37 +398,6 @@ class FieldSpec:
             self._matrices = (np.array(frobenius, dtype=np.uint8), cols[:, k : 2 * k - 1].astype(np.uint8))
         return self._matrices
 
-    # -- element constructors ------------------------------------------
-
-    def element(self, coeffs: Sequence[int]) -> FieldElement:
-        if len(coeffs) > self.k:
-            raise FieldError("coefficient vector too long")
-        return FieldElement(self, _digits_to_code(list(coeffs) + [0] * (self.k - len(coeffs)), self.p))
-
-    def from_code(self, code: int) -> FieldElement:
-        if not 0 <= code < self.order:
-            raise FieldError("code out of range")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> FieldElement:
-        """The residue class of x."""
-        if self.k == 1:
-            return FieldElement(self, (-self.modulus[0]) % self.p)
-        return FieldElement(self, self.p)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.order):
-            yield FieldElement(self, code)
-
     # -- multiplicative structure ----------------------------------------
 
     def generator_code(self) -> int:
@@ -597,7 +496,7 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
             field = FieldSpec(p, k, _code_to_digits(code, k, p) + (1,))
         except FieldError:  # reducible
             continue
-        x = field.gen.code
+        x = field.gen
         if x != 0 and all(field.pow(x, (p**k - 1) // f) != 1 for f in factors):
             return field.modulus
     raise FieldError(f"no primitive modulus for GF({p}^{k})")  # pragma: no cover
@@ -619,43 +518,14 @@ def make_field(p: int, k: int, modulus: Sequence[int] | None = None) -> FieldSpe
     return FieldSpec(p, k, tuple(modulus))
 
 
-def subfield_trace(e: FieldElement, sub_degree: int) -> FieldElement:
-    """Trace of e down to GF(p^sub_degree): sum of e^(p^(sub_degree*j))."""
-    field = e.field
+def subfield_trace(field: FieldSpec, a: int, sub_degree: int) -> int:
+    """Trace of the code a down to GF(p^sub_degree): the sum of its conjugates
+    a^(p^(sub_degree*j)), one scalar Frobenius step at a time.  The reference
+    that vtrace is tested against."""
     if field.k % sub_degree != 0:
         raise FieldError(f"{sub_degree} does not divide {field.k}")
-    acc = e.code
-    cur = e.code
+    acc = cur = a
     for _ in range(field.k // sub_degree - 1):
         cur = field.frobenius(cur, sub_degree)
         acc = field.add(acc, cur)
-    return FieldElement(field, acc)
-
-
-def artin_schreier_count(c: FieldElement, q: int) -> int:
-    """Number of y in the ambient field with y^q - y = c (equivalently
-    y^q + y = c in characteristic 2), for q = p^d a subfield size.
-
-    The map y -> y^q - y is q-to-1 onto the trace-zero hyperplane, so the
-    count is q when Tr(c) vanishes and 0 otherwise.
-    """
-    field = c.field
-    p = field.p
-    d = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        d += 1
-    if qq != 1 or d == 0 or field.k % d != 0:
-        raise FieldError(f"{q} is not a subfield size of GF({p}^{field.k})")
-    return q if subfield_trace(c, d).code == 0 else 0
-
-
-def mth_root_count(s: FieldElement, m: int) -> int:
-    """Number of t with t^m = s, for m dividing the multiplicative order."""
-    field = s.field
-    if m <= 0 or (field.order - 1) % m != 0:
-        raise FieldError(f"{m} does not divide {field.order - 1}")
-    if s.code == 0:
-        return 1
-    return m if field.pow(s.code, (field.order - 1) // m) == 1 else 0
+    return acc

@@ -510,9 +510,6 @@ class TestGenericTameEvaluators:
         # order-7 torus times the full cyclic factor: 12 fixed-place relations
         assert cat.genus_tame_containing_cyclic(P8, order=35, sum_fixed=12) == 2
 
-    def test_base_passthrough(self):
-        assert cat.genus_same_as_base_quotient(14) == 14
-
 
 def test_divisors_match_trial_division():
     for n in range(-2, 5001):

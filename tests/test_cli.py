@@ -65,9 +65,11 @@ class TestCount:
         assert code == EXIT_OK and rec["results"]["n_points"] == 19684
 
     def test_degree_five_unsupported(self, capsys):
-        code, _, err = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "5")
-        assert code == EXIT_USAGE
-        assert "unsupported" in err
+        # ree-cover at s = 1 counts in GF(3^(3 ext)); gf stops at GF(3^18)
+        for ext in (7, 0, -1):
+            code, out, err = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", str(ext))
+            assert code == EXIT_USAGE and out == ""
+            assert err.splitlines() == [f"error: unsupported field GF(3^{3 * ext})"]
 
     def test_elements_evaluated_in_results(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "ree-cover", "--s", "1", "--ext", "3")

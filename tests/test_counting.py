@@ -8,15 +8,13 @@ from maxcurve import counting, gf
 from maxcurve.cli import count_results
 from maxcurve.counting import (
     CountReport,
-    UnsupportedCountError,
-    _check_supported,
     _fibres,
     _orbit_codes,
     _streamed_count,
     count_points,
 )
 from maxcurve.curves import Family, genus, hasse_weil_target, params_from_s
-from maxcurve.gf import default_modulus, is_irreducible, make_field
+from maxcurve.gf import FieldError, default_modulus, is_irreducible, make_field
 
 P8 = params_from_s("suzuki-cover", 1)
 P32 = params_from_s("suzuki-cover", 2)
@@ -113,18 +111,22 @@ class TestReeCounts:
 
 
 class TestGuards:
+    """gf's SUPPORTED_DEGREES is the one limit: a count over F_{q^r} needs
+    GF(p^((2s+1) r)), and make_field refuses a field beyond it."""
+
     def test_unsupported_extension(self):
-        with pytest.raises(UnsupportedCountError):
-            count_points("suzuki-cover", P8, 3)
+        with pytest.raises(FieldError, match=r"unsupported field GF\(2\^21\)"):
+            count_points("suzuki-cover", P8, 7)
 
     @pytest.mark.parametrize("family", ["ree-cover", "ree-base"])
     def test_degree_six_supported(self, family):
-        _check_supported(Family(family), params_from_s(family, 1), 6)
-        with pytest.raises(UnsupportedCountError):
-            count_points(family, params_from_s(family, 1), 5)
+        params = params_from_s(family, 1)
+        assert count_points(family, params, 5).ell == 3**15
+        with pytest.raises(FieldError, match=r"unsupported field GF\(3\^21\)"):
+            count_points(family, params, 7)
 
     def test_desk_scale_guard(self):
-        with pytest.raises(UnsupportedCountError):
+        with pytest.raises(FieldError, match=r"unsupported field GF\(2\^28\)"):
             count_points("suzuki-cover", params_from_s("suzuki-cover", 3), 4)
 
 
@@ -165,13 +167,27 @@ DESK_JOBS = [
 ]
 
 
+# every (family, s, r) whose field GF(p^((2s+1) r)) gf supports: 72 counts
+ADMITTED_JOBS = [
+    (family.value, s, r)
+    for family in Family
+    for s in range(1, (gf.SUPPORTED_DEGREES[family.char] - 1) // 2 + 1)
+    for r in range(1, gf.SUPPORTED_DEGREES[family.char] // (2 * s + 1) + 1)
+]
+# streaming every x beyond this field order would take tier-1 too long
+STREAMED_ORDER_LIMIT = 1 << 21
+
+
 class TestOrbitReduction:
     """The orbit-reduced count against the streamed sum over every x."""
 
-    @pytest.mark.parametrize("family,s,r", DESK_JOBS)
+    @pytest.mark.parametrize("family,s,r", ADMITTED_JOBS)
     def test_matches_streamed_sum(self, family, s, r):
+        """Every admitted count runs; up to STREAMED_ORDER_LIMIT elements it
+        equals the streamed sum (count_points itself checks Hasse-Weil)."""
         rep = count_points(family, params_from_s(family, s), r, threads=1)
-        assert (rep.n_points, rep.t0_affine) == _streamed_count(family, params_from_s(family, s), r)
+        if rep.ell <= STREAMED_ORDER_LIMIT:
+            assert (rep.n_points, rep.t0_affine) == _streamed_count(family, params_from_s(family, s), r)
 
     @pytest.mark.parametrize("family,s,r", DESK_JOBS)
     def test_digit_path_matches_tables(self, family, s, r, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxcurve import gf
-from maxcurve.gf import (
-    FieldError,
-    artin_schreier_count,
-    default_modulus,
-    is_irreducible,
-    make_field,
-    mth_root_count,
-    subfield_trace,
-)
+from maxcurve.gf import FieldError, default_modulus, is_irreducible, make_field, subfield_trace
 
 F2_12 = make_field(2, 12)
 F3_6 = make_field(3, 6)
@@ -50,23 +43,21 @@ def test_default_moduli_are_irreducible():
 @settings(max_examples=300, deadline=None)
 def test_axioms_char2(a, b, c):
     f = F2_12
-    x, y, z = f.from_code(a), f.from_code(b), f.from_code(c)
-    assert ((x + y) + z).code == (x + (y + z)).code
-    assert ((x * y) * z).code == (x * (y * z)).code
-    assert (x * (y + z)).code == (x * y + x * z).code
-    assert (x * y).code == (y * x).code
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.mul(a, b) == f.mul(b, a)
 
 
 @given(st.integers(0, 728), st.integers(0, 728), st.integers(0, 728))
 @settings(max_examples=150, deadline=None)
 def test_axioms_char3(a, b, c):
     f = F3_6
-    x, y, z = f.from_code(a), f.from_code(b), f.from_code(c)
-    assert ((x + y) + z).code == (x + (y + z)).code
-    assert ((x * y) * z).code == (x * (y * z)).code
-    assert (x * (y + z)).code == (x * y + x * z).code
-    assert (x - x).code == 0
-    assert (x + (-x)).code == 0
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.sub(a, a) == 0
+    assert f.add(a, f.sub(0, a)) == 0
 
 
 @pytest.mark.parametrize("f", [F2_12, F3_6], ids=["GF(2^12)", "GF(3^6)"])
@@ -89,12 +80,11 @@ def test_inverse_and_lagrange():
     for f in (F2_12, F3_6):
         for _ in range(200):
             a = int(rng.integers(1, f.order))
-            e = f.from_code(a)
-            assert (e * e.inverse()).code == 1
-            assert (e ** (f.order - 1)).code == 1
-            assert (e**f.order).code == a  # Frobenius power of the full field
+            assert f.mul(a, f.inv(a)) == 1
+            assert f.pow(a, f.order - 1) == 1
+            assert f.pow(a, f.order) == a  # Frobenius power of the full field
         with pytest.raises(ZeroDivisionError):
-            f.from_code(a) / f.zero
+            f.inv(0)
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -126,82 +116,97 @@ def test_tableless_subfield_codes():
 
 class TestSubfieldTrace:
     def test_trace_of_zero(self):
-        assert subfield_trace(F2_12.zero, 3).code == 0
+        assert subfield_trace(F2_12, 0, 3) == 0
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a = F2_12.from_code(int(rng.integers(0, 4096)))
-            b = F2_12.from_code(int(rng.integers(0, 4096)))
-            assert subfield_trace(a + b, 3).code == (subfield_trace(a, 3) + subfield_trace(b, 3)).code
+            a, b = int(rng.integers(0, 4096)), int(rng.integers(0, 4096))
+            assert subfield_trace(F2_12, a ^ b, 3) == subfield_trace(F2_12, a, 3) ^ subfield_trace(F2_12, b, 3)
 
     def test_lands_in_subfield(self):
         for code in range(0, 4096, 37):
-            t = subfield_trace(F2_12.from_code(code), 3)
-            assert t.frobenius(3).code == t.code
+            t = subfield_trace(F2_12, code, 3)
+            assert F2_12.frobenius(t, 3) == t
 
     def test_zero_trace_count_exhaustive(self):
         # oracle: full enumeration; the trace-zero set is a hyperplane
-        count = sum(1 for e in F2_12.elements() if subfield_trace(e, 3).code == 0)
+        count = sum(1 for c in range(F2_12.order) if subfield_trace(F2_12, c, 3) == 0)
         assert count == 2**9
 
     def test_bad_degree(self):
         with pytest.raises(FieldError):
-            subfield_trace(F2_12.one, 5)
+            subfield_trace(F2_12, 1, 5)
+
+
+def artin_schreier_histogram(f, d):
+    """Per c, the number of y with y^q - y = c, q = p^d: the scalar map run
+    over the whole field."""
+    q = f.p**d
+    return np.bincount([f.sub(f.pow(y, q), y) for y in range(f.order)], minlength=f.order)
+
+
+def power_histogram(f, m):
+    """Per s, the number of t with t^m = s: the scalar map run over the
+    whole field."""
+    return np.bincount([f.pow(t, m) for t in range(f.order)], minlength=f.order)
+
+
+def artin_schreier_counts(f, d):
+    """Per c, the solution count of y^q - y = c, q = p^d, as counting._fibres
+    takes it: q where vtrace(c, d) vanishes, else 0."""
+    return np.where(f.vtrace(np.arange(f.order), d) == 0, f.p**d, 0)
+
+
+def root_counts(f, m):
+    """Per s, the root count of t^m = s as counting._fibres takes it: for
+    s != 0, gcd(m, l-1) where vpow(s, (l-1)/gcd(m, l-1)) == 1, else 0."""
+    dk = math.gcd(m, f.order - 1)
+    codes = np.arange(f.order)
+    return np.where(codes == 0, 1, np.where(f.vpow(codes, (f.order - 1) // dk) == 1, dk, 0))
 
 
 class TestArtinSchreierCount:
     def test_kernel_value(self):
-        assert artin_schreier_count(F2_12.zero, 8) == 8
-        assert artin_schreier_count(F3_6.zero, 27) == 27
+        assert artin_schreier_counts(F2_12, 3)[0] == 8
+        assert artin_schreier_counts(F3_6, 3)[0] == 27
 
     def test_total_mass(self):
         # the map y -> y^q - y is q-to-1 onto its image
-        assert sum(artin_schreier_count(c, 8) for c in F2_12.elements()) == 4096
-        assert sum(artin_schreier_count(c, 27) for c in F3_6.elements()) == 729
+        assert artin_schreier_counts(F2_12, 3).sum() == 4096
+        assert artin_schreier_counts(F3_6, 3).sum() == 729
 
     def test_exhaustive_oracle_gf2(self):
-        # oracle computed first: histogram the map y -> y^8 + y directly
-        f = F2_12
-        images = np.zeros(f.order, dtype=np.int64)
-        for y in range(f.order):
-            images[f.pow(y, 8) ^ y] += 1
-        for c in range(f.order):
-            assert artin_schreier_count(f.from_code(c), 8) == images[c]
+        # oracle: the histogram of y -> y^8 + y, every y of the field
+        images = artin_schreier_histogram(F2_12, 3)
+        assert np.array_equal(artin_schreier_counts(F2_12, 3), images)
         assert int((images == 8).sum()) == 2**9
 
     def test_exhaustive_oracle_gf3(self):
-        f = F3_6
-        images = np.zeros(f.order, dtype=np.int64)
-        for y in range(f.order):
-            images[f.sub(f.pow(y, 27), y)] += 1
-        for c in range(f.order):
-            assert artin_schreier_count(f.from_code(c), 27) == images[c]
+        assert np.array_equal(artin_schreier_counts(F3_6, 3), artin_schreier_histogram(F3_6, 3))
 
     def test_bad_subfield(self):
         with pytest.raises(FieldError):
-            artin_schreier_count(F2_12.zero, 32)  # 32 = 2^5, 5 does not divide 12
+            artin_schreier_counts(F2_12, 5)  # q = 32 = 2^5, and 5 does not divide 12
 
 
 class TestMthRootCount:
     def test_zero_and_one(self):
-        assert mth_root_count(F2_12.zero, 5) == 1
-        assert mth_root_count(F2_12.one, 5) == 5
+        assert root_counts(F2_12, 5)[0] == 1
+        assert root_counts(F2_12, 5)[1] == 5
 
     def test_total_mass(self):
-        assert sum(mth_root_count(s, 5) for s in F2_12.elements()) == 4096
+        assert root_counts(F2_12, 5).sum() == 4096
 
     def test_exhaustive_oracle(self):
-        f = F2_12
-        images = np.zeros(f.order, dtype=np.int64)
-        for t in range(f.order):
-            images[f.pow(t, 5)] += 1
-        for s in range(f.order):
-            assert mth_root_count(f.from_code(s), 5) == images[s]
+        # oracle: the histogram of t -> t^m, every t of the field
+        for f, m in ((F2_12, 5), (F3_6, 7)):
+            assert np.array_equal(root_counts(f, m), power_histogram(f, m)), (f, m)
 
-    def test_bad_m(self):
-        with pytest.raises(FieldError):
-            mth_root_count(F2_12.one, 11)  # 11 does not divide 4095
+    def test_m_prime_to_order(self):
+        # gcd(11, 4095) = 1: t -> t^11 permutes the field
+        counts = root_counts(F2_12, 11)
+        assert np.array_equal(counts, power_histogram(F2_12, 11)) and (counts == 1).all()
 
 
 def _alternative_modulus_2_12():
@@ -218,13 +223,14 @@ def _alternative_modulus_2_12():
 
 def test_alternative_modulus_same_counts():
     # the counting results are basis independent; rerun the exhaustive
-    # Artin-Schreier check under a different irreducible
+    # Artin-Schreier and Kummer checks under a different irreducible
     alt = _alternative_modulus_2_12()
     assert alt is not None and alt != default_modulus(2, 12)
     f = make_field(2, 12, alt)
-    assert sum(artin_schreier_count(c, 8) for c in f.elements()) == 4096
-    count8 = sum(1 for c in f.elements() if artin_schreier_count(c, 8) == 8)
-    assert count8 == 2**9
+    images = artin_schreier_histogram(f, 3)
+    assert np.array_equal(artin_schreier_counts(f, 3), images)
+    assert int((images == 8).sum()) == 2**9
+    assert np.array_equal(root_counts(f, 5), power_histogram(f, 5))
 
 
 class TestArrayLayer:
@@ -250,7 +256,7 @@ class TestArrayLayer:
         assert (int(f.vmul(x, y)), int(f.vpow(x, 5)), int(f.vsub(x, y))) == (f.mul(x, y), f.pow(x, 5), f.sub(x, y))
         for d in range(1, f.k + 1):
             if f.k % d == 0:
-                assert f.vtrace(a, d).tolist() == [subfield_trace(f.from_code(x), d).code for x in a.tolist()], d
+                assert f.vtrace(a, d).tolist() == [subfield_trace(f, x, d) for x in a.tolist()], d
 
     @pytest.mark.parametrize("p,k", [(2, 12), (3, 9)])
     def test_tabled(self, p, k):
@@ -297,7 +303,7 @@ class TestArrayLayerExhaustive:
         codes = np.arange(field.order)
         table = [[field.mul(x, y) for y in codes.tolist()] for x in codes.tolist()]
         assert field.vmul(codes[:, None], codes).tolist() == table
-        for y in (0, 1, field.gen.code, field.order - 1):
+        for y in (0, 1, field.gen, field.order - 1):
             assert field.vmul(codes, y).tolist() == [row[y] for row in table]
             assert field.vmul(y, codes).tolist() == table[y]
             for x in (0, 1, field.order - 2):
@@ -314,7 +320,7 @@ class TestArrayLayerExhaustive:
         codes = np.arange(field.order)
         for d in range(1, field.k + 1):
             if field.k % d == 0:
-                ref = [subfield_trace(field.from_code(x), d).code for x in codes.tolist()]
+                ref = [subfield_trace(field, x, d) for x in codes.tolist()]
                 assert field.vtrace(codes, d).tolist() == ref, d
 
 
@@ -369,7 +375,7 @@ class TestTables:
     ])
     def test_other_moduli_match_scalar_loop(self, p, modulus, x_primitive):
         f = gf.FieldSpec(p, len(modulus) - 1, modulus)
-        assert (f.generator_code() == f.gen.code) == x_primitive
+        assert (f.generator_code() == f.gen) == x_primitive
         exp, log = f.tables()
         ref_exp, ref_log = reference_tables(f)
         assert exp.tobytes() == ref_exp.tobytes() and log.tobytes() == ref_log.tobytes()
