@@ -7,6 +7,9 @@ place at index 0.  Generators come in three flavors: stabilizer maps
 the torus map t -> lambda t, and the lifted involution built from the
 rational functions alpha/beta, y/beta, t/beta with its degenerate locus
 completed by the forced swap of the origin with the infinite place.
+
+A permutation is a plain int32 array whose entry i is the image of place i,
+so a[b] applies b first, and the field arithmetic is FieldSpec's.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ import numpy as np
 
 from .curves import CurveParams
 from .gf import FieldSpec, make_field
+
+
+# The random words find_element_of_order tries, and the most elements
+# stabilizer_subgroup_order closes over, before each gives up.
+MAX_TRIES = 100_000
+CLOSURE_CAP = 1000
 
 
 class ModelError(RuntimeError):
@@ -57,32 +66,24 @@ class PlaceSet:
         return pos + 1
 
 
-@dataclass
-class Automorphism:
-    perm: np.ndarray
-    tag: str
-    spec: tuple = ()
-
-
 def _pack(k: int, x, y, t):
     """(x, y, t) as one integer; codes below 2^k keep the lexicographic order."""
     return (x << (2 * k)) | (y << k) | t
 
 
-def build_places(params: CurveParams, modulus=None) -> PlaceSet:
+def build_places(params: CurveParams) -> PlaceSet:
     """Enumerate all places of the q=8 cover over the degree-4 extension,
     in lexicographic coordinate order, infinite place first."""
     if params.q != 8:
         raise ModelError("place enumeration is desk scale: q=8 only")
-    f = make_field(2, 12, modulus)
-    exp, log = f.tables()  # for the m-th roots
+    f = make_field(2, 12)
     n = f.order - 1
     q, q0, m = params.q, params.q0, params.m
     codes = np.arange(f.order, dtype=np.int64)
 
     # s = x^q + x.  The same map y -> y^q + y is linearized with the
     # subfield as kernel; pre holds its smallest preimage of each value.
-    s = f.vpow(codes, q) ^ codes
+    s = f.vadd(f.vpow(codes, q), codes)
     image, first = np.unique(s, return_index=True)
     pre = np.full(f.order, -1, dtype=np.int64)
     pre[image] = first
@@ -92,12 +93,14 @@ def build_places(params: CurveParams, modulus=None) -> PlaceSet:
 
     # x carries places iff y^q + y = x^q0 s and t^m = s are solvable
     y0 = pre[f.vmul(f.vpow(codes, q0), s)]
-    lg = log[s]
-    xs = np.flatnonzero((y0 >= 0) & ((s == 0) | (lg % m == 0)))
-    ys = y0[xs, None] ^ np.array(kernel)
-    # the m roots t0 * zeta^j, zeta = g^(n/m); s = 0 has the single root 0,
+    xs = np.flatnonzero((y0 >= 0) & ((s == 0) | (f.vpow(s, n // m) == 1)))
+    ys = f.vadd(y0[xs, None], np.array(kernel))
+    # the m roots t0 * zeta^j: t0 = s^e with m e = 1 mod n/m (at q=8,
+    # gcd(5, 819) = 1), and zeta = g^(n/m); s = 0 has the single root 0,
     # whose m copies np.unique merges while it sorts the places
-    ts = np.where(s[xs, None] == 0, 0, exp[(lg[xs, None] // m + (n // m) * np.arange(m)) % n])
+    zeta = f.pow(f.generator_code(), n // m)
+    t0 = f.vpow(s[xs], pow(m, -1, n // m))
+    ts = f.vmul(t0[:, None], [f.pow(zeta, j) for j in range(m)])
     keys = np.unique(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]))
 
     low = (1 << f.k) - 1
@@ -118,15 +121,15 @@ def _require_bijection(perm: np.ndarray, message: str) -> None:
         raise ModelError(message)
 
 
-def _perm_from_affine_images(ps: PlaceSet, xi, yi, ti, tag: str, spec=()) -> Automorphism:
+def _perm_from_affine_images(ps: PlaceSet, xi, yi, ti, tag: str) -> np.ndarray:
     perm = np.empty(len(ps), dtype=np.int32)
     perm[PlaceSet.INFTY] = PlaceSet.INFTY
     perm[1:] = ps.ids(xi, yi, ti, f"{tag}: image")
     _require_bijection(perm, f"{tag}: not a bijection")
-    return Automorphism(perm=perm, tag=tag, spec=spec)
+    return perm
 
 
-def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> Automorphism:
+def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> np.ndarray:
     """Lifted stabilizer element; requires A, b, c in the base subfield,
     A nonzero, and delta^m = A."""
     f, params = ps.field, ps.params
@@ -139,13 +142,13 @@ def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> Automorp
     if f.pow(delta, m) != A:
         raise ModelError("delta^m != A")
     X, Y, T = ps.coords
-    xi = f.vmul(X, A) ^ b
-    yi = f.vmul(Y, f.pow(A, q0 + 1)) ^ f.vmul(X, f.pow(b, q0)) ^ c
+    xi = f.vadd(f.vmul(X, A), b)
+    yi = f.vadd(f.vadd(f.vmul(Y, f.pow(A, q0 + 1)), f.vmul(X, f.pow(b, q0))), c)
     ti = f.vmul(T, delta)
-    return _perm_from_affine_images(ps, xi, yi, ti, "stabilizer", (A, b, c, delta))
+    return _perm_from_affine_images(ps, xi, yi, ti, "stabilizer")
 
 
-def stabilizer_in_complement(ps: PlaceSet, A: int, b: int, c: int) -> Automorphism:
+def stabilizer_in_complement(ps: PlaceSet, A: int, b: int, c: int) -> np.ndarray:
     """The stabilizer element lying in the lifted simple group: delta is the
     unique m-th root of A inside the base subfield."""
     params = ps.params
@@ -154,20 +157,21 @@ def stabilizer_in_complement(ps: PlaceSet, A: int, b: int, c: int) -> Automorphi
     return gen_stabilizer(ps, A, b, c, delta)
 
 
-def gen_gamma(ps: PlaceSet, lam: int) -> Automorphism:
+def gen_gamma(ps: PlaceSet, lam: int) -> np.ndarray:
     f, m = ps.field, ps.params.m
     if f.pow(lam, m) != 1 or any(f.pow(lam, d) == 1 for d in range(1, m) if m % d == 0):
         raise ModelError("lambda must have exact order m")
     X, Y, T = ps.coords
-    return _perm_from_affine_images(ps, X, Y, f.vmul(T, lam), "gamma", (lam,))
+    return _perm_from_affine_images(ps, X, Y, f.vmul(T, lam), "gamma")
 
 
-def default_gamma(ps: PlaceSet) -> Automorphism:
-    exp, _ = ps.field.tables()
-    return gen_gamma(ps, int(exp[(ps.field.order - 1) // ps.params.m]))
+def default_gamma(ps: PlaceSet) -> np.ndarray:
+    """The torus map with lambda = g^(n/m), the zeta of build_places."""
+    f = ps.field
+    return gen_gamma(ps, f.pow(f.generator_code(), (f.order - 1) // ps.params.m))
 
 
-def gen_phi(ps: PlaceSet) -> Automorphism:
+def gen_phi(ps: PlaceSet) -> np.ndarray:
     """The lifted involution.  alpha = y^2q0 + x^(2q0+1), beta = x y^2q0 +
     alpha^2q0; regular images are (alpha/beta, y/beta, t/beta).  The places
     where beta vanishes, together with the infinite place, are completed by
@@ -176,8 +180,9 @@ def gen_phi(ps: PlaceSet) -> Automorphism:
     f, params = ps.field, ps.params
     q0 = params.q0
     X, Y, T = ps.coords
-    alpha = f.vpow(Y, 2 * q0) ^ f.vpow(X, 2 * q0 + 1)
-    beta = f.vmul(X, f.vpow(Y, 2 * q0)) ^ f.vpow(alpha, 2 * q0)
+    y2 = f.vpow(Y, 2 * q0)
+    alpha = f.vadd(y2, f.vpow(X, 2 * q0 + 1))
+    beta = f.vadd(f.vmul(X, y2), f.vpow(alpha, 2 * q0))
 
     degenerate = np.flatnonzero(beta == 0)
     if degenerate.size != 1:
@@ -196,23 +201,14 @@ def gen_phi(ps: PlaceSet) -> Automorphism:
     _require_bijection(perm, "involution is not a bijection")
     if not np.array_equal(perm[perm], np.arange(len(ps))):
         raise ModelError("completed map is not an involution")
-    return Automorphism(perm=perm, tag="phi")
+    return perm
 
 
-def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """(a o b): apply b first."""
-    return Automorphism(perm=a.perm[b.perm], tag="composite")
+def fixed_points(a: np.ndarray) -> int:
+    return int(np.count_nonzero(a == np.arange(len(a))))
 
 
-def identity(ps: PlaceSet) -> Automorphism:
-    return Automorphism(perm=np.arange(len(ps), dtype=np.int32), tag="identity")
-
-
-def fixed_points(a: Automorphism) -> int:
-    return int(np.count_nonzero(a.perm == np.arange(a.perm.shape[0])))
-
-
-def element_order(a: Automorphism) -> int:
+def element_order(a: np.ndarray) -> int:
     """The lcm of the cycle lengths.  Pointer doubling labels every point
     with the smallest point of its cycle in at most ceil(log2 n) rounds:
     after round r, label[i] is the minimum over i, p(i), ..., p^(2^r - 1)(i).
@@ -222,8 +218,8 @@ def element_order(a: Automorphism) -> int:
     of p^(2^r); the 2^r consecutive points whose window holds the minimum
     of a p-cycle meet every such cycle inside it, so all carry that minimum.
     """
-    n = a.perm.shape[0]
-    jump = a.perm.astype(np.intp)
+    n = len(a)
+    jump = a.astype(np.intp)
     label = np.arange(n)
     for _ in range((n - 1).bit_length()):
         nxt = np.minimum(label, label[jump])
@@ -235,18 +231,18 @@ def element_order(a: Automorphism) -> int:
     return math.lcm(*np.unique(sizes[sizes > 0]).tolist())
 
 
-def power(a: Automorphism, n: int) -> Automorphism:
-    result = np.arange(a.perm.shape[0], dtype=np.int32)
-    base = a.perm
+def power(a: np.ndarray, n: int) -> np.ndarray:
+    result = np.arange(len(a), dtype=np.int32)
+    base = a
     while n:
         if n & 1:
             result = base[result]
         base = base[base]
         n >>= 1
-    return Automorphism(perm=result, tag="composite")
+    return result
 
 
-def default_generators(ps: PlaceSet) -> dict[str, Automorphism]:
+def default_generators(ps: PlaceSet) -> dict[str, np.ndarray]:
     """A fixed generating set: a full-torus stabilizer element, the two wild
     translations, the involution, and the torus map."""
     nonzero_sub = [c for c in ps.subfield if c != 0]
@@ -263,12 +259,11 @@ def default_generators(ps: PlaceSet) -> dict[str, Automorphism]:
     }
 
 
-def verify_orbits(ps: PlaceSet, autos: list[Automorphism]) -> tuple[int, ...]:
+def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
     """Orbit sizes of the group generated by the given permutations."""
     n = len(ps)
     seen = np.zeros(n, dtype=bool)
     sizes = []
-    perms = [a.perm for a in autos]
     while not seen.all():
         start = int(np.argmin(seen))  # the first unseen place
         frontier = np.array([start])
@@ -285,28 +280,23 @@ def verify_orbits(ps: PlaceSet, autos: list[Automorphism]) -> tuple[int, ...]:
     return tuple(sorted(sizes))
 
 
-def _small_orbit_restriction(ps: PlaceSet, generators: list[Automorphism]) -> list[np.ndarray]:
+def _small_orbit_restriction(ps: PlaceSet, generators: list[np.ndarray]) -> list[np.ndarray]:
     """Each generator as a permutation of the small orbit: entry i is the
     position within fq_rational_ids() of the image of its i-th place."""
     fq_ids = ps.fq_rational_ids()
     slot = np.full(len(ps), -1)  # position of each place within fq_ids
     slot[fq_ids] = np.arange(len(fq_ids))
     restricted = []
-    for g in generators:
-        r = slot[g.perm[fq_ids]]
+    for i, g in enumerate(generators):
+        r = slot[g[fq_ids]]
         if (r < 0).any():
-            raise ModelError(f"{g.tag} {g.spec} moves an F_q-rational place off the small orbit")
+            raise ModelError(f"generator {i} moves an F_q-rational place off the small orbit")
         restricted.append(r)
     return restricted
 
 
-def find_element_of_order(
-    ps: PlaceSet,
-    target: int,
-    generators: list[Automorphism],
-    seed: int = 20240901,
-    max_tries: int = 100_000,
-) -> Automorphism:
+def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray],
+                          seed: int = 20240901) -> np.ndarray:
     """Deterministic random search for an element of exact order `target`
     inside the group generated by `generators`.
 
@@ -317,26 +307,25 @@ def find_element_of_order(
     small-orbit order, or ModelError says the restriction is not faithful."""
     rng = random.Random(seed)
     small = _small_orbit_restriction(ps, generators)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         word = [rng.randrange(len(generators)) for _ in range(rng.randint(2, 8))]
         perm = np.arange(len(small[0]))
         for i in word:
             perm = small[i][perm]
-        o = element_order(Automorphism(perm=perm, tag="composite"))
+        o = element_order(perm)
         if o % target == 0:
-            perm = np.arange(len(ps), dtype=np.int32)
+            full = np.arange(len(ps), dtype=np.int32)
             for i in word:
-                perm = generators[i].perm[perm]
-            full = Automorphism(perm=perm, tag="composite")
+                full = generators[i][full]
             full_order = element_order(full)
             if full_order != o:
                 raise ModelError(f"a word of order {o} on the small orbit has order {full_order} "
                                  "on all places: the restriction is not faithful")
             return power(full, o // target)
-    raise ModelError(f"no element of order {target} found in {max_tries} tries")
+    raise ModelError(f"no element of order {target} found in {MAX_TRIES} tries")
 
 
-def stabilizer_subgroup_order(ps: PlaceSet, generators: list[Automorphism], cap: int = 1000) -> int:
+def stabilizer_subgroup_order(ps: PlaceSet, generators: list[np.ndarray]) -> int:
     """Order of the group generated by complement stabilizer elements, such
     as torus7, wild_b and wild_c of default_generators, via closure on their
     restrictions to the small orbit (the F_q-rational places), which tell
@@ -356,7 +345,7 @@ def stabilizer_subgroup_order(ps: PlaceSet, generators: list[Automorphism], cap:
                 prod = g[h]
                 key = prod.tobytes()
                 if key not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= CLOSURE_CAP:
                         raise ModelError("closure exceeded cap")
                     seen.add(key)
                     nxt.append(prod)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .curves import CurveParams, Family, params_from_s, require
+from .curves import CurveParams, Family, genus, params_from_s, require
 from .gf import _factorize
 from .ramification import census_different, genus_from_rh, solve_rh
 
@@ -46,8 +46,7 @@ def _divisor_tuple(n: int) -> tuple[int, ...]:
 
 
 def _two_g_minus_2(params: CurveParams) -> int:
-    q = params.q
-    return (q * q + 1) * (q - 2) if params.p == 2 else (q**3 + 1) * (q - 2)
+    return 2 * genus(params) - 2
 
 
 @dataclass(frozen=True)

@@ -9,33 +9,6 @@ from functools import lru_cache
 
 from .curves import CurveParams, Family, require
 
-# Class tags for the conjugacy types of nontrivial elements of the full
-# automorphism group, written as sigma * tau^k with sigma in the lifted
-# simple group and tau generating the central cyclic factor of order m.
-SUZUKI_CLASSES = (
-    "tau_power",
-    "order2",
-    "order4",
-    "div_q_minus_1",
-    "div_q_plus_2q0_plus_1",
-    "div_m_plain",
-    "div_m_special_j",
-)
-
-REE_CLASSES = (
-    "tau_power",
-    "order3_central",
-    "order3_noncentral",
-    "order9",
-    "order2",
-    "order6",
-    "div_q_minus_1",
-    "div_q_plus_1",
-    "div_q_plus_3q0_plus_1",
-    "div_m_plain",
-    "div_m_special_j",
-)
-
 
 class UnknownClassError(ValueError):
     pass
@@ -43,6 +16,12 @@ class UnknownClassError(ValueError):
 
 class NonIntegralGenusError(ValueError):
     """Riemann-Hurwitz did not solve to a nonnegative integer."""
+
+
+# The keys of _suzuki_table and _ree_table tag the conjugacy types of the
+# nontrivial elements of the full automorphism group, written as
+# sigma * tau^k with sigma in the lifted simple group and tau generating the
+# central cyclic factor of order m.
 
 
 def _suzuki_table(params: CurveParams) -> dict[str, tuple[int, int]]:

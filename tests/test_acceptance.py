@@ -111,7 +111,7 @@ def test_criterion_5_special_pair_concentration(place_set, generators, simple_gr
     patterns = []
     for seed in (20240901, 1, 2):
         e5 = act.find_element_of_order(place_set, 5, simple_group_gens, seed=seed)
-        pattern = sorted(act.fixed_points(act.compose(e5, act.power(gamma, j))) for j in range(1, 5))
+        pattern = sorted(act.fixed_points(e5[act.power(gamma, j)]) for j in range(1, 5))
         patterns.append(pattern)
     stated = sorted([20, 0, 0, 0])
     ok = all(p == stated for p in patterns)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import maxcurve
-from maxcurve import counting
+from maxcurve import counting, gf
 from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 SRC = str(Path(maxcurve.__file__).resolve().parents[1])  # the directory holding the package
@@ -293,6 +293,14 @@ class TestVerifyGroup:
         assert sorted(rec["stages"]) == ["closure", "generators", "orbits", "order_search", "places"]
         assert all(v >= 0 for v in rec["stages"].values())
         assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
+
+    def test_same_rows_without_tables(self, capsys, monkeypatch):
+        # the action layer reads no exp/log table: on digit arithmetic, where
+        # FieldSpec.tables() raises, the rows are unchanged
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+        code, out, _ = run(capsys, "verify-group", "--s", "1", "--json")
+        assert code == EXIT_OK
+        assert results_digest(json.loads(out)["results"]) == "c399470caabc"
 
 
 class TestHermitian:

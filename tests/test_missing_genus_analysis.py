@@ -46,8 +46,7 @@ def small_model(place_set, generators):
     pos = {pid: i for i, pid in enumerate(fq_ids)}
 
     def reduce(name, b):
-        auto = generators[name]
-        return (tuple(pos[int(auto.perm[pid])] for pid in fq_ids), b)
+        return (tuple(pos[int(generators[name][pid])] for pid in fq_ids), b)
 
     gen_list = [
         (reduce("torus7", 0), "torus7"),
@@ -102,7 +101,7 @@ def lift_fixed_count(elem, seen, place_set, generators):
         cur = parent
     perm = np.arange(len(place_set), dtype=np.int32)
     for name in word:
-        perm = generators[name].perm[perm]
+        perm = generators[name][perm]
     return int(np.count_nonzero(perm == np.arange(len(place_set))))
 
 
@@ -269,7 +268,7 @@ class TestGenus13Unreachable:
 
         # order 10: cyclic = involution times central power; dihedral over a
         # pure rotation (twisted rotations cannot be inverted)
-        c10 = act.compose(generators["wild_c"], generators["gamma"])
+        c10 = generators["wild_c"][generators["gamma"]]
         assert act.element_order(c10) == 10
         delta_c10 = 0
         for a in range(1, 10):
