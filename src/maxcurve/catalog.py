@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 from .curves import CurveParams, Family, genus, params_from_s, require
 from .gf import _factorize
-from .ramification import census_different, genus_from_rh, solve_rh
+from .ramification import census_different, solve_rh
 
 
 def divisors(n: int) -> list[int]:
@@ -998,12 +998,6 @@ def evaluate(spec: QuotientSpec) -> GenusRecord:
     return rec
 
 
-def genus_closed(spec: QuotientSpec) -> int | None:
-    """Displayed-formula genus; None when the formula is not integral.
-    ValueError for a spec that validate reports invalid."""
-    return evaluate(spec).genus_closed
-
-
 @dataclass
 class SpectrumResult:
     family: Family
@@ -1038,51 +1032,6 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     unexplained = [rec for rec in mismatches if not rec.note]
     records.sort(key=lambda r: (r.genus, r.spec.kind, r.spec.args))
     return SpectrumResult(family, params, records, mismatches, unexplained, invalid)
-
-
-# ---------------------------------------------------------------------------
-# generic tame-subgroup evaluators (SZ-A1/A2/A3 and RE-A1/A2/A3): these take
-# externally supplied data about the induced base-curve quotient, so they are
-# not part of the sweep
-
-
-def genus_tame_over_small_orbit(params: CurveParams, order: int, l_cm: int, g_bar: int):
-    """Tame L whose induced group fixes places only over the small orbit.
-
-    Returns (displayed value, composition value).  The displayed Ree constant
-    carries a sign slip on its 3*q0 term, so the two can differ there; the
-    composition value is the adopted one.
-    """
-    from .ramification import delta_tame_general
-
-    q, q0, m = params.q, params.q0, params.m
-    if params.p == 2:
-        displayed = g_bar + Fraction(
-            (q * q + 1) * (q - l_cm - 1) - 2 * l_cm * (q0 * q - q0 - 1), 2 * order
-        )
-        two_g_base_minus_2 = 2 * q0 * (q - 1) - 2
-    else:
-        displayed = g_bar + Fraction(
-            (q**3 + 1) * (q - 1) - l_cm * (q**3 + 3 * q0 * q * q + q * q - q + 3 * q0 - 1),
-            2 * order,
-        )
-        two_g_base_minus_2 = 3 * q0 * (q - 1) * (q + q0 + 1) - 2
-    n1 = two_g_base_minus_2 - (order // l_cm) * (2 * g_bar - 2)
-    delta = delta_tame_general(l_cm, n1, 0, params)
-    via_delta = genus_from_rh(_two_g_minus_2(params), order, delta)
-    displayed_int = int(displayed) if Fraction(displayed).denominator == 1 else None
-    return displayed_int, via_delta
-
-
-def genus_tame_containing_cyclic(params: CurveParams, order: int, sum_fixed: int) -> int:
-    """Tame L containing the full central cyclic factor: the different is
-    (q - p*q0)(small orbit size) + m * (induced fixed-place relations)."""
-    q, q0, m = params.q, params.q0, params.m
-    if params.p == 2:
-        delta = (q - 2 * q0) * (q * q + 1) + m * sum_fixed
-    else:
-        delta = (q - 3 * q0) * (q**3 + 1) + m * sum_fixed
-    return genus_from_rh(_two_g_minus_2(params), order, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -109,27 +109,26 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
     ruled-out orders q^2+q+1 and q^2+2q+1.  A group order below 1 is a
     ValueError.
     """
+    from .ramification import solve_rh  # ramification imports this module
+
     family = Family(family)
     if group_order < 1:
         raise ValueError(f"group order must be a positive integer, got {group_order}")
     q = params.q
     if family is Family.SUZUKI_COVER:
         two_g_cover_minus_2 = q**4 - q**2 - 2
-        two_g_minus_2 = q**3 - 2 * q**2 + q - 2
         window = (q + 1, q + 2)
         excluded = False
     elif family is Family.REE_COVER:
         two_g_cover_minus_2 = q**6 - q**3 - 2
-        two_g_minus_2 = q**4 - 2 * q**3 + q - 2
         window = (q**2 + q + 1, q**2 + 2 * q + 4)
         excluded = group_order in (q**2 + q + 1, q**2 + 2 * q + 1)
     else:
         raise ValueError("only the cover families admit this analysis")
-    delta = two_g_cover_minus_2 - group_order * two_g_minus_2
+    delta = two_g_cover_minus_2 - group_order * (2 * genus(params) - 2)
     in_window = window[0] <= group_order <= window[1]
     # genus of the quotient the different would force, when integral
-    num = two_g_cover_minus_2 - delta + 2 * group_order
-    g = num // (2 * group_order) if num % (2 * group_order) == 0 and num >= 0 else None
+    g, _ = solve_rh(two_g_cover_minus_2, group_order, delta)
     return HermitianCoverRecord(
         family=family,
         group_order=group_order,

@@ -14,10 +14,6 @@ class UnknownClassError(ValueError):
     pass
 
 
-class NonIntegralGenusError(ValueError):
-    """Riemann-Hurwitz did not solve to a nonnegative integer."""
-
-
 # The keys of _suzuki_table and _ree_table tag the conjugacy types of the
 # nontrivial elements of the full automorphism group, written as
 # sigma * tau^k with sigma in the lifted simple group and tau generating the
@@ -195,22 +191,3 @@ def solve_rh(two_g_minus_2_cover: int, order: int, delta: int) -> tuple[int | No
     if num % den != 0 or num < 0:
         return None, f"RH gives genus {num}/{den}, not a nonnegative integer"
     return num // den, None
-
-
-def genus_from_rh(two_g_minus_2_cover: int, order: int, delta: int) -> int:
-    """solve_rh that raises unless the result is a nonnegative integer (the
-    validity oracle for compositions)."""
-    genus, reason = solve_rh(two_g_minus_2_cover, order, delta)
-    if reason is not None:
-        raise NonIntegralGenusError(reason)
-    return genus
-
-
-def delta_tame_general(l_cm: int, n1: int, n2: int, params: CurveParams) -> int:
-    """Different degree of a tame subgroup from its cyclic-part order and the
-    fixed-place counts n1 (over the small orbit) and n2 (weighted, over the
-    large orbit)."""
-    if params.m % l_cm != 0:
-        raise ValueError("l_cm must divide m")
-    fq_places = params.q**2 + 1 if params.p == 2 else params.q**3 + 1
-    return (l_cm - 1) * fq_places + l_cm * n1 + l_cm * n2

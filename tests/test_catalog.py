@@ -395,11 +395,10 @@ class TestValidate:
     ])
     def test_genus_closed_rejects_invalid(self, kid, params, args, reason):
         with pytest.raises(ValueError, match=reason):
-            cat.genus_closed(QuotientSpec.make(kid, params, **args))
+            evaluate(QuotientSpec.make(kid, params, **args)).genus_closed
 
     def test_genus_closed_of_valid_spec(self):
-        spec = QuotientSpec.make("SZ-B1", P8, r=7, n=1)
-        assert cat.genus_closed(spec) == evaluate(spec).genus_closed == 28
+        assert evaluate(QuotientSpec.make("SZ-B1", P8, r=7, n=1)).genus_closed == 28
 
     def test_ree_b_certificate(self):
         assert validate(QuotientSpec.make("RE-B", P27, u=3, v=3, w=3, r=13, n=1)).existence_certified
@@ -459,6 +458,39 @@ class TestSpectrum:
         assert len(rows) == n_invalid
         assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
 
+    def test_tame_records(self):
+        # tame quotients over the small orbit and those containing the central
+        # cyclic factor: the full torus, the order-7 torus, and their product
+        for params, kid, args, expected in [
+            (P8, "SZ-B1", dict(r=1, n=5), (5, 260, 14)),
+            (P8, "SZ-B1", dict(r=7, n=1), (7, 12, 28)),
+            (P8, "SZ-B1", dict(r=7, n=5), (35, 320, 2)),
+            (P27, "RE-C3", dict(r=1, j=1, n=19), (19, 354312, 3627)),
+        ]:
+            rec = evaluate(QuotientSpec.make(kid, params, **args))
+            assert (rec.order, rec.delta, rec.genus) == expected, (kid, args)
+            assert rec in spectrum(params.family, params).records, (kid, args)
+
+    def test_tame_display_sign_slip(self):
+        # the displayed genus of a tame L whose fixed places lie over the
+        # small orbit, from the order l of its cyclic part and the genus of
+        # the induced base-curve quotient; the records above are the reference
+        def displayed(cp, order, l, g_bar):
+            q, q0 = cp.q, cp.q0
+            if cp.p == 2:
+                num = (q * q + 1) * (q - l - 1) - 2 * l * (q0 * q - q0 - 1)
+            else:
+                num = (q**3 + 1) * (q - 1) - l * (q**3 + 3 * q0 * q * q + q * q - q + 3 * q0 - 1)
+            return g_bar + Fraction(num, 2 * order)
+
+        assert displayed(P8, order=5, l=5, g_bar=14) == 14
+        assert displayed(P8, order=7, l=1, g_bar=2) == 28
+        # the Ree constant's 3 q0 term carries a sign slip: 3618, not 3627
+        shown = displayed(P27, order=19, l=19, g_bar=3627)
+        assert shown == 3618
+        # -3 q0 in place of +3 q0 adds l 6 q0 / 2|L| and gives the record's genus
+        assert shown + Fraction(19 * 6 * P27.q0, 2 * 19) == 3627
+
     @pytest.mark.parametrize("params", [P8, P27], ids=["P8", "P27"])
     def test_sweep_agrees_with_single_specs(self, params):
         # the sweep steps through n per H; validate and evaluate take one
@@ -488,27 +520,6 @@ class TestTable1:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             table1_check("F_5^4")
-
-
-class TestGenericTameEvaluators:
-    def test_small_orbit_suzuki(self):
-        # full torus: both paths give the base genus
-        displayed, viadelta = cat.genus_tame_over_small_orbit(P8, order=5, l_cm=5, g_bar=14)
-        assert displayed == viadelta == 14
-        # order-7 torus: base quotient has genus 2, lifted quotient 28
-        displayed, viadelta = cat.genus_tame_over_small_orbit(P8, order=7, l_cm=1, g_bar=2)
-        assert displayed == viadelta == 28
-
-    def test_small_orbit_ree_sign_slip(self):
-        displayed, viadelta = cat.genus_tame_over_small_orbit(P27, order=19, l_cm=19, g_bar=3627)
-        assert viadelta == 3627
-        assert displayed == 3618  # documented sign slip on the 3*q0 term
-
-    def test_containing_cyclic(self):
-        assert cat.genus_tame_containing_cyclic(P8, order=5, sum_fixed=0) == 14
-        assert cat.genus_tame_containing_cyclic(P27, order=19, sum_fixed=0) == 3627
-        # order-7 torus times the full cyclic factor: 12 fixed-place relations
-        assert cat.genus_tame_containing_cyclic(P8, order=35, sum_fixed=12) == 2
 
 
 def test_divisors_match_trial_division():

@@ -319,6 +319,22 @@ class TestHermitian:
         assert rec["results"]["genus_from_delta"] == 246051
         assert rec["results"]["excluded"] is True
 
+    @pytest.mark.parametrize("family,s,first,last,digest", [
+        ("suzuki-cover", 1, 1, 8 + 3, "c961dda9c59a"),
+        ("suzuki-cover", 2, 1, 32 + 3, "61b80a495d55"),
+        ("ree-cover", 1, 27**2, 27**2 + 2 * 27 + 5, "8f3ce96ed4c2"),
+        ("ree-cover", 2, 243**2, 243**2 + 2 * 243 + 5, "abb474f9518f"),
+    ])
+    def test_results_pinned(self, capsys, family, s, first, last, digest):
+        # every order around the window, with the excluded orders inside it
+        results = []
+        for order in range(first, last + 1):
+            code, out, _ = run(capsys, "hermitian", "--family", family, "--s", str(s),
+                               "--group-order", str(order))
+            assert code == EXIT_OK
+            results.append(json.loads(out)["results"])
+        assert results_digest(results) == digest
+
     @pytest.mark.parametrize("order", ["0", "-3"])
     def test_group_order_not_positive(self, capsys, order):
         code, out, err = run(capsys, "hermitian", "--family", "suzuki-cover", "--s", "1",

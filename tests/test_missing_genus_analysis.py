@@ -165,44 +165,51 @@ class TestOrderFiveFixedData:
 def sylow_subgroup_profiles(q: int):
     """All subgroups of the wild stabilizer part {(b, c)} with its law
     (b, c)(b', c') = (b + b', c + c' + b^q0 b'), reported as profiles
-    (order, involutions, order-4 elements)."""
+    (order, involutions, order-4 elements).
+
+    Element (b, c) is row b q + c of the q^2 x q^2 multiplication table, and
+    a subset is a boolean mask over the rows.  The subgroup generated by H
+    and x is the closure of H | {x} under products: the set times itself,
+    until it stops growing."""
     s = {8: 1, 32: 2}[q]
     f = make_field(2, 2 * s + 1)
     q0 = 2**s
 
-    def mul(x, y):
-        return (x[0] ^ y[0], x[1] ^ y[1] ^ f.mul(f.pow(x[0], q0), y[0]))
+    codes = np.arange(q)
+    twist = f.vmul(f.vpow(codes, q0)[:, None], codes[None, :])  # b^q0 b'
+    b, c = np.divmod(np.arange(q * q), q)
+    table = (b[:, None] ^ b[None, :]) * q + (c[:, None] ^ c[None, :] ^ twist[b[:, None], b[None, :]])
 
-    elements = [(b, c) for b in range(q) for c in range(q)]
-    trivial = frozenset({(0, 0)})
-    subgroups = {trivial}
-    frontier = {trivial}
+    def closure(mask):
+        while True:
+            rows = np.flatnonzero(mask)
+            grown = mask.copy()
+            grown[table[np.ix_(rows, rows)]] = True
+            if np.count_nonzero(grown) == rows.size:
+                return grown
+            mask = grown
+
+    trivial = np.zeros(q * q, dtype=bool)
+    trivial[0] = True
+    subgroups = {trivial.tobytes(): trivial}
+    frontier = [trivial]
     while frontier:
-        nxt = set()
+        nxt = []
         for H in frontier:
-            for x in elements:
-                if x in H:
-                    continue
-                K = set(H)
-                stack = [x]
-                while stack:
-                    y = stack.pop()
-                    if y in K:
-                        continue
-                    K.add(y)
-                    for z in list(K):
-                        stack.append(mul(y, z))
-                        stack.append(mul(z, y))
-                K = frozenset(K)
-                if K not in subgroups:
-                    subgroups.add(K)
-                    nxt.add(K)
+            for x in np.flatnonzero(~H):
+                K = H.copy()
+                K[x] = True
+                K = closure(K)
+                key = K.tobytes()
+                if key not in subgroups:
+                    subgroups[key] = K
+                    nxt.append(K)
         frontier = nxt
+    involutions = (b == 0) & (c != 0)
     profiles = set()
-    for H in subgroups:
-        inv = sum(1 for (b, c) in H if b == 0 and c != 0)
-        o4 = sum(1 for (b, c) in H if b != 0)
-        profiles.add((len(H), inv, o4))
+    for H in subgroups.values():
+        profiles.add((int(np.count_nonzero(H)), int(np.count_nonzero(H & involutions)),
+                      int(np.count_nonzero(H & (b != 0)))))
     return sorted(profiles)
 
 

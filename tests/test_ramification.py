@@ -8,13 +8,10 @@ from maxcurve import catalog as cat
 from maxcurve.catalog import KINDS, divisors, spectrum
 from maxcurve.curves import params_from_s
 from maxcurve.ramification import (
-    NonIntegralGenusError,
     UnknownClassError,
     census_different,
     delta_from_composition,
-    delta_tame_general,
     filtration,
-    genus_from_rh,
     i_from_filtration,
     i_sigma,
     i_sigma_tau,
@@ -101,7 +98,7 @@ class TestDeltaFromComposition:
 
     def test_cyclic_m_gives_base_genus(self):
         delta = delta_from_composition([("tau_power", 4)], P8)
-        assert genus_from_rh(390, 5, delta) == 14
+        assert solve_rh(390, 5, delta) == (14, None)
 
     def test_with_tau_entries(self):
         comp = [("order2", 1), ("tau_power", 4), ("order2", 4, True)]
@@ -152,10 +149,9 @@ class TestDeltaFromComposition:
                 assert (records[key].order, records[key].delta) == (order, delta), key
             else:
                 assert key in invalid, key
-                with pytest.raises(NonIntegralGenusError) as exc:
-                    genus_from_rh(cat._two_g_minus_2(params), order, delta)
-                # the sweep rejects without raising, with the oracle's text
-                assert invalid[key] == "composition fails the RH oracle: " + str(exc.value), key
+                genus, reason = solve_rh(cat._two_g_minus_2(params), order, delta)
+                assert genus is None, key
+                assert invalid[key] == "composition fails the RH oracle: " + reason, key
             swept += 1
         assert swept == len(records) + len(invalid)
 
@@ -245,40 +241,25 @@ def _per_entry_delta(composition, params):
 
 class TestGenusFromRH:
     def test_examples(self):
-        assert genus_from_rh(390, 1, 0) == 196
-        assert genus_from_rh(390, 5, 260) == 14
-        assert genus_from_rh(19684 * 25, 19, 18 * 19684) == 3627
+        assert solve_rh(390, 1, 0) == (196, None)
+        assert solve_rh(390, 5, 260) == (14, None)
+        assert solve_rh(19684 * 25, 19, 18 * 19684) == (3627, None)
 
     def test_non_integral(self):
-        with pytest.raises(NonIntegralGenusError):
-            genus_from_rh(390, 7, 5)
+        assert solve_rh(390, 1, 1) == (None, "RH gives genus 391/2, not a nonnegative integer")
+        assert solve_rh(390, 5, 265) == (None, "RH gives genus 135/10, not a nonnegative integer")
 
     def test_solve_rh_does_not_raise(self):
-        assert solve_rh(390, 5, 260) == (14, None)
         assert solve_rh(390, 7, 5) == (None, "RH gives genus 399/14, not a nonnegative integer")
         assert solve_rh(390, 1, 1000) == (None, "RH gives genus -608/2, not a nonnegative integer")
-        with pytest.raises(NonIntegralGenusError, match="^RH gives genus 399/14, not a nonnegative integer$"):
-            genus_from_rh(390, 7, 5)
 
     def test_negative(self):
-        with pytest.raises(NonIntegralGenusError):
-            genus_from_rh(390, 1, 1000)
+        # genus 0 is the last one accepted
+        assert solve_rh(390, 1, 392) == (0, None)
+        assert solve_rh(390, 1, 394) == (None, "RH gives genus -2/2, not a nonnegative integer")
 
     @given(st.integers(0, 10**6), st.integers(1, 10**4), st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, g, order, delta):
         two_g_minus_2 = order * (2 * g - 2) + delta
-        assert genus_from_rh(two_g_minus_2, order, delta) == g
-
-
-class TestDeltaTameGeneral:
-    def test_examples(self):
-        assert delta_tame_general(1, 0, 0, P8) == 0
-        assert delta_tame_general(5, 0, 0, P8) == 260
-        assert delta_tame_general(1, 17, 0, P8) == 17
-        assert delta_tame_general(1, 3, 4, P8) == 7
-        assert delta_tame_general(19, 0, 0, P27) == 18 * 19684
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            delta_tame_general(3, 0, 0, P8)
+        assert solve_rh(two_g_minus_2, order, delta) == (g, None)
