@@ -471,26 +471,6 @@ class TestSpectrum:
             assert (rec.order, rec.delta, rec.genus) == expected, (kid, args)
             assert rec in spectrum(params.family, params).records, (kid, args)
 
-    def test_tame_display_sign_slip(self):
-        # the displayed genus of a tame L whose fixed places lie over the
-        # small orbit, from the order l of its cyclic part and the genus of
-        # the induced base-curve quotient; the records above are the reference
-        def displayed(cp, order, l, g_bar):
-            q, q0 = cp.q, cp.q0
-            if cp.p == 2:
-                num = (q * q + 1) * (q - l - 1) - 2 * l * (q0 * q - q0 - 1)
-            else:
-                num = (q**3 + 1) * (q - 1) - l * (q**3 + 3 * q0 * q * q + q * q - q + 3 * q0 - 1)
-            return g_bar + Fraction(num, 2 * order)
-
-        assert displayed(P8, order=5, l=5, g_bar=14) == 14
-        assert displayed(P8, order=7, l=1, g_bar=2) == 28
-        # the Ree constant's 3 q0 term carries a sign slip: 3618, not 3627
-        shown = displayed(P27, order=19, l=19, g_bar=3627)
-        assert shown == 3618
-        # -3 q0 in place of +3 q0 adds l 6 q0 / 2|L| and gives the record's genus
-        assert shown + Fraction(19 * 6 * P27.q0, 2 * 19) == 3627
-
     @pytest.mark.parametrize("params", [P8, P27], ids=["P8", "P27"])
     def test_sweep_agrees_with_single_specs(self, params):
         # the sweep steps through n per H; validate and evaluate take one
@@ -500,6 +480,37 @@ class TestSpectrum:
             assert validate(spec) == cat.Validation(False, False, reason)
         for rec in res.records:
             assert evaluate(rec.spec) == rec
+
+
+class TestGenericTameEvaluators:
+    """The displayed genus of a tame L whose fixed places lie over the small
+    orbit, from the order l of its cyclic part and the genus of the induced
+    base-curve quotient, against the swept records of TestSpectrum.test_tame_records."""
+
+    @staticmethod
+    def displayed(cp, order, l, g_bar):
+        q, q0 = cp.q, cp.q0
+        if cp.p == 2:
+            num = (q * q + 1) * (q - l - 1) - 2 * l * (q0 * q - q0 - 1)
+        else:
+            num = (q**3 + 1) * (q - 1) - l * (q**3 + 3 * q0 * q * q + q * q - q + 3 * q0 - 1)
+        return g_bar + Fraction(num, 2 * order)
+
+    def test_small_orbit_suzuki(self):
+        # full torus: the display gives the base genus, as the record does
+        assert self.displayed(P8, order=5, l=5, g_bar=14) == 14
+        assert evaluate(QuotientSpec.make("SZ-B1", P8, r=1, n=5)).genus == 14
+        # order-7 torus: base quotient has genus 2, lifted quotient 28
+        assert self.displayed(P8, order=7, l=1, g_bar=2) == 28
+        assert evaluate(QuotientSpec.make("SZ-B1", P8, r=7, n=1)).genus == 28
+
+    def test_small_orbit_ree_sign_slip(self):
+        assert evaluate(QuotientSpec.make("RE-C3", P27, r=1, j=1, n=19)).genus == 3627
+        # the Ree constant's 3 q0 term carries a sign slip: 3618, not 3627
+        shown = self.displayed(P27, order=19, l=19, g_bar=3627)
+        assert shown == 3618
+        # -3 q0 in place of +3 q0 adds l 6 q0 / 2|L| and gives the record's genus
+        assert shown + Fraction(19 * 6 * P27.q0, 2 * 19) == 3627
 
 
 class TestTable1:
