@@ -3,11 +3,13 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives and takes about a second.  Times are in
+evaluates 551,882 representatives and takes under a second.  Times are in
 milliseconds, split by stage of `CountReport.stages`: `tables` builds the
-field's lazy tables, which only the first count over each field pays, `reps`
-lists the orbit representatives and `kernel` evaluates them; `wall` is the
-whole count.
+field's lazy tables for the count, the half tables of the representatives'
+index map among them, and only the first count over each field and F_q pays
+it; `reps` cuts the index ranges into jobs; `kernel` turns each job's
+indices into codes through the map's tables and evaluates them; `wall` is
+the whole count.
 """
 
 import argparse

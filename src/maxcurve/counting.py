@@ -9,9 +9,23 @@ orbit suffices:
 
     N = 1 + q f(0) + q(q-1) * sum of f(x_P) over P in P^{r-2}(F_q),
 
-where x_P = sum_{i=1}^{r-1} c_i g^i with c_i in F_q, g the generator of the
-residue basis, and the last nonzero c_i equal to 1.  One kernel, _fibres,
-evaluates every family on FieldSpec's array arithmetic.
+where x_P = sum_{i=1}^{r-1} c_i g^i with c_i in F_q, g = x the generator of
+the residue basis, and the last nonzero c_i equal to 1.  The x_P are the
+images of integer indices under one GF(p)-linear map (FieldSpec.vspan).
+With b_0 = 1, b_1, ..., b_{d-1} a GF(p)-basis of F_q, d = 2s+1, index n maps
+to
+
+    x_n = sum_{i=1}^{r-1} sum_{l<d} n_{(i-1)d+l} b_l g^i,
+
+n_j the j-th base-p digit of n.  The indices in [q^{j-1}, 2 q^{j-1}) have
+digit 1 at b_0 g^j and none above, so they give the x_P whose last nonzero
+c_i is c_j = 1; with index 0 for x = 0 the count evaluates the indices
+
+    {0} u [1, 2) u [q, 2q) u ... u [q^{r-2}, 2 q^{r-2}).
+
+They are cut into jobs of CHUNK indices, and each job turns its indices into
+codes and evaluates them, so the representatives are never listed.  One
+kernel, _fibres, evaluates every family on FieldSpec's array arithmetic.
 """
 
 from __future__ import annotations
@@ -107,19 +121,28 @@ def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
     return family, params, field, partial(_fibres, field, params, with_t=family.is_cover)
 
 
-def _orbit_codes(field: FieldSpec, q: int, r: int) -> np.ndarray:
-    """Code 0, then one x_P per point P of P^{r-2}(F_q)."""
-    # F_q is read only for the spans of j < r - 1; at r = 1 it is the whole
-    # field, whose codes a tableless field lists one multiplication at a time
-    sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64) if r > 2 else None
-    reps = [np.zeros(1, dtype=np.int64)]
-    span = reps[0]  # every sum of c_i g^i over 1 <= i < j
-    for j in range(1, r):
-        gj = field.pow(field.gen, j)
-        reps.append(field.vadd(span, gj))
-        if j < r - 1:
-            span = field.vadd(span[:, None], field.vmul(sub, gj)).reshape(-1)
-    return np.concatenate(reps)
+def _index_ranges(q: int, r: int) -> list[tuple[int, int]]:
+    """The index ranges [lo, hi) whose vspan images are 0 and the x_P."""
+    return [(0, 1)] + [(q**j, 2 * q**j) for j in range(r - 1)]
+
+
+def _jobs(ranges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The ranges, in order, cut and merged into jobs of at most CHUNK
+    indices, so that small ranges share one kernel call."""
+    jobs, job, room = [], [], CHUNK
+    for lo, hi in ranges:
+        while lo < hi:
+            step = min(hi - lo, room)
+            job.append((lo, lo + step))
+            lo, room = lo + step, room - step
+            if not room:
+                jobs.append(job)
+                job, room = [], CHUNK
+    return jobs + [job] if job else jobs
+
+
+def _indices(ranges: list[tuple[int, int]]) -> np.ndarray:
+    return np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges])
 
 
 def _streamed_count(family: Family | str, params: CurveParams, r: int, modulus=None):
@@ -142,17 +165,22 @@ def count_points(
     including the single infinite place."""
     family, params, field, kernel = _prepare(family, params, r, modulus)
     threads = default_threads() if threads is None else positive_threads(threads, "threads")
+    d = 2 * params.s + 1
     t_start = time.perf_counter()
-    field.precompute()  # before threads share the field
+    field.precompute(d)  # before threads share the field
     t_tables = time.perf_counter()
-    codes = _orbit_codes(field, params.q, r)
+    ranges = _index_ranges(params.q, r)
+    jobs = _jobs(ranges)
     t_reps = time.perf_counter()
-    jobs = [codes[lo : lo + CHUNK] for lo in range(0, len(codes), CHUNK)]
+
+    def evaluate(job):
+        return kernel(field.vspan(_indices(job), d))
+
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(kernel, jobs))
+            results = list(pool.map(evaluate, jobs))
     else:
-        results = [kernel(job) for job in jobs]
+        results = [evaluate(job) for job in jobs]
     t_kernel = time.perf_counter()
     f = np.concatenate([c for c, _ in results])
     q = params.q
@@ -185,7 +213,7 @@ def count_points(
         wall_time=t_end - t_start,
         modulus=field.modulus,
         t0_affine=t0_affine,
-        elements_evaluated=len(codes),
+        elements_evaluated=sum(hi - lo for lo, hi in ranges),
         threads=threads,
         stages={"tables": t_tables - t_start, "representatives": t_reps - t_tables,
                 "kernel": t_kernel - t_reps, "reduction": t_end - t_kernel},

@@ -7,8 +7,9 @@ vectors, which is the iteration order used by every exhaustive loop here.
 
 FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer multiplies through exp/log tables up
-to TABLE_LIMIT and on digit arrays beyond it; on every field it takes traces
-as one GF(p)-linear map through two lookup tables.
+to TABLE_LIMIT and on digit arrays beyond it; on every field it takes traces,
+and lists the GF(p^d)-span of x, ..., x^(k/d - 1) by index, as one
+GF(p)-linear map through two lookup tables.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
     Immutable after construction; the lazily built exp/log tables, digit
-    table, digit matrices and trace tables are read-only caches, so instances
-    are safe to share across threads once precompute() has built them.
+    table, digit matrices, trace tables and span tables are read-only caches,
+    so instances are safe to share across threads once precompute(d) has
+    built those that a count at subfield degree d reads.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
@@ -183,6 +185,7 @@ class FieldSpec:
         self._digit_table: np.ndarray | None = None
         self._matrices: tuple[np.ndarray, np.ndarray] | None = None
         self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of the trace
+        self._spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of vspan
 
     # -- scalar arithmetic on codes ------------------------------------
 
@@ -292,10 +295,27 @@ class FieldSpec:
 
     def vtrace(self, a, d: int) -> np.ndarray:
         """The trace of each entry down to GF(p^d): the sum of its conjugates
-        a^(p^(d j)), applied as one GF(p)-linear map through half tables."""
+        a^(p^(d j)), applied as one GF(p)-linear map through half tables.
+        The trace to the field itself is the identity, and reads no table."""
+        self._check_subfield(d)
+        if d == self.k:
+            return np.asarray(a, dtype=np.int64)
+        return self._half_lookup(self._trace_tables(d), a)
+
+    def vspan(self, n, d: int) -> np.ndarray:
+        """x_n for each index 0 <= n < p^(k-d): the sum of n_((i-1) d + l) b_l x^i
+        over 1 <= i < k/d and l < d, where n_j is the j-th base-p digit of n
+        and b_0 = 1, b_1, ..., b_(d-1) is a fixed GF(p)-basis of GF(p^d).
+
+        So n runs through the GF(p^d)-span of x, ..., x^(k/d - 1), and the
+        n in [p^(d (j-1)), 2 p^(d (j-1))) are the sums of c_i x^i with c_j = 1
+        and c_i = 0 beyond j.  One GF(p)-linear map, through half tables."""
+        self._check_subfield(d)
+        return self._half_lookup(self._span_tables(d), n)
+
+    def _check_subfield(self, d: int) -> None:
         if self.k % d != 0:
             raise FieldError(f"{d} does not divide {self.k}")
-        return self._half_lookup(self._trace_tables(d), a)
 
     # -- digit arrays ----------------------------------------------------
     #
@@ -334,13 +354,42 @@ class FieldSpec:
             out += mat[:, i].reshape((-1,) + (1,) * row.ndim) * row
         return out
 
+    def _trace_matrix(self, d: int) -> np.ndarray:
+        """The trace to GF(p^d), d | k, on digits: the sum of the Frobenius
+        matrices of a -> a^(p^(d j))."""
+        return self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
+
     def _trace_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The half tables of the trace to GF(p^d), d | k: the sum of the
-        Frobenius matrices of a -> a^(p^(d j))."""
+        """The half tables of the trace to GF(p^d), d | k."""
         if d not in self._traces:
-            trace = self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
-            self._traces[d] = self._half_tables(trace)
+            self._traces[d] = self._half_tables(self._trace_matrix(d))
         return self._traces[d]
+
+    def _subfield_basis(self, d: int) -> np.ndarray:
+        """A GF(p)-basis of GF(p^d), d | k, as the columns of a k x d digit
+        matrix, 1 first: the unit, then each column of the trace to GF(p^d),
+        whose columns span its image GF(p^d), that is independent of the
+        vectors taken before it (Gaussian elimination over GF(p))."""
+        p = self.p
+        basis, echelon = [], []  # echelon: (pivot, reduced row with a 1 there)
+        for v in [np.eye(self.k, dtype=np.int64)[0], *self._trace_matrix(d).T.astype(np.int64)]:
+            w = v
+            for pivot, row in echelon:
+                w = (w - w[pivot] * row) % p
+            if w.any():
+                pivot = int(np.flatnonzero(w)[0])
+                echelon.append((pivot, w * pow(int(w[pivot]), -1, p) % p))
+                basis.append(v)
+        return np.array(basis).T
+
+    def _span_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The half tables of vspan at d: the map whose column (i-1) d + l
+        holds the digits of b_l x^i, and whose last d columns are zero."""
+        if d not in self._spans:
+            k, times_x, basis = self.k, self._times_x(), self._subfield_basis(d)
+            cols = [times_x[:, i] @ basis for i in range(1, k // d)] + [np.zeros((k, d), dtype=np.int64)]
+            self._spans[d] = self._half_tables(np.concatenate(cols, axis=1) % self.p)
+        return self._spans[d]
 
     def _half_tables(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The GF(p)-linear map mat (k x k, digits to digits) as two lookup
@@ -398,6 +447,13 @@ class FieldSpec:
             self._matrices = (np.array(frobenius, dtype=np.uint8), cols[:, k : 2 * k - 1].astype(np.uint8))
         return self._matrices
 
+    def _times_x(self) -> np.ndarray:
+        """The matrices of multiplication by x^i, i < k, on digits, stacked
+        along the middle axis: [:, i, j] holds the digits of x^(i+j) mod the
+        modulus."""
+        powers = np.concatenate([np.eye(self.k, dtype=np.int64), self._digit_matrices()[1]], axis=1)
+        return np.lib.stride_tricks.sliding_window_view(powers, self.k, axis=1)
+
     # -- multiplicative structure ----------------------------------------
 
     def generator_code(self) -> int:
@@ -429,9 +485,7 @@ class FieldSpec:
             raise FieldError(f"field of order {self.order} too large for tables")
         if self._tables is None:
             p, k, n = self.p, self.k, self.order - 1
-            # windows[:, i, j] holds the digits of x^(i+j) mod the modulus
-            powers = np.concatenate([np.eye(k, dtype=np.int64), self._digit_matrices()[1]], axis=1)
-            windows = np.lib.stride_tricks.sliding_window_view(powers, k, axis=1)
+            windows = self._times_x()
             c = np.array(_code_to_digits(self.generator_code(), k, p), dtype=np.int64)
             exp = np.empty(n, dtype=np.int64)
             log = np.full(self.order, -1, dtype=np.int64)
@@ -450,18 +504,19 @@ class FieldSpec:
             self._tables = (exp, log)
         return self._tables
 
-    def precompute(self) -> None:
-        """Build the lazy caches that the array layer reads: the exp/log
-        tables up to TABLE_LIMIT, the digit table and matrices, and the trace
-        tables for every d dividing k.  Afterwards threads share the field
-        read-only."""
+    def precompute(self, d: int) -> None:
+        """Build the lazy caches that a count at subfield degree d reads: the
+        exp/log tables up to TABLE_LIMIT, the digit table and matrices, the
+        half tables of vtrace at d (none at d = k) and of vspan at d.
+        Afterwards threads running that count share the field read-only."""
+        self._check_subfield(d)
         if self.order <= TABLE_LIMIT:
             self.tables()
         self._half_digits()
         self._digit_matrices()
-        for d in range(1, self.k + 1):
-            if self.k % d == 0:
-                self._trace_tables(d)
+        if d < self.k:
+            self._trace_tables(d)
+        self._span_tables(d)
 
     def subfield_codes(self, d: int) -> list[int]:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""

@@ -9,7 +9,8 @@ from maxcurve.cli import count_results
 from maxcurve.counting import (
     CountReport,
     _fibres,
-    _orbit_codes,
+    _index_ranges,
+    _indices,
     _streamed_count,
     count_points,
 )
@@ -182,6 +183,32 @@ STREAMED_ORDER_LIMIT = 1 << 21
 DEGREE_SIX_JOBS = [("ree-cover", 1, 6), ("ree-base", 1, 6)]
 
 
+# test_representatives_match_span_oracle covers the jobs with at most this
+# many representatives
+REPRESENTATIVE_LIMIT = 1 << 16
+
+
+def span_oracle(field, q: int, r: int) -> np.ndarray:
+    """Code 0, then one x_P per point P of P^{r-2}(F_q), built as spans:
+    for each j, g^j plus every sum of c_i g^i over i < j, with g^j by scalar
+    pow and F_q listed by subfield_codes.  The reference for the index map
+    of count_points (FieldSpec.vspan over _index_ranges)."""
+    sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64) if r > 2 else None
+    reps = [np.zeros(1, dtype=np.int64)]
+    span = reps[0]  # every sum of c_i g^i over 1 <= i < j
+    for j in range(1, r):
+        gj = field.pow(field.gen, j)
+        reps.append(field.vadd(span, gj))
+        if j < r - 1:
+            span = field.vadd(span[:, None], field.vmul(sub, gj)).reshape(-1)
+    return np.concatenate(reps)
+
+
+def _representatives(family, s, r) -> int:
+    q = Family(family).char ** (2 * s + 1)
+    return 1 + (q ** (r - 1) - 1) // (q - 1)
+
+
 class TestOrbitReduction:
     """The orbit-reduced count against the streamed sum over every x."""
 
@@ -207,12 +234,38 @@ class TestOrbitReduction:
             rep = count_points(family, P8, 4, modulus=alt)
             assert (rep.n_points, rep.t0_affine) == _streamed_count(family, P8, 4, modulus=alt)
 
+    @pytest.mark.parametrize("family,s,r", [job for job in ADMITTED_JOBS
+                                            if _representatives(*job) <= REPRESENTATIVE_LIMIT])
+    def test_representatives_match_span_oracle(self, family, s, r):
+        """The index map gives the span construction's representatives, each
+        once, with 0 first, and the count evaluates as many."""
+        params = params_from_s(family, s)
+        field = make_field(Family(family).char, (2 * s + 1) * r)
+        codes = field.vspan(_indices(_index_ranges(params.q, r)), 2 * s + 1)
+        oracle = span_oracle(field, params.q, r)
+        assert codes[0] == 0 and len(np.unique(codes)) == len(codes)
+        assert np.array_equal(np.sort(codes), np.sort(oracle))
+        assert count_points(family, params, r, threads=1).elements_evaluated == len(oracle)
+
+    def test_representatives_match_span_oracle_alternative_modulus(self):
+        field = make_field(2, 12, _alternative_modulus_2_12())
+        codes = field.vspan(_indices(_index_ranges(8, 4)), 3)
+        assert codes[0] == 0 and len(np.unique(codes)) == len(codes) == 74
+        assert np.array_equal(np.sort(codes), np.sort(span_oracle(field, 8, 4)))
+
+    def test_jobs_cover_the_ranges_in_order(self, monkeypatch):
+        monkeypatch.setattr(counting, "CHUNK", 100)
+        ranges = _index_ranges(27, 4)
+        jobs = counting._jobs(ranges)
+        assert [sum(hi - lo for lo, hi in job) for job in jobs] == [100] * 7 + [58]
+        assert np.array_equal(_indices([rng for job in jobs for rng in job]), _indices(ranges))
+
     @pytest.mark.parametrize("modulus", [None, "alt"])
     def test_orbits_partition_the_field(self, modulus):
         """F_8 and the orbits of the x_P under x -> lam*x + a tile GF(2^12)."""
         f = make_field(2, 12, _alternative_modulus_2_12() if modulus else None)
         sub = f.subfield_codes(3)
-        codes = [int(c) for c in _orbit_codes(f, 8, 4)]
+        codes = [int(c) for c in f.vspan(_indices(_index_ranges(8, 4)), 3)]
         assert codes[0] == 0 and len(codes) == 1 + 73
         seen = set(sub)
         for x in codes[1:]:
@@ -245,19 +298,22 @@ class TestOrbitReduction:
 
 @pytest.mark.parametrize("family,s,r", [("suzuki-cover", 2, 4), ("ree-cover", 1, 3)])
 def test_threaded_count_builds_no_cache(family, s, r, monkeypatch):
-    """After precompute(), the threads of a count share the field read-only:
+    """After precompute(d), the threads of a count share the field read-only:
     no lazy cache (exp/log tables, digit table, digit matrices, trace
-    tables) is created or replaced during the count, on F_{2^20} and F_{3^9}."""
+    tables, span tables) is created or replaced during the count, on
+    F_{2^20} and F_{3^9}."""
     monkeypatch.setattr(counting, "CHUNK", 8)  # many jobs, so the pool runs
     params = params_from_s(family, s)
     field = make_field(Family(family).char, (2 * s + 1) * r)
-    field.precompute()
-    before, traces = dict(vars(field)), dict(field._traces)
+    field.precompute(2 * s + 1)
+    before, traces, spans = dict(vars(field)), dict(field._traces), dict(field._spans)
     count_points(family, params, r, threads=2)
     after = vars(field)
     assert after.keys() == before.keys() and all(after[name] is value for name, value in before.items())
     assert field._traces.keys() == traces.keys()
     assert all(field._traces[d] is tables for d, tables in traces.items())
+    assert field._spans.keys() == spans.keys()
+    assert all(field._spans[d] is tables for d, tables in spans.items())
 
 
 def test_report_fields():
@@ -291,13 +347,14 @@ class TestDigitFieldEngine:
     def test_long_kernel_slice_matches_scalar(self):
         f = make_field(3, 18)
         q, q0, m = 27, 3, 19
-        orbit = _orbit_codes(f, q, 6)
+        orbit = f.vspan(_indices(_index_ranges(q, 6)), 3)
         assert len(orbit) == 1 + 1 + 27 + 27**2 + 27**3 + 27**4
         # a streamed range, the first and last orbit representatives, and a
         # block of the orbit set: every x of the first 105 and every x with a
-        # nonzero fibre is checked
+        # nonzero fibre is checked.  The block is centred on position 20441,
+        # where the indices [27^3, 2 27^3) give way to [27^4, 2 27^4)
         lo = 3**9 + 12345
-        xs = np.concatenate([np.arange(lo, lo + 60), orbit[:3], orbit[-2:], orbit[300000:304096]])
+        xs = np.concatenate([np.arange(lo, lo + 60), orbit[:3], orbit[-2:], orbit[18393:22489]])
         contrib, t0 = _fibres(f, P27, xs, True)
         checked = [i for i in range(len(xs)) if i < 105 or contrib[i]]
         assert len(checked) > 110

@@ -284,6 +284,21 @@ class TestArrayLayer:
         with pytest.raises(FieldError):
             F2_12.vtrace(np.arange(4), 5)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_trace_to_the_field_itself_is_the_identity(self, p):
+        f = gf.FieldSpec(p, 6, default_modulus(p, 6))  # fresh, so no cache is shared
+        codes = np.arange(f.order)
+        assert f.vtrace(codes, 6).tolist() == codes.tolist()
+        assert f._traces == {}
+
+    @pytest.mark.parametrize("d,traced", [(3, [3]), (12, [])])
+    def test_precompute_builds_only_the_count_tables(self, d, traced):
+        f = gf.FieldSpec(2, 12, default_modulus(2, 12))
+        f.precompute(d)
+        assert list(f._traces) == traced and list(f._spans) == [d]
+        with pytest.raises(FieldError):
+            f.precompute(5)
+
 
 class TestArrayLayerExhaustive:
     """vmul, vpow and vtrace on every element of F_{2^6} and F_{3^4}, on
