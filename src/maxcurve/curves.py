@@ -108,6 +108,10 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
     |G| (q^4 - 2q^3 + q - 2), window q^2+q+1 <= |G| <= q^2+2q+4 minus the
     ruled-out orders q^2+q+1 and q^2+2q+1.  A group order below 1 is a
     ValueError.
+
+    genus_from_delta is the genus that Riemann-Hurwitz solves from delta.
+    Since delta is (2 g_H - 2) - |G| (2 g - 2) with g = genus(params), it is
+    g for every group order: a Riemann-Hurwitz identity, not a coincidence.
     """
     from .ramification import solve_rh  # ramification imports this module
 
@@ -127,7 +131,6 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
         raise ValueError("only the cover families admit this analysis")
     delta = two_g_cover_minus_2 - group_order * (2 * genus(params) - 2)
     in_window = window[0] <= group_order <= window[1]
-    # genus of the quotient the different would force, when integral
     g, _ = solve_rh(two_g_cover_minus_2, group_order, delta)
     return HermitianCoverRecord(
         family=family,

@@ -6,10 +6,12 @@ Code order therefore coincides with lexicographic order on coefficient
 vectors, which is the iteration order used by every exhaustive loop here.
 
 FieldSpec does arithmetic on single codes and, through its v* methods, on
-int64 arrays of codes.  The array layer multiplies through exp/log tables up
-to TABLE_LIMIT and on digit arrays beyond it; on every field it takes traces,
-and lists the GF(p^d)-span of x, ..., x^(k/d - 1) by index, as one
-GF(p)-linear map through two lookup tables.
+int64 arrays of codes.  The array layer adds in characteristic 3 on the codes
+themselves, on every field, through the tritwise sums of 5-trit chunks.  It
+multiplies through exp/log tables up to TABLE_LIMIT, and only beyond it on
+digit arrays; on every field it takes traces, and lists the GF(p^d)-span of
+x, ..., x^(k/d - 1) by index, as one GF(p)-linear map through two lookup
+tables.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ TABLE_LIMIT = 1 << 21
 # The table build maps at most this many codes per step, which keeps its
 # temporaries, and so the peak memory of a count, small.
 TABLE_CHUNK = 1 << 16
+
+# Characteristic-3 addition splits codes into chunks of TRITS base-3 digits:
+# 3^5 = 243 chunk codes fit a byte, and the tables over pairs of chunks,
+# 3^10 bytes each, stay in cache.
+TRITS = 5
+TRIT_CHUNK = 3**TRITS
 
 
 class FieldError(ValueError):
@@ -133,6 +141,22 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=None)
+def _trit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(SUM, DIFF), uint8: SUM[x * TRIT_CHUNK + y] and DIFF[x * TRIT_CHUNK + y]
+    are the codes of the tritwise sum x + y and difference x - y of two
+    chunk codes.  Built on the first characteristic-3 addition in a process,
+    with no temporary larger than one table."""
+    chunk = np.arange(TRIT_CHUNK)
+    sums = np.zeros((TRIT_CHUNK, TRIT_CHUNK), dtype=np.uint8)
+    diffs = np.zeros_like(sums)
+    for i in range(TRITS):
+        trit = (chunk // 3**i % 3).astype(np.uint8)
+        sums += (trit[:, None] + trit) % 3 * np.uint8(3**i)
+        diffs += (trit[:, None] + 2 * trit) % 3 * np.uint8(3**i)
+    return sums.reshape(-1), diffs.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +271,38 @@ class FieldSpec:
     # -- array arithmetic on int64 code arrays -------------------------
     #
     # The operands of vadd, vsub and vmul broadcast; either may be one scalar
-    # code.  Fields up to TABLE_LIMIT multiply through the exp/log tables.
-    # Larger ones work on digit arrays: uint8, with the k base-p digits of
-    # each code along a new first axis, so that every step acts on whole
-    # contiguous digit rows.
+    # code.  In characteristic 3, vadd and vsub work on codes on every field,
+    # chunk by chunk through _trit_tables.  Fields up to TABLE_LIMIT multiply
+    # through the exp/log tables.  Only products and powers in larger ones
+    # work on digit arrays: uint8, with the k base-p digits of each code along
+    # a new first axis, so that every step acts on whole contiguous digit rows.
 
     def vadd(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        a, b = np.broadcast_arrays(a, b)
-        return self._codes(self._digits(a) + self._digits(b))
+        return self._tritwise(_trit_tables()[0], a, b)
 
     def vsub(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        a, b = np.broadcast_arrays(a, b)
-        return self._codes(self._digits(a) + (self.p - 1) * self._digits(b))
+        return self._tritwise(_trit_tables()[1], a, b)
+
+    def _tritwise(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table, SUM or DIFF of _trit_tables, on each pair of TRITS-digit
+        chunks of the codes a and b: the chunks are peeled off from the
+        bottom, and the result is put together from the top, in int64 (a
+        uint8 entry times a scale beyond 255 would wrap)."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        pairs = []
+        for _ in range((self.k - 1) // TRITS):
+            a, x = np.divmod(a, TRIT_CHUNK)
+            b, y = np.divmod(b, TRIT_CHUNK)
+            pairs.append(x * TRIT_CHUNK + y)
+        out = table[a * TRIT_CHUNK + b].astype(np.int64)  # the top chunk
+        for pair in reversed(pairs):
+            out *= TRIT_CHUNK
+            out += table[pair]
+        return out
 
     def vmul(self, a, b) -> np.ndarray:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
@@ -505,11 +545,14 @@ class FieldSpec:
         return self._tables
 
     def precompute(self, d: int) -> None:
-        """Build the lazy caches that a count at subfield degree d reads: the
-        exp/log tables up to TABLE_LIMIT, the digit table and matrices, the
-        half tables of vtrace at d (none at d = k) and of vspan at d.
-        Afterwards threads running that count share the field read-only."""
+        """Build the lazy caches that a count at subfield degree d reads: in
+        characteristic 3 the chunk sum tables, the exp/log tables up to
+        TABLE_LIMIT, the digit table and matrices, the half tables of vtrace
+        at d (none at d = k) and of vspan at d.  Afterwards threads running
+        that count share the field, and the chunk sum tables, read-only."""
         self._check_subfield(d)
+        if self.p == 3:
+            _trit_tables()
         if self.order <= TABLE_LIMIT:
             self.tables()
         self._half_digits()

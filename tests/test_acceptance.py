@@ -223,5 +223,5 @@ def test_criterion_8_hermitian_cover_identities():
         "criterion 8: ambient Hermitian covering identities",
         ok,
         f"suzuki window delta={suz9.delta}, ree delta={ree.delta}, "
-        f"ree genus={ree.genus_from_delta} (= cover genus coincidence)",
+        f"ree genus={ree.genus_from_delta} (= cover genus, a Riemann-Hurwitz identity)",
     )

@@ -300,14 +300,16 @@ class TestOrbitReduction:
 def test_threaded_count_builds_no_cache(family, s, r, monkeypatch):
     """After precompute(d), the threads of a count share the field read-only:
     no lazy cache (exp/log tables, digit table, digit matrices, trace
-    tables, span tables) is created or replaced during the count, on
-    F_{2^20} and F_{3^9}."""
+    tables, span tables, and in characteristic 3 the chunk sum tables) is
+    created or replaced during the count, on F_{2^20} and F_{3^9}."""
     monkeypatch.setattr(counting, "CHUNK", 8)  # many jobs, so the pool runs
     params = params_from_s(family, s)
     field = make_field(Family(family).char, (2 * s + 1) * r)
     field.precompute(2 * s + 1)
     before, traces, spans = dict(vars(field)), dict(field._traces), dict(field._spans)
+    sums_built = gf._trit_tables.cache_info().misses
     count_points(family, params, r, threads=2)
+    assert gf._trit_tables.cache_info().misses == sums_built
     after = vars(field)
     assert after.keys() == before.keys() and all(after[name] is value for name, value in before.items())
     assert field._traces.keys() == traces.keys()

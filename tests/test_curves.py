@@ -91,7 +91,8 @@ class TestHermitianCover:
         assert rec.window == (q * q + q + 1, q * q + 2 * q + 4)
         assert rec.in_window
         assert rec.delta == 3 * q * (q**3 + 1) == 1594404
-        # the coincidence: the forced quotient genus equals the cover genus
+        # the Riemann-Hurwitz identity: delta is built from the cover genus,
+        # so the quotient genus it forces is that genus
         assert rec.genus_from_delta == genus(p) == 246051
         assert rec.excluded  # (q+1)^2 = q^2+2q+1 is one of the ruled-out orders
         assert hermitian_cover_analysis("ree-cover", p, q * q + q + 1).excluded

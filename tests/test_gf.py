@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,9 +305,10 @@ class TestArrayLayer:
 
 
 class TestArrayLayerExhaustive:
-    """vmul, vpow and vtrace on every element of F_{2^6} and F_{3^4}, on
-    the exp/log tables and, with TABLE_LIMIT forced to 0, on digit arrays,
-    element by element against the scalar mul, pow and subfield_trace."""
+    """vadd, vsub, vmul, vpow and vtrace on every element of F_{2^6} and
+    F_{3^4}, on the exp/log tables and, with TABLE_LIMIT forced to 0, on
+    digit arrays, element by element against the scalar add, sub, mul, pow
+    and subfield_trace."""
 
     @pytest.fixture(params=[(2, 6), (3, 4)], ids=["gf2_6", "gf3_4"])
     def field(self, request):
@@ -313,6 +318,15 @@ class TestArrayLayerExhaustive:
     def path(self, request, monkeypatch):
         if request.param == "digits":
             monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+
+    def test_vadd_vsub(self, field):
+        codes = np.arange(field.order)
+        for vop, op in ((field.vadd, field.add), (field.vsub, field.sub)):
+            table = [[op(x, y) for y in codes.tolist()] for x in codes.tolist()]
+            assert vop(codes[:, None], codes).tolist() == table
+            for y in (0, 1, field.order - 1):
+                assert vop(codes, y).tolist() == [row[y] for row in table]
+                assert vop(y, codes).tolist() == table[y]
 
     def test_vmul(self, field):
         codes = np.arange(field.order)
@@ -337,6 +351,62 @@ class TestArrayLayerExhaustive:
             if field.k % d == 0:
                 ref = [subfield_trace(field, x, d) for x in codes.tolist()]
                 assert field.vtrace(codes, d).tolist() == ref, d
+
+
+class TestCharThreeAddition:
+    """vadd and vsub of F_{3^k} work on the codes, TRITS base-3 digits at a
+    time: checked against the scalar add and sub at the degrees around the
+    chunk boundaries, and on F_{3^18} by the group laws."""
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 6, 10, 11, 15, 16])
+    def test_chunk_boundary_degrees(self, k):
+        f = make_field(3, k)
+        rng = np.random.default_rng(k)
+        a = rng.integers(0, f.order, 300, dtype=np.int64)
+        b = rng.integers(0, f.order, 300, dtype=np.int64)
+        a[:3], b[3:6], b[6] = 0, 0, a[6]
+        a[7], b[8] = f.order - 1, f.order - 1
+        for vop, op in ((f.vadd, f.add), (f.vsub, f.sub)):
+            assert vop(a, b).tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            x, y = int(a[9]), int(b[9])
+            assert vop(a, y).tolist() == [op(z, y) for z in a.tolist()]
+            assert vop(x, b).tolist() == [op(x, z) for z in b.tolist()]
+            block = vop(a[:4, None], b[:5])
+            assert block.shape == (4, 5)
+            assert block.tolist() == [[op(u, v) for v in b[:5].tolist()] for u in a[:4].tolist()]
+            for out in (vop(x, y), vop(np.int64(x), y), vop(np.array(x), np.array(y))):
+                assert np.shape(out) == () and int(out) == op(x, y)
+
+    def test_group_laws_on_gf3_18(self):
+        f = make_field(3, 18)
+        rng = np.random.default_rng(18)
+        a = rng.integers(0, f.order, 4096, dtype=np.int64)
+        b = rng.integers(0, f.order, 4096, dtype=np.int64)
+        assert not f.vsub(a, a).any()
+        assert np.array_equal(f.vadd(a, f.vsub(b, a)), b)
+        assert np.array_equal(f.vadd(a, b), f.vadd(b, a))
+        assert np.array_equal(f.vsub(0, f.vsub(0, a)), a)
+
+
+def test_char3_sum_tables_are_built_only_for_char3_arithmetic():
+    """The chunk sum tables of characteristic-3 addition are built on first
+    use, not on import: a CLI spectrum and a char-2 count leave them unbuilt,
+    and precompute on F_{3^18}, which builds no exp/log table, builds them."""
+    code = ("import contextlib, io\n"
+            "from maxcurve import cli, gf\n"
+            "built = [gf._trit_tables.cache_info().currsize]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    exits = [cli.main(['spectrum', '--family', 'ree-cover', '--s', '1']),\n"
+            "             cli.main(['count', '--family', 'suzuki-cover', '--s', '1', '--ext', '4'])]\n"
+            "built.append(gf._trit_tables.cache_info().currsize)\n"
+            "gf.make_field(3, 18).precompute(3)\n"
+            "built.append(gf._trit_tables.cache_info().currsize)\n"
+            "print(exits, built)\n")
+    src = str(Path(gf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] [0, 0, 1]"
 
 
 def test_table_and_digit_paths_agree_on_gf2_12(monkeypatch):
