@@ -2,11 +2,14 @@
 a kind id, a displayed closed genus formula, and an independent genus via the
 class-composition different degree plus Riemann-Hurwitz.
 
-Each kind is defined once.  Its sweep yields the args of H, and the sweep
-times the divisors n of m is its parameter domain: a spec outside it is
-invalid.  Its class counts are the class census of H minus the identity, so
-the class equation gives the order, |H x C_n| = n (1 + sum of the counts),
-and the different degree is affine in n (see _order_and_delta_of_n).
+Each kind is defined once, and KINDS lists the 32 kinds in sweep order.  Its
+sweep yields the args of H, and the sweep times the divisors n of m is its
+parameter domain: a spec outside it is invalid.  Its class counts are the
+class census of H minus the identity, so the class equation gives the order,
+|H x C_n| = n (1 + sum of the counts), and the different degree is affine in
+n (see _order_and_delta_of_n).  The 16 kinds whose H is C_r . C_f inside the
+normalizer of a cyclic torus share one census and sweep (_normalizer_kind);
+their factories state only the displayed formula.
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -103,11 +106,30 @@ class KindDef:
 NO_SPECIAL_PAIRS = (0, 1)
 
 
-KINDS: dict[str, KindDef] = {}
+def _normalizer_kind(kid: str, char: int, torus: str, rs: Callable, factor: int, closed: Callable,
+                     reason: str, known_mismatch: str | None = None) -> KindDef:
+    """The kind whose H is C_r . C_f inside the normalizer of a cyclic torus,
+    for r in rs(params): r - 1 torus elements, r involutions for even f, and
+    2r elements of order 4 (f = 4), 3 (3 | f) or 6 (f = 6), so that
+    |H| = r f.  Only the order-m torus has special pairs, (1, r)."""
+    def counts(cp, a):
+        r = a["r"]
+        census = {torus: r - 1}
+        if factor % 2 == 0:
+            census["order2"] = r
+        if factor == 4:
+            census["order4"] = 2 * r
+        if factor % 3 == 0:
+            census["order3_noncentral"] = 2 * r
+        if factor == 6:
+            census["order6"] = 2 * r
+        return census, (1, r) if torus == "div_m_plain" else NO_SPECIAL_PAIRS
 
+    def sweep(cp):
+        for r in rs(cp):
+            yield {"r": r}
 
-def _register(kind: KindDef) -> None:
-    KINDS[kind.id] = kind
+    return KindDef(kid, char, counts, closed, lambda cp, a: (True, reason), sweep, known_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +137,12 @@ def _register(kind: KindDef) -> None:
 
 
 def _mk_sz_b1():
-    def counts(cp, a):
-        return {"div_q_minus_1": a["r"] - 1}, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, r, n = cp.q, a["r"], a["n"]
         return Fraction(1, 2) * Fraction(q - 1, r) * (Fraction(q * q + 1, n) - q - 1)
 
-    def sweep(cp):
-        for r in divisors(cp.q - 1):
-            yield {"r": r}
-
-    _register(KindDef("SZ-B1", 2, counts, closed,
-                      lambda cp, a: (True, "cyclic subgroup of a split torus"), sweep))
+    return _normalizer_kind("SZ-B1", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1), 1, closed,
+                            "cyclic subgroup of a split torus")
 
 
 def _mk_sz_b2():
@@ -158,7 +173,7 @@ def _mk_sz_b2():
             for v in range(u, min(2 * u, 2 * (2 * s + 1)) + 1):
                 yield {"u": u, "v": v}
 
-    _register(KindDef("SZ-B2", 2, counts, closed, certified, sweep))
+    return KindDef("SZ-B2", 2, counts, closed, certified, sweep)
 
 
 def _mk_sz_b3():
@@ -197,40 +212,21 @@ def _mk_sz_b3():
                         continue
                     yield {"u": u, "v": v, "r": r}
 
-    _register(KindDef("SZ-B3", 2, counts, closed, certified, sweep))
+    return KindDef("SZ-B3", 2, counts, closed, certified, sweep)
 
 
 def _mk_sz_b4():
-    def counts(cp, a):
-        r = a["r"]
-        return {"order2": r, "div_q_minus_1": r - 1}, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
         num = m * (q * q + 2 * q0 * q - n * q - (n + r + 1) * (2 * q0 + 1)) + n * (r + 2)
         return Fraction(num, 4 * r * n)
 
-    def sweep(cp):
-        for r in divisors(cp.q - 1):
-            if r == 1:
-                continue
-            yield {"r": r}
-
-    _register(KindDef("SZ-B4", 2, counts, closed,
-                      lambda cp, a: (True, "dihedral over a split torus"), sweep))
+    return _normalizer_kind("SZ-B4", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1)[1:], 2, closed,
+                            "dihedral over a split torus")
 
 
 def _mk_sz_c(kid: str, factor: int):
-    def counts(cp, a):
-        r = a["r"]
-        base = {"div_q_plus_2q0_plus_1": r - 1}
-        if factor >= 2:
-            base["order2"] = r
-        if factor == 4:
-            base["order4"] = 2 * r
-        return base, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
@@ -240,24 +236,11 @@ def _mk_sz_c(kid: str, factor: int):
             return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 4) - Fraction(Fraction(m, n) * (2 * q0 + 1) + 1, 4)
         return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 8) - Fraction(Fraction(m, n) * (2 * q0 + 3) + 3, 8)
 
-    def sweep(cp):
-        for r in divisors(cp.q + 2 * cp.q0 + 1):
-            yield {"r": r}
-
-    _register(KindDef(kid, 2, counts, closed,
-                      lambda cp, a: (True, "inside a Singer normalizer"), sweep))
+    return _normalizer_kind(kid, 2, "div_q_plus_2q0_plus_1", lambda cp: divisors(cp.q + 2 * cp.q0 + 1),
+                            factor, closed, "inside a Singer normalizer")
 
 
 def _mk_sz_d(kid: str, factor: int):
-    def counts(cp, a):
-        r = a["r"]
-        base = {"div_m_plain": r - 1}
-        if factor >= 2:
-            base["order2"] = r
-        if factor == 4:
-            base["order4"] = 2 * r
-        return base, (1, r)
-
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
@@ -271,12 +254,8 @@ def _mk_sz_d(kid: str, factor: int):
         num = (q * q + 1) * (q - n - 1) - m * (2 * r * q0 + 3 * r - 4 + 4 * g) + 5 * r * n
         return Fraction(num, 8 * r * n)
 
-    def sweep(cp):
-        for r in divisors(cp.m):
-            yield {"r": r}
-
-    _register(KindDef(kid, 2, counts, closed,
-                      lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
+    return _normalizer_kind(kid, 2, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
+                            "inside the second Singer normalizer")
 
 
 def _suzuki_subfield_branch(cp: CurveParams, shat: int) -> int:
@@ -342,8 +321,8 @@ def _mk_sz_e():
             if (2 * cp.s + 1) % (2 * shat + 1) == 0:
                 yield {"shat": shat}
 
-    _register(KindDef("SZ-E", 2, counts, closed,
-                      lambda cp, a: (True, "subfield subgroup"), sweep))
+    return KindDef("SZ-E", 2, counts, closed,
+                   lambda cp, a: (True, "subfield subgroup"), sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +382,9 @@ def _mk_re_b():
                     for r in divisors(cp.q - 1):
                         yield {"u": u, "v": v, "w": w, "r": r}
 
-    _register(
-        KindDef(
-            "RE-B", 3, counts, closed, certified, sweep,
-            known_mismatch="displayed even-r correction disagrees with the proof's class assembly",
-        )
+    return KindDef(
+        "RE-B", 3, counts, closed, certified, sweep,
+        known_mismatch="displayed even-r correction disagrees with the proof's class assembly",
     )
 
 
@@ -437,8 +414,8 @@ def _mk_re_c1():
             for j in (1, 2):
                 yield {"v": v, "j": j}
 
-    _register(KindDef("RE-C1", 3, counts, closed,
-                      lambda cp, a: (True, "elementary abelian in an involution centralizer"), sweep))
+    return KindDef("RE-C1", 3, counts, closed,
+                   lambda cp, a: (True, "elementary abelian in an involution centralizer"), sweep)
 
 
 def _mk_re_c2():
@@ -462,8 +439,8 @@ def _mk_re_c2():
             for j in (1, 2):
                 yield {"r": r, "j": j}
 
-    _register(KindDef("RE-C2", 3, counts, closed,
-                      lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
+    return KindDef("RE-C2", 3, counts, closed,
+                   lambda cp, a: (True, "cyclic in an involution centralizer"), sweep)
 
 
 def _mk_re_c3():
@@ -481,8 +458,8 @@ def _mk_re_c3():
             for j in (1, 2):
                 yield {"r": r, "j": j}
 
-    _register(KindDef("RE-C3", 3, counts, closed,
-                      lambda cp, a: (True, "cyclic in an involution centralizer"), sweep))
+    return KindDef("RE-C3", 3, counts, closed,
+                   lambda cp, a: (True, "cyclic in an involution centralizer"), sweep)
 
 
 def _mk_re_c4():
@@ -506,8 +483,8 @@ def _mk_re_c4():
             for j in (1, 2):
                 yield {"r": r, "j": j}
 
-    _register(KindDef("RE-C4", 3, counts, closed,
-                      lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
+    return KindDef("RE-C4", 3, counts, closed,
+                   lambda cp, a: (True, "dihedral in an involution centralizer"), sweep)
 
 
 def _mk_re_c5():
@@ -528,8 +505,8 @@ def _mk_re_c5():
             for j in (1, 2):
                 yield {"r": r, "j": j}
 
-    _register(KindDef("RE-C5", 3, counts, closed,
-                      lambda cp, a: (True, "dihedral in an involution centralizer"), sweep))
+    return KindDef("RE-C5", 3, counts, closed,
+                   lambda cp, a: (True, "dihedral in an involution centralizer"), sweep)
 
 
 def _mk_re_c6():
@@ -558,8 +535,8 @@ def _mk_re_c6():
         for j in (1, 2):
             yield {"j": j}
 
-    _register(KindDef("RE-C6", 3, counts, closed,
-                      lambda cp, a: (True, "tetrahedral in an involution centralizer"), sweep))
+    return KindDef("RE-C6", 3, counts, closed,
+                   lambda cp, a: (True, "tetrahedral in an involution centralizer"), sweep)
 
 
 def _mk_re_c7():
@@ -590,12 +567,10 @@ def _mk_re_c7():
                 for j in (1, 2):
                     yield {"v": v, "r": r, "j": j}
 
-    _register(
-        KindDef(
-            "RE-C7", 3, counts, closed,
-            lambda cp, a: (True, "3-group normalized by a torus"), sweep,
-            known_mismatch="displayed constant term differs from the class assembly by 2*3^v*(r-1)*(n-2)",
-        )
+    return KindDef(
+        "RE-C7", 3, counts, closed,
+        lambda cp, a: (True, "3-group normalized by a torus"), sweep,
+        known_mismatch="displayed constant term differs from the class assembly by 2*3^v*(r-1)*(n-2)",
     )
 
 
@@ -634,27 +609,14 @@ def _mk_re_c8():
             for j in (1, 2):
                 yield {"d": d, "j": j}
 
-    _register(
-        KindDef(
-            "RE-C8", 3, counts, closed,
-            lambda cp, a: (True, "linear fractional subgroup of an involution centralizer"), sweep,
-            known_mismatch="displayed closed form is not integral at valid parameters; class assembly adopted",
-        )
+    return KindDef(
+        "RE-C8", 3, counts, closed,
+        lambda cp, a: (True, "linear fractional subgroup of an involution centralizer"), sweep,
+        known_mismatch="displayed closed form is not integral at valid parameters; class assembly adopted",
     )
 
 
 def _mk_re_p(kid: str, factor: int):
-    def counts(cp, a):
-        r = a["r"]
-        base = {"div_q_plus_3q0_plus_1": r - 1}
-        if factor in (2, 6):
-            base["order2"] = r
-        if factor in (3, 6):
-            base["order3_noncentral"] = 2 * r
-        if factor == 6:
-            base["order6"] = 2 * r
-        return base, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, m = cp.q, cp.m
         r, n = a["r"], a["n"]
@@ -668,10 +630,6 @@ def _mk_re_p(kid: str, factor: int):
         num = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
         return 1 + Fraction(num, 12 * r * n)
 
-    def sweep(cp):
-        for r in divisors(cp.q + 3 * cp.q0 + 1):
-            yield {"r": r}
-
     # the order-6r display's leading (q-2) should read (q-n-1): it disagrees
     # with its own class assembly for n > 1 while the parallel second-Singer
     # kind carries the (q-n-1) form
@@ -680,23 +638,11 @@ def _mk_re_p(kid: str, factor: int):
         if factor == 6
         else None
     )
-    _register(KindDef(kid, 3, counts, closed,
-                      lambda cp, a: (True, "inside a Singer normalizer"), sweep,
-                      known_mismatch=mismatch))
+    return _normalizer_kind(kid, 3, "div_q_plus_3q0_plus_1", lambda cp: divisors(cp.q + 3 * cp.q0 + 1),
+                            factor, closed, "inside a Singer normalizer", mismatch)
 
 
 def _mk_re_m(kid: str, factor: int):
-    def counts(cp, a):
-        r = a["r"]
-        base = {"div_m_plain": r - 1}
-        if factor in (2, 6):
-            base["order2"] = r
-        if factor in (3, 6):
-            base["order3_noncentral"] = 2 * r
-        if factor == 6:
-            base["order6"] = 2 * r
-        return base, (1, r)
-
     def closed(cp, a):
         q, m = cp.q, cp.m
         r, n = a["r"], a["n"]
@@ -710,12 +656,8 @@ def _mk_re_m(kid: str, factor: int):
             return 1 + Fraction(lead - 2 * r * (q * q - q + n + 1 - m * q), 6 * r * n)
         return 1 + Fraction(lead - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2), 12 * r * n)
 
-    def sweep(cp):
-        for r in divisors(cp.m):
-            yield {"r": r}
-
-    _register(KindDef(kid, 3, counts, closed,
-                      lambda cp, a: (True, "inside the second Singer normalizer"), sweep))
+    return _normalizer_kind(kid, 3, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
+                            "inside the second Singer normalizer")
 
 
 def _mk_re_q1():
@@ -735,8 +677,8 @@ def _mk_re_q1():
                 for r in divisors((cp.q + 1) // 4):
                     yield {"i": i, "j": j, "r": r}
 
-    _register(KindDef("RE-Q1", 3, counts, closed,
-                      lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
+    return KindDef("RE-Q1", 3, counts, closed,
+                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
 
 
 def _mk_re_q2():
@@ -765,8 +707,8 @@ def _mk_re_q2():
             for r in divisors((cp.q + 1) // 4):
                 yield {"j": j, "r": r}
 
-    _register(KindDef("RE-Q2", 3, counts, closed,
-                      lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
+    return KindDef("RE-Q2", 3, counts, closed,
+                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
 
 
 def _mk_re_q3():
@@ -795,8 +737,8 @@ def _mk_re_q3():
             for r in divisors((cp.q + 1) // 4):
                 yield {"j": j, "r": r}
 
-    _register(KindDef("RE-Q3", 3, counts, closed,
-                      lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep))
+    return KindDef("RE-Q3", 3, counts, closed,
+                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
 
 
 def _ree_subfield_branch(cp: CurveParams, shat: int) -> int:
@@ -867,45 +809,25 @@ def _mk_re_s():
             if rem == 0 and _factorize(h) == {h: 1}:
                 yield {"shat": shat}
 
-    _register(KindDef("RE-S", 3, counts, closed,
-                      lambda cp, a: (True, "subfield subgroup"), sweep))
+    return KindDef("RE-S", 3, counts, closed,
+                   lambda cp, a: (True, "subfield subgroup"), sweep)
 
 
 # ---------------------------------------------------------------------------
-# registry assembly
+# the kinds in sweep order
 
-_mk_sz_b1()
-_mk_sz_b2()
-_mk_sz_b3()
-_mk_sz_b4()
-_mk_sz_c("SZ-C1", 1)
-_mk_sz_c("SZ-C2", 2)
-_mk_sz_c("SZ-C3", 4)
-_mk_sz_d("SZ-D1", 1)
-_mk_sz_d("SZ-D2", 2)
-_mk_sz_d("SZ-D3", 4)
-_mk_sz_e()
-_mk_re_b()
-_mk_re_c1()
-_mk_re_c2()
-_mk_re_c3()
-_mk_re_c4()
-_mk_re_c5()
-_mk_re_c6()
-_mk_re_c7()
-_mk_re_c8()
-_mk_re_p("RE-P1", 1)
-_mk_re_p("RE-P2", 2)
-_mk_re_p("RE-P3", 3)
-_mk_re_p("RE-P4", 6)
-_mk_re_m("RE-M1", 1)
-_mk_re_m("RE-M2", 2)
-_mk_re_m("RE-M3", 3)
-_mk_re_m("RE-M4", 6)
-_mk_re_q1()
-_mk_re_q2()
-_mk_re_q3()
-_mk_re_s()
+KINDS: dict[str, KindDef] = {kind.id: kind for kind in (
+    _mk_sz_b1(), _mk_sz_b2(), _mk_sz_b3(), _mk_sz_b4(),
+    _mk_sz_c("SZ-C1", 1), _mk_sz_c("SZ-C2", 2), _mk_sz_c("SZ-C3", 4),
+    _mk_sz_d("SZ-D1", 1), _mk_sz_d("SZ-D2", 2), _mk_sz_d("SZ-D3", 4),
+    _mk_sz_e(),
+    _mk_re_b(),
+    _mk_re_c1(), _mk_re_c2(), _mk_re_c3(), _mk_re_c4(), _mk_re_c5(), _mk_re_c6(), _mk_re_c7(), _mk_re_c8(),
+    _mk_re_p("RE-P1", 1), _mk_re_p("RE-P2", 2), _mk_re_p("RE-P3", 3), _mk_re_p("RE-P4", 6),
+    _mk_re_m("RE-M1", 1), _mk_re_m("RE-M2", 2), _mk_re_m("RE-M3", 3), _mk_re_m("RE-M4", 6),
+    _mk_re_q1(), _mk_re_q2(), _mk_re_q3(),
+    _mk_re_s(),
+)}
 
 
 # ---------------------------------------------------------------------------

@@ -566,11 +566,7 @@ class FieldSpec:
         if self.k % d != 0:
             raise FieldError("not a subfield degree")
         sub = self.p**d - 1
-        step = (self.order - 1) // sub
-        if self.order <= TABLE_LIMIT:
-            exp, _ = self.tables()
-            return sorted([0] + [int(exp[i * step]) for i in range(sub)])
-        w = self.pow(self.generator_code(), step)  # generates GF(p^d)^*
+        w = self.pow(self.generator_code(), (self.order - 1) // sub)  # generates GF(p^d)^*
         codes, cur = [0], 1
         for _ in range(sub):
             codes.append(cur)

@@ -291,6 +291,42 @@ def test_class_census_gives_the_group_order():
     assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3"}
 
 
+# |H| / r of the kinds whose H is C_r . C_f inside a torus normalizer
+NORMALIZER_FACTORS = {
+    "SZ-B1": 1, "SZ-B4": 2, "SZ-C1": 1, "SZ-C2": 2, "SZ-C3": 4, "SZ-D1": 1, "SZ-D2": 2, "SZ-D3": 4,
+    "RE-P1": 1, "RE-P2": 2, "RE-P3": 3, "RE-P4": 6, "RE-M1": 1, "RE-M2": 2, "RE-M3": 3, "RE-M4": 6,
+}
+
+
+@pytest.mark.parametrize("family,s,n_rows,digest", [
+    ("suzuki-cover", 1, 33, "2caa1110b3b2a2c42fb13a4ec786049b62229d2267592a5c7b9536f9e85b6ce9"),
+    ("suzuki-cover", 2, 58, "6b63e1fc5e6a05a5417d09fbe03ecf00a445127323abfcf8ea1f6485db752e59"),
+    ("suzuki-cover", 3, 91, "b3843f793bc12287bffba97c1609dc7966f2de9f6d88009c40f1193f1c7b5814"),
+    ("ree-cover", 1, 237, "dc29203f318e4859142e81890d332c9e26c23d3ce1fbe51dbd112fc9b42603ee"),
+    ("ree-cover", 2, 853, "5e2d1813228dd19e021f52554d395842544652ff76db80d741cf029072d238eb"),
+])
+def test_sweep_sequence_pinned(family, s, n_rows, digest):
+    # sha256 of the [kind, H args, census, special pairs, certified] rows of
+    # every swept H, in KINDS order and sweep order; the torus-normalizer
+    # kinds' census is the group order r f, and only the order-m torus
+    # brings special pairs
+    cp = params_from_s(family, s)
+    rows = []
+    for kind in KINDS.values():
+        if kind.char != cp.p:
+            continue
+        for h in kind.sweep(cp):
+            census, pairs = kind.counts(cp, h)
+            rows.append([kind.id, sorted(h.items()), sorted(census.items()), list(pairs),
+                         kind.certified(cp, h)[0]])
+            if kind.id in NORMALIZER_FACTORS:
+                assert 1 + sum(census.values()) == h["r"] * NORMALIZER_FACTORS[kind.id], (kind.id, h)
+                order_m = kind.id[:4] in ("SZ-D", "RE-M")
+                assert pairs == ((1, h["r"]) if order_m else cat.NO_SPECIAL_PAIRS), (kind.id, h)
+    assert len(rows) == n_rows
+    assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
+
+
 class TestCrossKindAgreement:
     def test_smallest_suzuki_subfield_group_is_singer_normalizer(self):
         # the order-20 subfield subgroup coincides with the full second

@@ -262,6 +262,23 @@ class TestSpectrum:
         assert plain.stdout == optimized.stdout
         assert hashlib.sha256(plain.stdout).hexdigest()[:12] == "5441aa139fa8"
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["count", "--family", "ree-cover", "--s", "1", "--ext", "3"], "9baf59df27d2"),
+        (["verify-group", "--s", "1", "--json"], "c399470caabc"),
+    ])
+    def test_same_results_under_optimize(self, argv, digest):
+        # a count and the group's rows must not rest on an assert statement
+        # either; their timings differ from run to run, their results do not
+        environ = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        entry = "import sys; from maxcurve.cli import main; sys.exit(main(sys.argv[1:]))"
+        plain, optimized = (subprocess.run([sys.executable, *flags, "-c", entry, *argv],
+                                           capture_output=True, env=environ)
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == EXIT_OK, optimized.stderr
+        results = json.loads(plain.stdout)["results"]
+        assert json.loads(optimized.stdout)["results"] == results
+        assert results_digest(results) == digest
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--family", "suzuki-cover", "--s", "1", "--threads", "2"])
