@@ -9,7 +9,11 @@ class census of H minus the identity, so the class equation gives the order,
 |H x C_n| = n (1 + sum of the counts), and the different degree is affine in
 n (see _order_and_delta_of_n).  The 16 kinds whose H is C_r . C_f inside the
 normalizer of a cyclic torus share one census and sweep (_normalizer_kind);
-their factories state only the displayed formula.
+their factories state only the displayed formula.  The 11 involution kinds
+RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an involution iota, share
+one coset rule (_involution_kind); each states only the census of K, and
+RE-C2..5 share that too.  SZ-B2, SZ-B3, SZ-E, RE-B and RE-S state their
+census by hand.
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -130,6 +134,31 @@ def _normalizer_kind(kid: str, char: int, torus: str, rs: Callable, factor: int,
             yield {"r": r}
 
     return KindDef(kid, char, counts, closed, lambda cp, a: (True, reason), sweep, known_mismatch)
+
+
+def _involution_kind(kid: str, census: Callable, sweep: Callable, central: bool, closed: Callable,
+                     reason: str, known_mismatch: str | None = None) -> KindDef:
+    """The kind whose H is K (j = 1) or K<iota> (j = 2) for an involution
+    iota, where census(cp, a) is the class census of K minus the identity.
+    The coset K iota has one element over each element of K: an involution
+    over 1 and over each involution, one of order 6 over each
+    order3_noncentral element, and over a torus element one of the same
+    torus class when iota centralizes K (central), an involution otherwise.
+    So |H| = j |K|.  K has no other classes: a census key outside these
+    raises KeyError."""
+    def counts(cp, a):
+        k = census(cp, a)
+        extra = a["j"] - 1
+        out = dict(k, order2=k.get("order2", 0) + extra)
+        for cls, c in k.items():
+            if cls.startswith("div_"):
+                over = cls if central else "order2"
+            else:
+                over = {"order2": "order2", "order3_noncentral": "order6"}[cls]
+            out[over] = out.get(over, 0) + extra * c
+        return out, NO_SPECIAL_PAIRS
+
+    return KindDef(kid, 3, counts, closed, lambda cp, a: (True, reason), sweep, known_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +418,6 @@ def _mk_re_b():
 
 
 def _mk_re_c1():
-    def counts(cp, a):
-        v, j = a["v"], a["j"]
-        return {
-            "order3_noncentral": 3**v - 1,
-            "order2": j - 1,
-            "order6": (j - 1) * (3**v - 1),
-        }, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, m = cp.q, cp.m
         v, j, n = a["v"], a["j"], a["n"]
@@ -409,115 +430,47 @@ def _mk_re_c1():
         )
         return Fraction(num, 2 * j * 3**v * n)
 
-    def sweep(cp):
-        for v in range(1, 2 * cp.s + 1 + 1):
-            for j in (1, 2):
-                yield {"v": v, "j": j}
-
-    return KindDef("RE-C1", 3, counts, closed,
-                   lambda cp, a: (True, "elementary abelian in an involution centralizer"), sweep)
+    return _involution_kind(
+        "RE-C1", lambda cp, a: {"order3_noncentral": 3 ** a["v"] - 1},
+        lambda cp: ({"v": v, "j": j} for v in range(1, 2 * cp.s + 1 + 1) for j in (1, 2)),
+        True, closed, "elementary abelian in an involution centralizer")
 
 
-def _mk_re_c2():
-    def counts(cp, a):
-        r, j = a["r"], a["j"]
-        even = r % 2 == 0
-        # odd r: only the central involution (when j=2); even r adds the
-        # torus involution and its central product
-        inv = (2 * j - 1) if even else (j - 1)
-        return {"order2": inv, "div_q_plus_1": j * (r - 1 - (1 if even else 0))}, NO_SPECIAL_PAIRS
+def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
+    """K is C_r, or D_r if dihedral, in the (q+1)- or (q-1)-torus of the
+    involution centralizer, for r | (q+1)/2 resp. (q-1)/2."""
+    plus = torus == "div_q_plus_1"
 
-    def closed(cp, a):
-        q = cp.q
-        r, j, n = a["r"], a["j"], a["n"]
-        return 1 + Fraction(q + 1, 2 * r) * (
-            Fraction((q * q - q + 1) * (q - 1), j * n) - Fraction(q * q - q, j) - math.gcd(r, 2)
-        )
-
-    def sweep(cp):
-        for r in divisors((cp.q + 1) // 2):
-            for j in (1, 2):
-                yield {"r": r, "j": j}
-
-    return KindDef("RE-C2", 3, counts, closed,
-                   lambda cp, a: (True, "cyclic in an involution centralizer"), sweep)
-
-
-def _mk_re_c3():
-    def counts(cp, a):
-        r, j = a["r"], a["j"]
-        return {"order2": j - 1, "div_q_minus_1": j * (r - 1)}, NO_SPECIAL_PAIRS
+    def census(cp, a):
+        r = a["r"]
+        # an even r | (q+1)/2 puts the (q+1)-torus involution in C_r; every
+        # r | (q-1)/2 is odd, and the (q-1)-torus census takes no parity rule
+        # because the closed-formula identities evaluate it at even r too
+        inv = 1 if plus and r % 2 == 0 else 0
+        return {"order2": inv + (r if dihedral else 0), torus: r - 1 - inv}
 
     def closed(cp, a):
         q = cp.q
         r, j, n = a["r"], a["j"], a["n"]
-        return Fraction(q - 1, 2 * r) * (Fraction(q**3 + 1, j * n) - Fraction(q * q + q, j) - 1)
-
-    def sweep(cp):
-        for r in divisors((cp.q - 1) // 2):
-            for j in (1, 2):
-                yield {"r": r, "j": j}
-
-    return KindDef("RE-C3", 3, counts, closed,
-                   lambda cp, a: (True, "cyclic in an involution centralizer"), sweep)
-
-
-def _mk_re_c4():
-    def counts(cp, a):
-        r, j = a["r"], a["j"]
-        even = 1 if r % 2 == 0 else 0
-        return {
-            "order2": j * r + (j - 1) + j * even,
-            "div_q_plus_1": j * (r - 1 - even),
-        }, NO_SPECIAL_PAIRS
-
-    def closed(cp, a):
-        q = cp.q
-        r, j, n = a["r"], a["j"], a["n"]
-        return 1 + Fraction(q + 1, 2 * r) * (
-            Fraction(q - 1, 2) * Fraction(q * q - (n + 1) * q + 1, j * n) - Fraction(r + math.gcd(r, 2), 2)
-        )
-
-    def sweep(cp):
-        for r in divisors((cp.q + 1) // 2):
-            for j in (1, 2):
-                yield {"r": r, "j": j}
-
-    return KindDef("RE-C4", 3, counts, closed,
-                   lambda cp, a: (True, "dihedral in an involution centralizer"), sweep)
-
-
-def _mk_re_c5():
-    def counts(cp, a):
-        r, j = a["r"], a["j"]
-        return {
-            "order2": j * r + (j - 1),
-            "div_q_minus_1": j * (r - 1),
-        }, NO_SPECIAL_PAIRS
-
-    def closed(cp, a):
-        q = cp.q
-        r, j, n = a["r"], a["j"], a["n"]
+        if plus and not dihedral:
+            return 1 + Fraction(q + 1, 2 * r) * (
+                Fraction((q * q - q + 1) * (q - 1), j * n) - Fraction(q * q - q, j) - math.gcd(r, 2)
+            )
+        if not dihedral:
+            return Fraction(q - 1, 2 * r) * (Fraction(q**3 + 1, j * n) - Fraction(q * q + q, j) - 1)
+        if plus:
+            return 1 + Fraction(q + 1, 2 * r) * (
+                Fraction(q - 1, 2) * Fraction(q * q - (n + 1) * q + 1, j * n) - Fraction(r + math.gcd(r, 2), 2)
+            )
         return Fraction(q * q - 1, 4 * j * r) * (Fraction(q * q - q + 1, n) - q) - Fraction((r + 1) * (q - 1), 4 * r)
 
-    def sweep(cp):
-        for r in divisors((cp.q - 1) // 2):
-            for j in (1, 2):
-                yield {"r": r, "j": j}
-
-    return KindDef("RE-C5", 3, counts, closed,
-                   lambda cp, a: (True, "dihedral in an involution centralizer"), sweep)
+    return _involution_kind(
+        kid, census,
+        lambda cp: ({"r": r, "j": j} for r in divisors((cp.q + 1 if plus else cp.q - 1) // 2) for j in (1, 2)),
+        True, closed, f"{'dihedral' if dihedral else 'cyclic'} in an involution centralizer")
 
 
 def _mk_re_c6():
-    def counts(cp, a):
-        j = a["j"]
-        return {
-            "order2": 3 + (j - 1) * 4,
-            "order3_noncentral": 8,
-            "order6": (j - 1) * 8,
-        }, NO_SPECIAL_PAIRS
-
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         j, n = a["j"], a["n"]
@@ -531,23 +484,15 @@ def _mk_re_c6():
         )
         return 1 + Fraction(1, 24 * j) * inner
 
-    def sweep(cp):
-        for j in (1, 2):
-            yield {"j": j}
-
-    return KindDef("RE-C6", 3, counts, closed,
-                   lambda cp, a: (True, "tetrahedral in an involution centralizer"), sweep)
+    return _involution_kind(
+        "RE-C6", lambda cp, a: {"order2": 3, "order3_noncentral": 8}, lambda cp: ({"j": j} for j in (1, 2)),
+        True, closed, "tetrahedral in an involution centralizer")
 
 
 def _mk_re_c7():
-    def counts(cp, a):
-        v, r, j = a["v"], a["r"], a["j"]
-        return {
-            "order3_noncentral": 3**v - 1,
-            "div_q_minus_1": j * 3**v * (r - 1),
-            "order2": j - 1,
-            "order6": (j - 1) * (3**v - 1),
-        }, NO_SPECIAL_PAIRS
+    def census(cp, a):
+        v, r = a["v"], a["r"]
+        return {"order3_noncentral": 3**v - 1, "div_q_minus_1": 3**v * (r - 1)}
 
     def closed(cp, a):
         q, m = cp.q, cp.m
@@ -567,30 +512,25 @@ def _mk_re_c7():
                 for j in (1, 2):
                     yield {"v": v, "r": r, "j": j}
 
-    return KindDef(
-        "RE-C7", 3, counts, closed,
-        lambda cp, a: (True, "3-group normalized by a torus"), sweep,
+    return _involution_kind(
+        "RE-C7", census, sweep, True, closed, "3-group normalized by a torus",
         known_mismatch="displayed constant term differs from the class assembly by 2*3^v*(r-1)*(n-2)",
     )
 
 
 def _mk_re_c8():
-    def _qh(a):
-        return 3 ** a["d"]
-
-    def counts(cp, a):
-        qh, j = _qh(a), a["j"]
+    def census(cp, a):
+        qh = 3 ** a["d"]
         return {
             "order3_noncentral": qh * qh - 1,
-            "div_q_minus_1": j * (qh * (qh + 1) // 2) * ((qh - 3) // 2),
-            "order2": j * (qh * (qh - 1) // 2) + (j - 1),
-            "order6": (j - 1) * (qh * qh - 1),
-            "div_q_plus_1": j * (qh * (qh - 1) // 2) * ((qh + 1) // 2 - 2),
-        }, NO_SPECIAL_PAIRS
+            "div_q_minus_1": (qh * (qh + 1) // 2) * ((qh - 3) // 2),
+            "order2": qh * (qh - 1) // 2,
+            "div_q_plus_1": (qh * (qh - 1) // 2) * ((qh + 1) // 2 - 2),
+        }
 
     def closed(cp, a):
         q, m = cp.q, cp.m
-        qh, j, n = _qh(a), a["j"], a["n"]
+        qh, j, n = 3 ** a["d"], a["j"], a["n"]
         term1 = Fraction(
             q**4
             - (n + 1) * q**3
@@ -604,14 +544,9 @@ def _mk_re_c8():
         )
         return 1 + term1 - term2
 
-    def sweep(cp):
-        for d in divisors(2 * cp.s + 1):
-            for j in (1, 2):
-                yield {"d": d, "j": j}
-
-    return KindDef(
-        "RE-C8", 3, counts, closed,
-        lambda cp, a: (True, "linear fractional subgroup of an involution centralizer"), sweep,
+    return _involution_kind(
+        "RE-C8", census, lambda cp: ({"d": d, "j": j} for d in divisors(2 * cp.s + 1) for j in (1, 2)),
+        True, closed, "linear fractional subgroup of an involution centralizer",
         known_mismatch="displayed closed form is not integral at valid parameters; class assembly adopted",
     )
 
@@ -661,9 +596,9 @@ def _mk_re_m(kid: str, factor: int):
 
 
 def _mk_re_q1():
-    def counts(cp, a):
-        i, j, r = a["i"], a["j"], a["r"]
-        return {"order2": i - 1 + i * (j - 1) * r, "div_q_plus_1": i * (r - 1)}, NO_SPECIAL_PAIRS
+    def census(cp, a):
+        i, r = a["i"], a["r"]
+        return {"order2": i - 1, "div_q_plus_1": i * (r - 1)}
 
     def closed(cp, a):
         q = cp.q
@@ -677,19 +612,20 @@ def _mk_re_q1():
                 for r in divisors((cp.q + 1) // 4):
                     yield {"i": i, "j": j, "r": r}
 
-    return KindDef("RE-Q1", 3, counts, closed,
-                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
+    return _involution_kind("RE-Q1", census, sweep, False, closed, "inside the quartic-torus normalizer")
+
+
+def _quartic_j_r(cp):
+    """The sweep of RE-Q2 and RE-Q3: j, then r | (q+1)/4."""
+    for j in (1, 2):
+        for r in divisors((cp.q + 1) // 4):
+            yield {"j": j, "r": r}
 
 
 def _mk_re_q2():
-    def counts(cp, a):
-        j, r = a["j"], a["r"]
-        return {
-            "order2": 3 + 4 * (j - 1) * r,
-            "order3_noncentral": 8 * r,
-            "order6": (j - 1) * 8 * r,
-            "div_q_plus_1": 4 * (r - 1),
-        }, NO_SPECIAL_PAIRS
+    def census(cp, a):
+        r = a["r"]
+        return {"order2": 3, "order3_noncentral": 8 * r, "div_q_plus_1": 4 * (r - 1)}
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -702,24 +638,13 @@ def _mk_re_q2():
         )
         return Fraction(num, 24 * j * r * n)
 
-    def sweep(cp):
-        for j in (1, 2):
-            for r in divisors((cp.q + 1) // 4):
-                yield {"j": j, "r": r}
-
-    return KindDef("RE-Q2", 3, counts, closed,
-                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
+    return _involution_kind("RE-Q2", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
 
 def _mk_re_q3():
-    def counts(cp, a):
-        j, r = a["j"], a["r"]
-        return {
-            "order2": (j - 1) * r,
-            "order3_noncentral": 2 * r,
-            "order6": (j - 1) * 2 * r,
-            "div_q_plus_1": r - 1,
-        }, NO_SPECIAL_PAIRS
+    def census(cp, a):
+        r = a["r"]
+        return {"order3_noncentral": 2 * r, "div_q_plus_1": r - 1}
 
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
@@ -732,13 +657,7 @@ def _mk_re_q3():
         )
         return 1 + Fraction(num, 6 * j * r * n)
 
-    def sweep(cp):
-        for j in (1, 2):
-            for r in divisors((cp.q + 1) // 4):
-                yield {"j": j, "r": r}
-
-    return KindDef("RE-Q3", 3, counts, closed,
-                   lambda cp, a: (True, "inside the quartic-torus normalizer"), sweep)
+    return _involution_kind("RE-Q3", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
 
 def _ree_subfield_branch(cp: CurveParams, shat: int) -> int:
@@ -822,7 +741,10 @@ KINDS: dict[str, KindDef] = {kind.id: kind for kind in (
     _mk_sz_d("SZ-D1", 1), _mk_sz_d("SZ-D2", 2), _mk_sz_d("SZ-D3", 4),
     _mk_sz_e(),
     _mk_re_b(),
-    _mk_re_c1(), _mk_re_c2(), _mk_re_c3(), _mk_re_c4(), _mk_re_c5(), _mk_re_c6(), _mk_re_c7(), _mk_re_c8(),
+    _mk_re_c1(),
+    _mk_re_c_torus("RE-C2", "div_q_plus_1", False), _mk_re_c_torus("RE-C3", "div_q_minus_1", False),
+    _mk_re_c_torus("RE-C4", "div_q_plus_1", True), _mk_re_c_torus("RE-C5", "div_q_minus_1", True),
+    _mk_re_c6(), _mk_re_c7(), _mk_re_c8(),
     _mk_re_p("RE-P1", 1), _mk_re_p("RE-P2", 2), _mk_re_p("RE-P3", 3), _mk_re_p("RE-P4", 6),
     _mk_re_m("RE-M1", 1), _mk_re_m("RE-M2", 2), _mk_re_m("RE-M3", 3), _mk_re_m("RE-M4", 6),
     _mk_re_q1(), _mk_re_q2(), _mk_re_q3(),

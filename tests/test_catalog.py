@@ -258,8 +258,9 @@ def _swept(kid, cp):
 
 def _named_orders():
     """(kind, params, args, named |H x C_n|) for the kinds whose group has a
-    name: SZ-E, RE-S and RE-C8 over every swept spec of s=1..7, and
-    RE-Q1/2/3 at r = (q+1)/4 for s=1..3."""
+    name: SZ-E, RE-S and RE-C8 over every swept spec of s=1..7, RE-C1..7
+    over every swept spec of s=1..3, and RE-Q1/2/3 at r = (q+1)/4 for
+    s=1..3."""
     for s in range(1, 8):
         cp = params_from_s("suzuki-cover", s)
         for a in _swept("SZ-E", cp):
@@ -274,6 +275,17 @@ def _named_orders():
             yield "RE-C8", cp, a, a["j"] * qh * (qh * qh - 1) // 2 * a["n"]
     for s in (1, 2, 3):
         cp = params_from_s("ree-cover", s)
+        for kid, named in (
+            ("RE-C1", lambda a: a["j"] * 3 ** a["v"]),
+            ("RE-C2", lambda a: a["j"] * a["r"]),
+            ("RE-C3", lambda a: a["j"] * a["r"]),
+            ("RE-C4", lambda a: 2 * a["j"] * a["r"]),
+            ("RE-C5", lambda a: 2 * a["j"] * a["r"]),
+            ("RE-C6", lambda a: 12 * a["j"]),
+            ("RE-C7", lambda a: a["j"] * 3 ** a["v"] * a["r"]),
+        ):
+            for a in _swept(kid, cp):
+                yield kid, cp, a, named(a) * a["n"]
         r = (cp.q + 1) // 4
         for kid in ("RE-Q1", "RE-Q2", "RE-Q3"):
             for a in _swept(kid, cp):
@@ -288,7 +300,8 @@ def test_class_census_gives_the_group_order():
         order, _ = cat._order_and_delta_of_n(KINDS[kid].counts(cp, args), cp)(args["n"])
         assert order == named, (kid, cp.s, args)
         seen.add(kid)
-    assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3"}
+    assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3",
+                    "RE-C1", "RE-C2", "RE-C3", "RE-C4", "RE-C5", "RE-C6", "RE-C7"}
 
 
 # |H| / r of the kinds whose H is C_r . C_f inside a torus normalizer
@@ -297,6 +310,9 @@ NORMALIZER_FACTORS = {
     "RE-P1": 1, "RE-P2": 2, "RE-P3": 3, "RE-P4": 6, "RE-M1": 1, "RE-M2": 2, "RE-M3": 3, "RE-M4": 6,
 }
 
+# the kinds whose H is K (j = 1) or K<iota> (j = 2) for an involution iota
+INVOLUTION_KINDS = {f"RE-C{i}" for i in range(1, 9)} | {"RE-Q1", "RE-Q2", "RE-Q3"}
+
 
 @pytest.mark.parametrize("family,s,n_rows,digest", [
     ("suzuki-cover", 1, 33, "2caa1110b3b2a2c42fb13a4ec786049b62229d2267592a5c7b9536f9e85b6ce9"),
@@ -304,14 +320,16 @@ NORMALIZER_FACTORS = {
     ("suzuki-cover", 3, 91, "b3843f793bc12287bffba97c1609dc7966f2de9f6d88009c40f1193f1c7b5814"),
     ("ree-cover", 1, 237, "dc29203f318e4859142e81890d332c9e26c23d3ce1fbe51dbd112fc9b42603ee"),
     ("ree-cover", 2, 853, "5e2d1813228dd19e021f52554d395842544652ff76db80d741cf029072d238eb"),
+    ("ree-cover", 3, 1261, "c2cbd46c5d16ec535fed457957029acdc62400a27de7bbbca6d31b23652bf8db"),
 ])
 def test_sweep_sequence_pinned(family, s, n_rows, digest):
     # sha256 of the [kind, H args, census, special pairs, certified] rows of
     # every swept H, in KINDS order and sweep order; the torus-normalizer
     # kinds' census is the group order r f, and only the order-m torus
-    # brings special pairs
+    # brings special pairs; an involution kind's coset K iota doubles |K|
     cp = params_from_s(family, s)
     rows = []
+    k_orders = {}
     for kind in KINDS.values():
         if kind.char != cp.p:
             continue
@@ -323,6 +341,13 @@ def test_sweep_sequence_pinned(family, s, n_rows, digest):
                 assert 1 + sum(census.values()) == h["r"] * NORMALIZER_FACTORS[kind.id], (kind.id, h)
                 order_m = kind.id[:4] in ("SZ-D", "RE-M")
                 assert pairs == ((1, h["r"]) if order_m else cat.NO_SPECIAL_PAIRS), (kind.id, h)
+            if kind.id in INVOLUTION_KINDS:
+                k_args = (kind.id, tuple(sorted((k, v) for k, v in h.items() if k != "j")))
+                size = 1 + sum(census.values())
+                if h["j"] == 1:
+                    k_orders[k_args] = size
+                else:
+                    assert size == 2 * k_orders[k_args], (kind.id, h)
     assert len(rows) == n_rows
     assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
 
