@@ -12,8 +12,10 @@ normalizer of a cyclic torus share one census and sweep (_normalizer_kind);
 their factories state only the displayed formula.  The 11 involution kinds
 RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an involution iota, share
 one coset rule (_involution_kind); each states only the census of K, and
-RE-C2..5 share that too.  SZ-B2, SZ-B3, SZ-E, RE-B and RE-S state their
-census by hand.
+RE-C2..5 share that too.  SZ-E and RE-S, whose H is the Suzuki or Ree group
+over a subfield, share one subfield rule (_subfield_kind) that places its
+two Singer tori; each states only the census outside them.  SZ-B2, SZ-B3
+and RE-B state their census by hand.
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .curves import CurveParams, Family, genus, params_from_s, require
+from .curves import CurveParams, Family, genus, params_from_s, require, resolve_curve
 from .gf import _factorize
 from .ramification import census_different, solve_rh
 
@@ -161,6 +163,51 @@ def _involution_kind(kid: str, census: Callable, sweep: Callable, central: bool,
     return KindDef(kid, 3, counts, closed, lambda cp, a: (True, reason), sweep, known_mismatch)
 
 
+def _subfield_branch(cp: CurveParams, shat: int) -> int:
+    """Where the two Singer tori of G(q^) lie, q^ = p q^0^2 and q^0 = p^s^:
+    0 if both lie in the (q+1)-tori, 1 if the minus torus lies in the
+    order-m torus, 2 if the plus torus does.  Read off h = (2s+1)/(2s^+1)
+    modulo 4p, 8 for Suzuki and 12 for Ree: h = +-1 gives 1, 3 | h (Ree
+    only) gives 0, and the other residues (3, 5 resp. 5, 7) give 2.
+    Cross-checked by direct divisibility."""
+    p = cp.p
+    qh0 = p**shat
+    qh = p * qh0 * qh0
+    h = (2 * cp.s + 1) // (2 * shat + 1)
+    branch = 0 if h % p == 0 else 1 if h % (4 * p) in (1, 4 * p - 1) else 2
+    plus = cp.q + p * cp.q0 + 1
+    big_minus, big_plus = {0: (cp.q + 1, cp.q + 1), 1: (cp.m, plus), 2: (plus, cp.m)}[branch]
+    ok = big_minus % (qh - p * qh0 + 1) == 0 and big_plus % (qh + p * qh0 + 1) == 0
+    require(ok, f"{'Suzuki' if p == 2 else 'Ree'} subfield branch {branch} fails at s^ = {shat}")
+    return branch
+
+
+def _subfield_kind(kid: str, p: int, census: Callable, closed: Callable, sweep: Callable) -> KindDef:
+    """The kind whose H is the Suzuki (p = 2) or Ree (p = 3) group G(q^)
+    over a subfield, q^ = p q^0^2 and q^0 = p^s^.  census(q^) is |G(q^)| and
+    its class census outside its two Singer tori.  The torus of order
+    t = q^ -+ p q^0 + 1 has |G(q^)| / (2p t) conjugates, and their t - 1
+    nonidentity elements each go to the class that _subfield_branch names;
+    the one inside the order-m torus gives the special pairs (conjugates, t)."""
+    plus_class = "div_q_plus_2q0_plus_1" if p == 2 else "div_q_plus_3q0_plus_1"
+
+    def counts(cp, a):
+        qh0 = p ** a["shat"]
+        qh = p * qh0 * qh0
+        order, out = census(qh)
+        branch = _subfield_branch(cp, a["shat"])
+        pairs = NO_SPECIAL_PAIRS
+        for t, in_m in ((qh - p * qh0 + 1, branch == 1), (qh + p * qh0 + 1, branch == 2)):
+            conjugates = order // (2 * p * t)
+            cls = "div_q_plus_1" if branch == 0 else "div_m_plain" if in_m else plus_class
+            out[cls] = out.get(cls, 0) + conjugates * (t - 1)
+            if in_m:
+                pairs = (conjugates, t)
+        return out, pairs
+
+    return KindDef(kid, p, counts, closed, lambda cp, a: (True, "subfield subgroup"), sweep)
+
+
 # ---------------------------------------------------------------------------
 # Suzuki kinds
 
@@ -287,54 +334,20 @@ def _mk_sz_d(kid: str, factor: int):
                             "inside the second Singer normalizer")
 
 
-def _suzuki_subfield_branch(cp: CurveParams, shat: int) -> int:
-    """1 if the small minus-torus order divides m, else 2; cross-checked
-    against the mod-4 rule for the extension degree."""
-    qhat0 = 2**shat
-    qhat = 2 * qhat0 * qhat0
-    h = (2 * cp.s + 1) // (2 * shat + 1)
-    dm, dp = qhat - 2 * qhat0 + 1, qhat + 2 * qhat0 + 1
-    if h % 4 == 1:
-        branch = 1 if ((h - 1) // 4) % 2 == 0 else 2
-    else:
-        branch = 2 if ((h - 3) // 4) % 2 == 0 else 1
-    if branch == 1:
-        ok = cp.m % dm == 0 and (cp.q + 2 * cp.q0 + 1) % dp == 0
-    else:
-        ok = (cp.q + 2 * cp.q0 + 1) % dm == 0 and cp.m % dp == 0
-    require(ok, f"Suzuki subfield branch {branch} fails at s^ = {shat}")
-    return branch
-
-
 def _mk_sz_e():
-    def _qhat(a):
-        qhat0 = 2 ** a["shat"]
-        return 2 * qhat0 * qhat0, qhat0
-
-    def counts(cp, a):
-        qh, qh0 = _qhat(a)
-        dm, dp = qh - 2 * qh0 + 1, qh + 2 * qh0 + 1
-        minus_elts = qh * qh * dp * (qh - 1) * (qh - 2 * qh0) // 4
-        plus_elts = qh * qh * dm * (qh - 1) * (qh + 2 * qh0) // 4
-        base = {
+    def census(qh):
+        return qh * qh * (qh * qh + 1) * (qh - 1), {
             "order2": (qh * qh + 1) * (qh - 1),
             "order4": (qh * qh + 1) * (qh * qh - qh),
             "div_q_minus_1": qh * qh * (qh * qh + 1) * (qh - 2) // 2,
         }
-        if _suzuki_subfield_branch(cp, a["shat"]) == 1:
-            base["div_m_plain"] = minus_elts
-            base["div_q_plus_2q0_plus_1"] = plus_elts
-            return base, (qh * qh * dp * (qh - 1) // 4, dm)
-        base["div_m_plain"] = plus_elts
-        base["div_q_plus_2q0_plus_1"] = minus_elts
-        return base, (qh * qh * dm * (qh - 1) // 4, dp)
 
     def closed(cp, a):
         q, m = cp.q, cp.m
-        qh, qh0 = _qhat(a)
-        n = a["n"]
+        qh0 = 2 ** a["shat"]
+        qh, n = 2 * qh0 * qh0, a["n"]
         dm, dp = qh - 2 * qh0 + 1, qh + 2 * qh0 + 1
-        if _suzuki_subfield_branch(cp, a["shat"]) == 1:
+        if _subfield_branch(cp, a["shat"]) == 1:
             delta_s = qh * qh * dp * (qh - 1) * (math.gcd(dm, n) - 1) * m
         else:
             delta_s = qh * qh * dm * (qh - 1) * (math.gcd(dp, n) - 1) * m
@@ -350,8 +363,7 @@ def _mk_sz_e():
             if (2 * cp.s + 1) % (2 * shat + 1) == 0:
                 yield {"shat": shat}
 
-    return KindDef("SZ-E", 2, counts, closed,
-                   lambda cp, a: (True, "subfield subgroup"), sweep)
+    return _subfield_kind("SZ-E", 2, census, closed, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -660,40 +672,9 @@ def _mk_re_q3():
     return _involution_kind("RE-Q3", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
 
-def _ree_subfield_branch(cp: CurveParams, shat: int) -> int:
-    """0: both small Singer orders divide q+1; 1: minus order divides m;
-    2: plus order divides m.  Cross-checked by direct divisibility."""
-    qh0 = 3**shat
-    qh = 3 * qh0 * qh0
-    h = (2 * cp.s + 1) // (2 * shat + 1)
-    dm, dp = qh - 3 * qh0 + 1, qh + 3 * qh0 + 1
-    if h % 6 == 3:
-        branch = 0
-    elif h % 6 == 1:
-        branch = 1 if ((h - 1) // 6) % 2 == 0 else 2
-    else:
-        branch = 2 if ((h - 5) // 6) % 2 == 0 else 1
-    if branch == 0:
-        ok = (cp.q + 1) % dm == 0 and (cp.q + 1) % dp == 0
-    elif branch == 1:
-        ok = cp.m % dm == 0 and (cp.q + 3 * cp.q0 + 1) % dp == 0
-    else:
-        ok = cp.m % dp == 0 and (cp.q + 3 * cp.q0 + 1) % dm == 0
-    require(ok, f"Ree subfield branch {branch} fails at s^ = {shat}")
-    return branch
-
-
 def _mk_re_s():
-    def _qh(a):
-        qh0 = 3 ** a["shat"]
-        return 3 * qh0 * qh0, qh0
-
-    def counts(cp, a):
-        qh, qh0 = _qh(a)
-        dm, dp = qh - 3 * qh0 + 1, qh + 3 * qh0 + 1
-        minus_elts = qh**3 * (qh - 1) * (qh + 1) * dp * (qh - 3 * qh0) // 6
-        plus_elts = qh**3 * (qh - 1) * (qh + 1) * dm * (qh + 3 * qh0) // 6
-        base = {
+    def census(qh):
+        return qh**3 * (qh**3 + 1) * (qh - 1), {
             "order2": qh * qh * (qh * qh - qh + 1),
             "order3_central": (qh**3 + 1) * (qh - 1),
             "order3_noncentral": (qh**3 + 1) * (qh * qh - qh),
@@ -703,22 +684,11 @@ def _mk_re_s():
             # the (qh+1)-tori elements that are neither the identity nor an involution
             "div_q_plus_1": qh**3 * (qh * qh - qh + 1) * (qh - 1) // 6 * (qh - 3),
         }
-        branch = _ree_subfield_branch(cp, a["shat"])
-        if branch == 0:
-            base["div_q_plus_1"] += minus_elts + plus_elts
-            return base, NO_SPECIAL_PAIRS
-        if branch == 1:
-            base["div_m_plain"] = minus_elts
-            base["div_q_plus_3q0_plus_1"] = plus_elts
-            return base, (qh**3 * (qh - 1) * (qh + 1) * dp // 6, dm)
-        base["div_m_plain"] = plus_elts
-        base["div_q_plus_3q0_plus_1"] = minus_elts
-        return base, (qh**3 * (qh - 1) * (qh + 1) * dm // 6, dp)
 
     def closed(cp, a):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        order, delta = _order_and_delta_of_n(counts(cp, a), cp)(a["n"])
+        order, delta = _order_and_delta_of_n(kind.counts(cp, a), cp)(a["n"])
         return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order)
 
     def sweep(cp):
@@ -728,8 +698,8 @@ def _mk_re_s():
             if rem == 0 and _factorize(h) == {h: 1}:
                 yield {"shat": shat}
 
-    return KindDef("RE-S", 3, counts, closed,
-                   lambda cp, a: (True, "subfield subgroup"), sweep)
+    kind = _subfield_kind("RE-S", 3, census, closed, sweep)
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +829,7 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     """Enumerate all valid specs of every kind over its parameter domain (its
     sweep of H times the divisors n of m), with the dual-path comparison
     applied to each."""
-    family = Family(family)
+    family, params = resolve_curve(family, params)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
     records: list[GenusRecord] = []

@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .curves import CurveParams, Family, InvariantError, genus, hasse_weil_target, params_from_s
+from .curves import CurveParams, Family, InvariantError, genus, hasse_weil_target, resolve_curve
 from .gf import FieldSpec, make_field
 
 CHUNK = 1 << 16
@@ -114,9 +114,7 @@ def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
     """Resolve the family, build the field, and bind the kernel for it.  The
     field of degree (2s+1) r over GF(p) must be one that gf supports, or
     make_field raises FieldError."""
-    family = Family(family)
-    if params.family is not family:
-        params = params_from_s(family, params.s)
+    family, params = resolve_curve(family, params)
     field = make_field(family.char, (2 * params.s + 1) * r, modulus)
     return family, params, field, partial(_fibres, field, params, with_t=family.is_cover)
 

@@ -69,6 +69,15 @@ def params_from_s(family: Family | str, s: int) -> CurveParams:
     return CurveParams(family=family, s=s, q0=q0, q=q, m=q - p * q0 + 1)
 
 
+def resolve_curve(family: Family | str, params: CurveParams) -> tuple[Family, CurveParams]:
+    """The family and the params of its curve: params of another family are
+    rebuilt for this one at the same s."""
+    family = Family(family)
+    if params.family is not family:
+        params = params_from_s(family, params.s)
+    return family, params
+
+
 def genus(params: CurveParams) -> int:
     q, q0 = params.q, params.q0
     if params.family is Family.SUZUKI_BASE:
@@ -115,7 +124,7 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
     """
     from .ramification import solve_rh  # ramification imports this module
 
-    family = Family(family)
+    family, params = resolve_curve(family, params)
     if group_order < 1:
         raise ValueError(f"group order must be a positive integer, got {group_order}")
     q = params.q

@@ -563,8 +563,7 @@ class FieldSpec:
 
     def subfield_codes(self, d: int) -> list[int]:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""
-        if self.k % d != 0:
-            raise FieldError("not a subfield degree")
+        self._check_subfield(d)
         sub = self.p**d - 1
         w = self.pow(self.generator_code(), (self.order - 1) // sub)  # generates GF(p^d)^*
         codes, cur = [0], 1
@@ -616,8 +615,7 @@ def subfield_trace(field: FieldSpec, a: int, sub_degree: int) -> int:
     """Trace of the code a down to GF(p^sub_degree): the sum of its conjugates
     a^(p^(sub_degree*j)), one scalar Frobenius step at a time.  The reference
     that vtrace is tested against."""
-    if field.k % sub_degree != 0:
-        raise FieldError(f"{sub_degree} does not divide {field.k}")
+    field._check_subfield(sub_degree)
     acc = cur = a
     for _ in range(field.k // sub_degree - 1):
         cur = field.frobenius(cur, sub_degree)

@@ -266,6 +266,11 @@ class TestGroupStructure:
     def test_stabilizer_closure_order(self, place_set, simple_group_gens):
         assert act.stabilizer_subgroup_order(place_set, simple_group_gens[:3]) == 448 == 8 * 8 * 7
 
+    def test_closure_gives_up_above_the_cap(self, place_set, simple_group_gens, monkeypatch):
+        monkeypatch.setattr(act, "CLOSURE_CAP", 100)  # the closure has 448 elements
+        with pytest.raises(ModelError, match="closure exceeded cap"):
+            act.stabilizer_subgroup_order(place_set, simple_group_gens[:3])
+
     def test_closure_rejects_generator_leaving_small_orbit(self, place_set, simple_group_gens):
         small = set(place_set.fq_rational_ids())
         big = next(i for i in range(len(place_set)) if i not in small)
@@ -323,6 +328,12 @@ class TestOrderSearch:
         want = full_permutation_search(place_set, target, simple_group_gens, seed=seed)
         assert np.array_equal(got, want)
         assert cycle_walk_order(got) == target
+
+    def test_gives_up_after_max_tries(self, place_set, simple_group_gens, monkeypatch):
+        # 11 does not divide |Sz(8)| = 29120, so no word has an order it divides
+        monkeypatch.setattr(act, "MAX_TRIES", 50)
+        with pytest.raises(ModelError, match="no element of order 11 found in 50 tries"):
+            act.find_element_of_order(place_set, 11, simple_group_gens)
 
     def test_generator_acting_trivially_on_small_orbit(self, place_set, generators):
         # gamma fixes every F_q-rational place, so a word's order on the small

@@ -321,6 +321,11 @@ INVOLUTION_KINDS = {f"RE-C{i}" for i in range(1, 9)} | {"RE-Q1", "RE-Q2", "RE-Q3
     ("ree-cover", 1, 237, "dc29203f318e4859142e81890d332c9e26c23d3ce1fbe51dbd112fc9b42603ee"),
     ("ree-cover", 2, 853, "5e2d1813228dd19e021f52554d395842544652ff76db80d741cf029072d238eb"),
     ("ree-cover", 3, 1261, "c2cbd46c5d16ec535fed457957029acdc62400a27de7bbbca6d31b23652bf8db"),
+    # s = 4 (h = 9, 1 mod 8) and ree-cover s = 5, 6 (h = 11, 13) reach the
+    # subfield branch residues that smaller s never reach
+    ("suzuki-cover", 4, 246, "7140eb30fa90c932b9368d714a07e18a3bcb7eecd4a760d6756f29557bfe8ad6"),
+    ("ree-cover", 5, 7649, "86953807b467330aba1bd38d14a17acd440121d5759062383d1ece8948975b89"),
+    ("ree-cover", 6, 6029, "41e83a8488af8636e3f202dacbdc522cffe388f48489f10f52422cca4230fbe3"),
 ])
 def test_sweep_sequence_pinned(family, s, n_rows, digest):
     # sha256 of the [kind, H args, census, special pairs, certified] rows of
@@ -506,6 +511,13 @@ class TestSpectrum:
     def test_rejects_base_family(self):
         with pytest.raises(ValueError):
             spectrum("suzuki-base", params_from_s("suzuki-base", 1))
+
+    def test_params_of_the_other_family_are_rebuilt(self):
+        # the spectrum belongs to the named family's curve, as in count_points
+        res = spectrum("suzuki-cover", params_from_s("suzuki-base", 1))
+        assert res.params == P8
+        assert res.genera() == spectrum("suzuki-cover", P8).genera()
+        assert len(res.genera()) == 14
 
     @pytest.mark.parametrize("family,s,n_invalid,digest", [
         ("suzuki-cover", 7, 7268, "db6fcaf6a6f8181c3bff0cb09ee848b0b5f060aac892565de875067bbf968581"),

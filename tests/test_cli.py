@@ -176,6 +176,26 @@ class TestSpectrum:
         row = lines[1].split(",")
         assert len(row) == 5 and row[2].isdigit() and row[4].isdigit()
 
+    def test_csv_baseline_genera_on_stderr(self, capsys, tmp_path):
+        baseline = tmp_path / "known.txt"
+        baseline.write_text("# already known\n196\n14\n0\n1\n2\n3\n")
+        _, csv, _ = run(capsys, "spectrum", "--family", "suzuki-cover", "--s", "1", "--format", "csv")
+        code, out, err = run(capsys, "spectrum", "--family", "suzuki-cover", "--s", "1",
+                             "--format", "csv", "--baseline", str(baseline))
+        assert code == EXIT_OK and out == csv
+        assert err.splitlines() == ["6", "8", "16", "19", "28", "40", "45", "92"]
+
+    @pytest.mark.parametrize("family,line,exit_code", [
+        ("suzuki-cover", "table1: {'field': 'F_2^12', 'contained': False, 'missing': [13]}", EXIT_VERIFY),
+        ("ree-cover", "table1: {'field': 'F_3^18', 'contained': True, 'missing': []}", EXIT_OK),
+    ])
+    def test_csv_table_check_on_stderr(self, capsys, family, line, exit_code):
+        _, csv, _ = run(capsys, "spectrum", "--family", family, "--s", "1", "--format", "csv")
+        code, out, err = run(capsys, "spectrum", "--family", family, "--s", "1",
+                             "--format", "csv", "--check-table1")
+        assert code == exit_code and out == csv
+        assert err.splitlines() == [line]
+
     def test_json_with_table_check_ree(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--family", "ree-cover", "--s", "1",
                            "--check-table1")
@@ -310,6 +330,16 @@ class TestVerifyGroup:
         assert sorted(rec["stages"]) == ["closure", "generators", "orbits", "order_search", "places"]
         assert all(v >= 0 for v in rec["stages"].values())
         assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
+
+    def test_text_rows(self, capsys):
+        code, out, err = run(capsys, "verify-group", "--s", "1")
+        lines = out.splitlines()
+        assert code == EXIT_OK and err == ""
+        assert len(lines) == 17  # the 16 rows of the JSON record, then the verdict
+        assert all(line.startswith("[ok ] ") for line in lines[:-1])
+        assert lines[0] == "[ok ] place count: 29185 (expected 29185)"
+        assert lines[-2] == "[ok ] stabilizer closure order: 448 (expected 448)"
+        assert lines[-1] == "all checks passed"
 
     def test_same_rows_without_tables(self, capsys, monkeypatch):
         # the action layer reads no exp/log table: on digit arithmetic, where

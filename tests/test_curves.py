@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import maxcurve
-from maxcurve.catalog import _ree_subfield_branch, _suzuki_subfield_branch
+from maxcurve.catalog import _subfield_branch
 from maxcurve.curves import (
     CurveParams,
     Family,
@@ -98,6 +98,10 @@ class TestHermitianCover:
         assert hermitian_cover_analysis("ree-cover", p, q * q + q + 1).excluded
         assert not hermitian_cover_analysis("ree-cover", p, q * q + q + 2).excluded
 
+    def test_params_of_the_other_family_are_rebuilt(self):
+        rec = hermitian_cover_analysis("suzuki-cover", params_from_s("suzuki-base", 1), 9)
+        assert (rec.delta, rec.genus_from_delta) == (520, 196)
+
     def test_base_families_rejected(self):
         p = params_from_s("suzuki-base", 1)
         with pytest.raises(ValueError):
@@ -135,6 +139,6 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             filtration(Family.REE_COVER, SimpleNamespace(s=1, q0=3, q=27, m=20))
         with pytest.raises(InvariantError):
-            _suzuki_subfield_branch(SimpleNamespace(s=2, q0=4, q=32, m=24), 0)
+            _subfield_branch(SimpleNamespace(p=2, s=2, q0=4, q=32, m=24), 0)
         with pytest.raises(InvariantError):
-            _ree_subfield_branch(SimpleNamespace(s=1, q0=3, q=26, m=19), 0)
+            _subfield_branch(SimpleNamespace(p=3, s=1, q0=3, q=26, m=19), 0)

@@ -35,6 +35,26 @@ def test_make_field_rejects_bad_parameters():
         make_field(2, 2, modulus=(1, 0, 1))
 
 
+def test_field_spec_rejects_bad_parameters():
+    # make_field checks p and k before it builds a FieldSpec, so call the
+    # constructor directly
+    with pytest.raises(FieldError, match="unsupported characteristic 5"):
+        gf.FieldSpec(5, 1, (0, 1))
+    for k in (0, 21):
+        with pytest.raises(FieldError, match=f"unsupported degree {k} for p=2"):
+            gf.FieldSpec(2, k, (1,) * (k + 1))
+    # 2x^2 + 1 over GF(3) has degree 2 but is not monic
+    with pytest.raises(FieldError, match="monic of degree k"):
+        gf.FieldSpec(3, 2, (1, 0, 2))
+
+
+def test_tables_refuse_fields_above_the_table_limit():
+    big = make_field(3, 18)
+    assert big.order > gf.TABLE_LIMIT
+    with pytest.raises(FieldError, match="too large for tables"):
+        big.tables()
+
+
 def test_default_moduli_are_irreducible():
     for p, kmax in ((2, 20), (3, 18)):
         for k in range(1, kmax + 1):
@@ -108,6 +128,11 @@ def test_fixed_field_sizes(f, divs):
         fixed = [c for c in range(f.order) if f.frobenius(c, d) == c]
         assert len(fixed) == f.p**d
         assert sorted(fixed) == f.subfield_codes(d)
+
+
+def test_subfield_codes_reject_a_non_subfield_degree():
+    with pytest.raises(FieldError, match="5 does not divide 12"):
+        F2_12.subfield_codes(5)
 
 
 def test_tableless_subfield_codes():
