@@ -142,7 +142,7 @@ def cmd_spectrum(args) -> int:
             for g in new_genera:
                 print(g, file=sys.stderr)
         if table1 is not None:
-            print(f"table1: {table1}", file=sys.stderr)
+            print(f"table1: {json.dumps(table1)}", file=sys.stderr)
     else:
         results = {
             "genera": genera,

@@ -8,14 +8,16 @@ vectors, which is the iteration order used by every exhaustive loop here.
 FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer adds in characteristic 3 on the codes
 themselves, on every field, through the tritwise sums of 5-trit chunks.  It
-multiplies through exp/log tables up to TABLE_LIMIT, and only beyond it on
-digit arrays; on every field it takes traces, and lists the GF(p^d)-span of
-x, ..., x^(k/d - 1) by index, as one GF(p)-linear map through two lookup
-tables.
+multiplies through int32 exp/log tables up to TABLE_LIMIT (8.4 MB for both
+on F_{2^20}), and only beyond it on digit arrays; on every field it takes
+traces, and lists the GF(p^d)-span of x, ..., x^(k/d - 1) by index, as one
+GF(p)-linear map through two lookup tables.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -130,17 +132,94 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     return _poly_sub(t, x, p) == ()
 
 
+# Miller-Rabin to the 13 prime bases up to 41 is deterministic below
+# MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+# _factorize divides out the primes below this bound one by one, and splits
+# what is left by Pollard's rho.
+TRIAL_BOUND = 1 << 8
+
+
+class FactorizationError(ValueError):
+    """A factor passed every Miller-Rabin base at or above MR_BOUND, where
+    that proves nothing: no factorization is given rather than an unproven
+    one."""
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n, odd and prime to every base, is prime: Miller-Rabin to
+    MR_BASES, which proves a composite n composite on any size, and a prime
+    n prime only below MR_BOUND."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MR_BOUND:
+        raise FactorizationError(f"{n} passes Miller-Rabin to bases up to 41, a proof only below {MR_BOUND}")
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho on
+    y -> y^2 + c with Brent's cycle search, the gcds batched over up to 128
+    steps; a batch that overshoots to n is stepped through again one by one,
+    and a cycle with no proper factor moves on to the next c."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                done += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 in ascending primes ({} for n < 2): trial
+    division below TRIAL_BOUND, then Miller-Rabin and Pollard's rho on what
+    is left.  Raises FactorizationError if a factor cannot be proven prime."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d < TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < TRIAL_BOUND * TRIAL_BOUND or _is_prime(m):  # no factor below TRIAL_BOUND
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
@@ -305,18 +384,24 @@ class FieldSpec:
         return out
 
     def vmul(self, a, b) -> np.ndarray:
+        """a b elementwise, as int64 codes."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.order > TABLE_LIMIT:
             a, b = np.broadcast_arrays(a, b)
             return self._codes(self._dmul(self._digits(a), self._digits(b)))
         exp, log = self.tables()
-        # log[a] + log[b] lies in [-2, 2n - 2], so the wrap takes one step;
-        # the entries it reads for a zero operand are then replaced by 0
-        out = np.take(exp, log[a] + log[b], mode="wrap")
-        return np.where((a == 0) | (b == 0), 0, out)
+        # log[a] + log[b] lies in [-2, 2n - 2], within int32, so the wrap
+        # takes one step; the entries it reads for a zero operand are then
+        # set to 0 in the int64 copy of the gather (a mask assignment, which
+        # is faster than an np.where that also widens; the take method skips
+        # the np.take wrapper, which costs a microsecond on small arrays)
+        out = np.asarray(exp.take(log[a] + log[b], mode="wrap"), dtype=np.int64)
+        out[(a == 0) | (b == 0)] = 0
+        return out
 
     def vpow(self, a, e: int) -> np.ndarray:
-        """a^e elementwise, with 0^0 = 1; e < 0 needs every entry nonzero."""
+        """a^e elementwise as int64 codes, with 0^0 = 1; e < 0 needs every
+        entry nonzero."""
         a = np.asarray(a, dtype=np.int64)
         zero = a == 0
         if e < 0 and zero.any():
@@ -325,13 +410,19 @@ class FieldSpec:
         r = e % n
         if self.order <= TABLE_LIMIT:
             exp, log = self.tables()
-            out = exp[log[a] * r % n]  # np.take's wrap mode would reduce by repeated subtraction
+            # log[a] r reaches n^2 > 2^31: the product is taken in int64, and
+            # reduced in place (np.take's wrap mode would reduce by repeated
+            # subtraction)
+            idx = np.multiply(log[a], r, dtype=np.int64)
+            idx %= n
+            out = np.asarray(exp[idx], dtype=np.int64)
         else:
             j = next((j for j in range(self.k) if self.p**j == r), None)
             digits = self._digits(a)
             frobenius = self._digit_matrices()[0]
-            out = self._codes(self._dpow(digits, r) if j is None else self._linear(frobenius[j], digits))
-        return np.where(zero, 0 if e else 1, out)
+            out = np.asarray(self._codes(self._dpow(digits, r) if j is None else self._linear(frobenius[j], digits)))
+        out[zero] = 0 if e else 1
+        return out
 
     def vtrace(self, a, d: int) -> np.ndarray:
         """The trace of each entry down to GF(p^d): the sum of its conjugates
@@ -511,7 +602,10 @@ class FieldSpec:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log): exp[i] = g^i for 0 <= i < order-1, log[exp[i]] = i.
 
-        log[0] is set to -1 and must never be used as an exponent.
+        log[0] is set to -1 and must never be used as an exponent.  Both are
+        int32, as every code and exponent lies below TABLE_LIMIT < 2^31: on
+        F_{2^20}, the largest table field, they take 8.4 MB together.  The
+        v* methods gather from them and return int64 codes.
 
         exp is built by block doubling, exp[b:2b] = exp[:b] * g^b, for any
         characteristic and any generator g.  Multiplication by the constant
@@ -527,8 +621,8 @@ class FieldSpec:
             p, k, n = self.p, self.k, self.order - 1
             windows = self._times_x()
             c = np.array(_code_to_digits(self.generator_code(), k, p), dtype=np.int64)
-            exp = np.empty(n, dtype=np.int64)
-            log = np.full(self.order, -1, dtype=np.int64)
+            exp = np.empty(n, dtype=np.int32)
+            log = np.full(self.order, -1, dtype=np.int32)
             exp[0], log[1] = 1, 0
             b = 1
             while b < n:
@@ -538,7 +632,7 @@ class FieldSpec:
                 for start in range(b, end, TABLE_CHUNK):
                     block = self._half_lookup(half_tables, exp[start - b : min(start + TABLE_CHUNK, end) - b])
                     exp[start : start + len(block)] = block
-                    log[block] = np.arange(start, start + len(block))
+                    log[block] = np.arange(start, start + len(block), dtype=np.int32)
                 c = times_c @ c % p  # c^2 = g^(2b)
                 b = end
             self._tables = (exp, log)

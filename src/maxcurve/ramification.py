@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import CurveParams, Family, require
+from .curves import CurveParams, Family, require, resolve_curve
 
 
 class UnknownClassError(ValueError):
@@ -98,7 +98,7 @@ class RamificationFiltration:
 
 
 def filtration(family: Family | str, params: CurveParams) -> RamificationFiltration:
-    family = Family(family)
+    family, params = resolve_curve(family, params)
     q, q0, m = params.q, params.q0, params.m
     if family.char == 2:
         levels = (

@@ -186,8 +186,8 @@ class TestSpectrum:
         assert err.splitlines() == ["6", "8", "16", "19", "28", "40", "45", "92"]
 
     @pytest.mark.parametrize("family,line,exit_code", [
-        ("suzuki-cover", "table1: {'field': 'F_2^12', 'contained': False, 'missing': [13]}", EXIT_VERIFY),
-        ("ree-cover", "table1: {'field': 'F_3^18', 'contained': True, 'missing': []}", EXIT_OK),
+        ("suzuki-cover", 'table1: {"field": "F_2^12", "contained": false, "missing": [13]}', EXIT_VERIFY),
+        ("ree-cover", 'table1: {"field": "F_3^18", "contained": true, "missing": []}', EXIT_OK),
     ])
     def test_csv_table_check_on_stderr(self, capsys, family, line, exit_code):
         _, csv, _ = run(capsys, "spectrum", "--family", family, "--s", "1", "--format", "csv")

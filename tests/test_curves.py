@@ -133,11 +133,11 @@ class TestInvariants:
 
     def test_filtration_and_subfield_branches(self):
         # the checks follow from consistent parameters, so break them directly
-        bad = SimpleNamespace(s=1, q0=2, q=8, m=6)
+        bad = SimpleNamespace(family=Family.SUZUKI_COVER, s=1, q0=2, q=8, m=6)
         with pytest.raises(InvariantError):
             filtration(Family.SUZUKI_COVER, bad)
         with pytest.raises(InvariantError):
-            filtration(Family.REE_COVER, SimpleNamespace(s=1, q0=3, q=27, m=20))
+            filtration(Family.REE_COVER, SimpleNamespace(family=Family.REE_COVER, s=1, q0=3, q=27, m=20))
         with pytest.raises(InvariantError):
             _subfield_branch(SimpleNamespace(p=2, s=2, q0=4, q=32, m=24), 0)
         with pytest.raises(InvariantError):

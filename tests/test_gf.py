@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -475,8 +476,8 @@ class TestTables:
         f = make_field(p, k)
         exp, log = f.tables()
         ref_exp, ref_log = reference_tables(f)
-        assert exp.dtype == log.dtype == np.int64
-        assert exp.tobytes() == ref_exp.tobytes() and log.tobytes() == ref_log.tobytes()
+        assert exp.dtype == log.dtype == np.int32
+        assert np.array_equal(exp, ref_exp) and np.array_equal(log, ref_log)
 
     @pytest.mark.parametrize("p,modulus,x_primitive", [
         (2, (1, 1, 1, 1, 1), False),  # x^4+x^3+x^2+x+1: x has order 5
@@ -488,7 +489,7 @@ class TestTables:
         assert (f.generator_code() == f.gen) == x_primitive
         exp, log = f.tables()
         ref_exp, ref_log = reference_tables(f)
-        assert exp.tobytes() == ref_exp.tobytes() and log.tobytes() == ref_log.tobytes()
+        assert np.array_equal(exp, ref_exp) and np.array_equal(log, ref_log)
 
     @pytest.mark.parametrize("p,k,digest", [
         (2, 20, "d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb"),
@@ -496,7 +497,8 @@ class TestTables:
         (3, 12, "4e159b3bfff9c5db5c06072e474c41600c4c67940214bb91bf66ef5280231df1"),
     ])
     def test_exp_bytes_pinned(self, p, k, digest):
-        assert hashlib.sha256(make_field(p, k).tables()[0].tobytes()).hexdigest() == digest
+        # the digests of the int64 tables that the int32 ones replaced
+        assert hashlib.sha256(make_field(p, k).tables()[0].astype(np.int64).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("p,k", [(2, 20), (3, 12)])
     def test_large_tables_on_digit_path(self, p, k):
@@ -508,3 +510,86 @@ class TestTables:
                               for lo in range(0, len(exp), chunk)])
         assert np.array_equal(nxt, np.roll(exp, -1))  # exp[i] g = exp[i+1], and g^(order-1) = 1
         assert log[0] == -1 and np.array_equal(log[exp], np.arange(len(exp)))
+
+
+class TestTableWidths:
+    """The int32 tables never leak into results: every product and power
+    comes back as int64, and exponent products past 2^31 do not wrap."""
+
+    @pytest.mark.parametrize("p,k", [(2, 20), (3, 13)])
+    def test_vpow_exponent_products_past_int32(self, p, k):
+        f = make_field(p, k)
+        exp, log = f.tables()
+        n = f.order - 1
+        a = exp[n - 64 :].astype(np.int64)  # the largest logarithms
+        for e in (n - 1, n - 7, 3 * n - 2, -1, -5, -(n // 2) - 1):
+            assert int(log[a].min()) * (e % n) > 2**31, e
+            assert f.vpow(a, e).tolist() == [f.pow(x, e) for x in a.tolist()], e
+
+    @pytest.mark.parametrize("tabled", [True, False])
+    def test_products_and_powers_are_int64(self, tabled, monkeypatch):
+        if not tabled:
+            monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
+        f = F2_12
+        for a, b in ((np.arange(5), np.arange(3, 8)), (np.array(5), np.array(0)), (5, 9), (0, 7)):
+            assert f.vmul(a, b).dtype == np.int64
+            for e in (0, 3, -1):
+                if e >= 0 or np.all(np.asarray(a) != 0):
+                    assert f.vpow(a, e).dtype == np.int64
+
+
+def trial_division(n):
+    """{prime: exponent} of n by division by 2 and every odd d up to the
+    square root of what is left: the reference for _factorize."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactorize:
+    def test_agrees_with_trial_division_below_2e5(self):
+        # a smallest-prime-factor sieve gives trial division's answers on a
+        # range at once
+        limit = 200_000
+        spf = list(range(limit))
+        for d in range(2, math.isqrt(limit) + 1):
+            if spf[d] == d:
+                for m in range(d * d, limit, d):
+                    if spf[m] == m:
+                        spf[m] = d
+        assert all(spf[n] == min(trial_division(n)) for n in (2, 3, 4, 91, 65537, 199_999))
+        for n in range(limit):
+            ref, m = {}, n
+            while m > 1:
+                ref[spf[m]] = ref.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert gf._factorize(n) == ref, n
+
+    def test_agrees_with_trial_division_on_suzuki_orders(self):
+        for s in range(1, 13):
+            q0 = 2**s
+            q = 2 * q0 * q0
+            for n in (q - 1, q + 1, q - 2 * q0 + 1, q + 2 * q0 + 1):
+                assert list(gf._factorize(n).items()) == sorted(trial_division(n).items()), n
+
+    def test_mersenne_61_is_prime_at_once(self):
+        started = time.perf_counter()
+        assert gf._factorize(2**61 - 1) == {2**61 - 1: 1}
+        assert time.perf_counter() - started < 1.0
+
+    def test_splits_products_of_large_primes(self):
+        primes = [1_000_003, 1_000_033, 2**31 - 1, 2**61 - 1]
+        assert gf._factorize(math.prod(primes) * 2**61 * 3) == {2: 61, 3: 1, **{p: 1 for p in primes}}
+
+    def test_proves_or_refuses_past_the_bound(self):
+        # a composite past MR_BOUND is proven composite, and split into primes
+        # below it; a prime past it is refused
+        assert gf._factorize((2**31 - 1) ** 3 * 1_000_003) == {1_000_003: 1, 2**31 - 1: 3}
+        with pytest.raises(gf.FactorizationError):
+            gf._factorize(2**89 - 1)

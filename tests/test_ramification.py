@@ -80,6 +80,13 @@ class TestFiltration:
         assert ends == [0, 19, 19 * 10, 19 * 37]
         assert filt.last_nontrivial_index == 703 == P27.q**2 - P27.q + 1
 
+    def test_params_of_the_other_family_are_rebuilt(self):
+        # the params of one family name the other's curve at the same s,
+        # as in every other (family, params) entry point
+        assert filtration("ree-cover", P8) == filtration("ree-cover", P27)
+        assert filtration("suzuki-cover", P27) == filtration("suzuki-cover", P8)
+        assert filtration("suzuki-base", P8).family.value == "suzuki-base"
+
     def test_wild_values_from_filtration(self):
         # membership depth reproduces the table for every wild class
         assert i_from_filtration("order2", P8) == i_sigma("order2", P8)
