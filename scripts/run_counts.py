@@ -6,11 +6,12 @@ Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 evaluates 551,882 representatives in about 0.5 s on two threads and 0.9 s
 on one (2-core x86_64, Python 3.11, numpy 2.4).  Times are in
 milliseconds, split by stage of `CountReport.stages`: `tables` builds the
-field's lazy tables for the count, the half tables of the representatives'
-index map among them, and only the first count over each field and F_q pays
-it; `reps` cuts the index ranges into jobs; `kernel` turns each job's
-indices into codes through the map's tables and evaluates them; `wall` is
-the whole count.
+field's lazy tables for the count (the exp/log tables, or past
+`gf.TABLE_LIMIT` the Frobenius and digit tables, and the half tables of the
+trace to F_q and of the representatives' index map), and only the first
+count over each field and F_q pays it; `reps` cuts the index ranges into
+jobs; `kernel` turns each job's indices into codes through the index map's
+tables, evaluates them and sums their fibres; `wall` is the whole count.
 """
 
 import argparse

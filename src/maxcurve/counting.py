@@ -24,8 +24,9 @@ c_i is c_j = 1; with index 0 for x = 0 the count evaluates the indices
     {0} u [1, 2) u [q, 2q) u ... u [q^{r-2}, 2 q^{r-2}).
 
 They are cut into jobs of CHUNK indices, and each job turns its indices into
-codes and evaluates them, so the representatives are never listed.  One
-kernel, _fibres, evaluates every family on FieldSpec's array arithmetic.
+codes, evaluates them and sums their fibres, so neither the representatives
+nor their fibres are ever listed.  One kernel, _fibres, evaluates every
+family on FieldSpec's array arithmetic.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ def count_points(
     jobs = _jobs(ranges)
     t_reps = time.perf_counter()
 
-    def evaluate(job):
-        return kernel(field.vspan(_indices(job), d))
+    def evaluate(job):  # (sum of f, f and t0 at the job's first x)
+        f, t0 = kernel(field.vspan(_indices(job), d))
+        return int(f.sum()), int(f[0]), int(t0[0])
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -180,10 +182,10 @@ def count_points(
     else:
         results = [evaluate(job) for job in jobs]
     t_kernel = time.perf_counter()
-    f = np.concatenate([c for c, _ in results])
     q = params.q
-    n_points = 1 + q * int(f[0]) + q * (q - 1) * int(f[1:].sum())
-    t0_affine = q * int(results[0][1][0])  # t = 0 needs x in F_q, the orbit of 0
+    _, f0, t0 = results[0]  # x = 0, the first index of job 0
+    n_points = 1 + q * f0 + q * (q - 1) * (sum(total for total, _, _ in results) - f0)
+    t0_affine = q * t0  # t = 0 needs x in F_q, the orbit of 0
 
     ell = field.order
     g = genus(params)

@@ -9,9 +9,10 @@ FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer adds in characteristic 3 on the codes
 themselves, on every field, through the tritwise sums of 5-trit chunks.  It
 multiplies through int32 exp/log tables up to TABLE_LIMIT (8.4 MB for both
-on F_{2^20}), and only beyond it on digit arrays; on every field it takes
-traces, and lists the GF(p^d)-span of x, ..., x^(k/d - 1) by index, as one
-GF(p)-linear map through two lookup tables.
+on F_{2^20}), and only beyond it on digit arrays.  Each GF(p)-linear map
+(Frobenius, traces, the index map of vspan, multiplication by a constant)
+is kept as the codes of its images of x^0, ..., x^(k-1), from which one
+builder makes two lookup tables, one for each half of a code.
 """
 
 from __future__ import annotations
@@ -261,10 +262,10 @@ def _digits_to_code(digits: Sequence[int], p: int) -> int:
 class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
-    Immutable after construction; the lazily built exp/log tables, digit
-    table, digit matrices, trace tables and span tables are read-only caches,
-    so instances are safe to share across threads once precompute(d) has
-    built those that a count at subfield degree d reads.
+    Immutable after construction; the lazily built exp/log tables, half
+    tables (Frobenius, traces, vspan), digit table and reduction matrix are
+    read-only caches, so instances are safe to share across threads once
+    precompute(d) has built those that a count at subfield degree d reads.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
@@ -286,7 +287,8 @@ class FieldSpec:
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._generator_code: int | None = None
         self._digit_table: np.ndarray | None = None
-        self._matrices: tuple[np.ndarray, np.ndarray] | None = None
+        self._reduction_matrix: np.ndarray | None = None
+        self._frobenius: tuple[np.ndarray, np.ndarray] | None = None  # half tables of a -> a^p
         self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of the trace
         self._spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of vspan
 
@@ -352,9 +354,9 @@ class FieldSpec:
     # The operands of vadd, vsub and vmul broadcast; either may be one scalar
     # code.  In characteristic 3, vadd and vsub work on codes on every field,
     # chunk by chunk through _trit_tables.  Fields up to TABLE_LIMIT multiply
-    # through the exp/log tables.  Only products and powers in larger ones
-    # work on digit arrays: uint8, with the k base-p digits of each code along
-    # a new first axis, so that every step acts on whole contiguous digit rows.
+    # through the exp/log tables.  Only products and non-Frobenius powers in
+    # larger ones work on digit arrays: uint8, with the k base-p digits of
+    # each code along a new first axis, so every step acts on whole rows.
 
     def vadd(self, a, b) -> np.ndarray:
         if self.p == 2:
@@ -418,9 +420,13 @@ class FieldSpec:
             out = np.asarray(exp[idx], dtype=np.int64)
         else:
             j = next((j for j in range(self.k) if self.p**j == r), None)
-            digits = self._digits(a)
-            frobenius = self._digit_matrices()[0]
-            out = np.asarray(self._codes(self._dpow(digits, r) if j is None else self._linear(frobenius[j], digits)))
+            if j is None:
+                out = self._codes(self._dpow(self._digits(a), r))
+            else:
+                out = a
+                for _ in range(j):  # a^(p^j): the Frobenius map j times
+                    out = self._half_lookup(self._frobenius_tables(), out)
+            out = np.array(out)  # a fresh array, as it is written below
         out[zero] = 0 if e else 1
         return out
 
@@ -436,7 +442,8 @@ class FieldSpec:
     def vspan(self, n, d: int) -> np.ndarray:
         """x_n for each index 0 <= n < p^(k-d): the sum of n_((i-1) d + l) b_l x^i
         over 1 <= i < k/d and l < d, where n_j is the j-th base-p digit of n
-        and b_0 = 1, b_1, ..., b_(d-1) is a fixed GF(p)-basis of GF(p^d).
+        and b_l = w^l, for the generator w of GF(p^d)^* that subfield_codes
+        lists, is a GF(p)-basis of GF(p^d) with b_0 = 1.
 
         So n runs through the GF(p^d)-span of x, ..., x^(k/d - 1), and the
         n in [p^(d (j-1)), 2 p^(d (j-1))) are the sums of c_i x^i with c_j = 1
@@ -447,6 +454,63 @@ class FieldSpec:
     def _check_subfield(self, d: int) -> None:
         if self.k % d != 0:
             raise FieldError(f"{d} does not divide {self.k}")
+
+    # -- GF(p)-linear maps -----------------------------------------------
+
+    def _half_tables(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """The GF(p)-linear map whose columns, the codes of its images of x^0,
+        ..., x^(k-1), are cols, as two lookup tables: the image of each code
+        of the low h = ceil(k/2) digits, from cols[:h], and of each code of
+        the high k - h digits, from cols[h:].  Built digit by digit: the codes
+        whose new digit is j are the table so far plus j times its column."""
+        h = (self.k + 1) // 2
+        out = []
+        for part in (cols[:h], cols[h:]):
+            table = np.zeros(1, dtype=np.int64)
+            for col in part:
+                blocks = [table]
+                for _ in range(self.p - 1):
+                    blocks.append(self.vadd(blocks[-1], col))
+                table = np.concatenate(blocks)
+            out.append(table)
+        return out[0], out[1]
+
+    def _half_lookup(self, tables: tuple[np.ndarray, np.ndarray], a) -> np.ndarray:
+        """The map of _half_tables on codes: the images of both halves, added."""
+        low, high = tables
+        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), len(low))
+        return self.vadd(low[lo], high[hi])
+
+    def _frobenius_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The half tables of a -> a^p: its columns are the codes of x^(i p)."""
+        if self._frobenius is None:
+            self._frobenius = self._half_tables([self.pow(self.p**i, self.p) for i in range(self.k)])
+        return self._frobenius
+
+    def _trace_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The half tables of the trace to GF(p^d), d | k: its columns are the
+        sums of the conjugates (x^i)^(p^(d j)) of the basis, formed with the
+        Frobenius tables."""
+        if d not in self._traces:
+            frobenius = self._frobenius_tables()
+            conjugate = total = self.p ** np.arange(self.k, dtype=np.int64)
+            for _ in range(self.k // d - 1):
+                for _ in range(d):
+                    conjugate = self._half_lookup(frobenius, conjugate)
+                total = self.vadd(total, conjugate)
+            self._traces[d] = self._half_tables(total)
+        return self._traces[d]
+
+    def _span_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The half tables of vspan at d: column (i-1) d + l holds b_l x^i,
+        with b_l = w^l for the generator w of GF(p^d)^* of subfield_codes,
+        and the last d columns are zero."""
+        if d not in self._spans:
+            e = (self.order - 1) // (self.p**d - 1)  # w = g^e
+            basis = [self.pow(self.generator_code(), e * l) for l in range(d)]
+            cols = [self.mul(b, self.p**i) for i in range(1, self.k // d) for b in basis]
+            self._spans[d] = self._half_tables(cols + [0] * d)
+        return self._spans[d]
 
     # -- digit arrays ----------------------------------------------------
     #
@@ -485,58 +549,12 @@ class FieldSpec:
             out += mat[:, i].reshape((-1,) + (1,) * row.ndim) * row
         return out
 
-    def _trace_matrix(self, d: int) -> np.ndarray:
-        """The trace to GF(p^d), d | k, on digits: the sum of the Frobenius
-        matrices of a -> a^(p^(d j))."""
-        return self._digit_matrices()[0][::d].sum(axis=0, dtype=np.uint8) % self.p
-
-    def _trace_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The half tables of the trace to GF(p^d), d | k."""
-        if d not in self._traces:
-            self._traces[d] = self._half_tables(self._trace_matrix(d))
-        return self._traces[d]
-
-    def _subfield_basis(self, d: int) -> np.ndarray:
-        """A GF(p)-basis of GF(p^d), d | k, as the columns of a k x d digit
-        matrix, 1 first: the unit, then each column of the trace to GF(p^d),
-        whose columns span its image GF(p^d), that is independent of the
-        vectors taken before it (Gaussian elimination over GF(p))."""
-        p = self.p
-        basis, echelon = [], []  # echelon: (pivot, reduced row with a 1 there)
-        for v in [np.eye(self.k, dtype=np.int64)[0], *self._trace_matrix(d).T.astype(np.int64)]:
-            w = v
-            for pivot, row in echelon:
-                w = (w - w[pivot] * row) % p
-            if w.any():
-                pivot = int(np.flatnonzero(w)[0])
-                echelon.append((pivot, w * pow(int(w[pivot]), -1, p) % p))
-                basis.append(v)
-        return np.array(basis).T
-
-    def _span_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The half tables of vspan at d: the map whose column (i-1) d + l
-        holds the digits of b_l x^i, and whose last d columns are zero."""
-        if d not in self._spans:
-            k, times_x, basis = self.k, self._times_x(), self._subfield_basis(d)
-            cols = [times_x[:, i] @ basis for i in range(1, k // d)] + [np.zeros((k, d), dtype=np.int64)]
-            self._spans[d] = self._half_tables(np.concatenate(cols, axis=1) % self.p)
-        return self._spans[d]
-
-    def _half_tables(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The GF(p)-linear map mat (k x k, digits to digits) as two lookup
-        tables over the codes below p^h, the half-split of _digits: the
-        image of each low half and of each high half of a code."""
-        half = self._half_digits()
-        h = len(half)
-        mat = np.asarray(mat, dtype=np.uint8)
-        return (self._codes(self._linear(mat[:, :h], half)),
-                self._codes(self._linear(mat[:, h:], half[: self.k - h])))
-
-    def _half_lookup(self, tables: tuple[np.ndarray, np.ndarray], a) -> np.ndarray:
-        """The map of _half_tables on codes: the images of both halves, added."""
-        low, high = tables
-        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), len(low))
-        return self.vadd(low[lo], high[hi])
+    def _reduction(self) -> np.ndarray:
+        """The k x (k-1) digit matrix whose columns are x^k, ..., x^(2k-2)."""
+        if self._reduction_matrix is None:
+            powers = [self.mul(self.p ** (self.k - 1), self.p**j) for j in range(1, self.k)]
+            self._reduction_matrix = self._digits(np.array(powers, dtype=np.int64))
+        return self._reduction_matrix
 
     def _dmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Products of reduced digit arrays, reduced: the 2k-1 product rows,
@@ -546,7 +564,7 @@ class FieldSpec:
         for i in range(k):
             C[i : i + k] += A[i] * B
         C %= self.p
-        return (C[:k] + self._linear(self._digit_matrices()[1], C[k:])) % self.p
+        return (C[:k] + self._linear(self._reduction(), C[k:])) % self.p
 
     def _dpow(self, A: np.ndarray, e: int) -> np.ndarray:
         """Square-and-multiply on a digit array, e >= 0."""
@@ -559,31 +577,6 @@ class FieldSpec:
             if e:
                 A = self._dmul(A, A)
         return result
-
-    def _digit_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the matrices of a -> a^(p^j) for j < k, stacked; the k x (k-1)
-        matrix whose column j holds the digits of x^(k+j)), as uint8, from
-        the powers of x by shift and reduce."""
-        if self._matrices is None:
-            p, k = self.p, self.k
-            cols, cur = [], [1] + [0] * (k - 1)
-            for _ in range(max(p * (k - 1), 2 * k - 2) + 1):
-                cols.append(cur)
-                top = cur[-1]
-                cur = [(lo - top * m) % p for lo, m in zip([0] + cur[:-1], self.modulus)]
-            cols = np.array(cols, dtype=np.int64).T
-            frobenius = [np.eye(k, dtype=np.int64)]
-            for _ in range(k - 1):
-                frobenius.append(cols[:, p * np.arange(k)] @ frobenius[-1] % p)
-            self._matrices = (np.array(frobenius, dtype=np.uint8), cols[:, k : 2 * k - 1].astype(np.uint8))
-        return self._matrices
-
-    def _times_x(self) -> np.ndarray:
-        """The matrices of multiplication by x^i, i < k, on digits, stacked
-        along the middle axis: [:, i, j] holds the digits of x^(i+j) mod the
-        modulus."""
-        powers = np.concatenate([np.eye(self.k, dtype=np.int64), self._digit_matrices()[1]], axis=1)
-        return np.lib.stride_tricks.sliding_window_view(powers, self.k, axis=1)
 
     # -- multiplicative structure ----------------------------------------
 
@@ -609,31 +602,29 @@ class FieldSpec:
 
         exp is built by block doubling, exp[b:2b] = exp[:b] * g^b, for any
         characteristic and any generator g.  Multiplication by the constant
-        c = g^b is GF(p)-linear: its k x k matrix has the digits of x^i c in
-        column i.  It runs through _half_tables, two lookup tables over the
-        codes below p^h, one for each half of a code.  Each block, and its
-        entries of log, go through in chunks of at most TABLE_CHUNK codes,
-        which bounds the temporaries.
+        g^b is GF(p)-linear, with the columns g^b x^i, and runs through their
+        _half_tables.  The columns start as g x^i, and each step maps them
+        through its own tables, g^(2b) x^i = g^b (g^b x^i).  Each block, and
+        its entries of log, go through in chunks of at most TABLE_CHUNK
+        codes, which bounds the temporaries.
         """
         if self.order > TABLE_LIMIT:
             raise FieldError(f"field of order {self.order} too large for tables")
         if self._tables is None:
-            p, k, n = self.p, self.k, self.order - 1
-            windows = self._times_x()
-            c = np.array(_code_to_digits(self.generator_code(), k, p), dtype=np.int64)
+            n = self.order - 1
+            cols = [self.mul(self.generator_code(), self.p**i) for i in range(self.k)]
             exp = np.empty(n, dtype=np.int32)
             log = np.full(self.order, -1, dtype=np.int32)
             exp[0], log[1] = 1, 0
             b = 1
             while b < n:
-                times_c = windows @ c % p
-                half_tables = self._half_tables(times_c)
+                half_tables = self._half_tables(cols)
                 end = min(2 * b, n)
                 for start in range(b, end, TABLE_CHUNK):
                     block = self._half_lookup(half_tables, exp[start - b : min(start + TABLE_CHUNK, end) - b])
                     exp[start : start + len(block)] = block
                     log[block] = np.arange(start, start + len(block), dtype=np.int32)
-                c = times_c @ c % p  # c^2 = g^(2b)
+                cols = self._half_lookup(half_tables, cols)
                 b = end
             self._tables = (exp, log)
         return self._tables
@@ -641,16 +632,18 @@ class FieldSpec:
     def precompute(self, d: int) -> None:
         """Build the lazy caches that a count at subfield degree d reads: in
         characteristic 3 the chunk sum tables, the exp/log tables up to
-        TABLE_LIMIT, the digit table and matrices, the half tables of vtrace
-        at d (none at d = k) and of vspan at d.  Afterwards threads running
-        that count share the field, and the chunk sum tables, read-only."""
+        TABLE_LIMIT and beyond it the Frobenius tables, the digit table and
+        the reduction matrix, then the half tables of vtrace at d (none at
+        d = k) and of vspan at d.  Afterwards threads running that count
+        share the field, and the chunk sum tables, read-only."""
         self._check_subfield(d)
         if self.p == 3:
             _trit_tables()
         if self.order <= TABLE_LIMIT:
             self.tables()
-        self._half_digits()
-        self._digit_matrices()
+        else:
+            self._frobenius_tables()
+            self._reduction()
         if d < self.k:
             self._trace_tables(d)
         self._span_tables(d)

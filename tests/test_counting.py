@@ -296,12 +296,20 @@ class TestOrbitReduction:
         assert hashlib.sha256(results.encode()).hexdigest()[:12] == digest
 
 
-@pytest.mark.parametrize("family,s,r", [("suzuki-cover", 2, 4), ("ree-cover", 1, 3)])
-def test_threaded_count_builds_no_cache(family, s, r, monkeypatch):
+@pytest.mark.parametrize("family,s,r,tabled", [
+    pytest.param(family, s, r, tabled, id=f"{family}-{s}-{r}" + ("" if tabled else "-past-limit"))
+    for tabled in (True, False)
+    for family, s, r in (("suzuki-cover", 2, 4), ("ree-cover", 1, 3), ("ree-cover", 1, 1))])
+def test_threaded_count_builds_no_cache(family, s, r, tabled, monkeypatch):
     """After precompute(d), the threads of a count share the field read-only:
-    no lazy cache (exp/log tables, digit table, digit matrices, trace
-    tables, span tables, and in characteristic 3 the chunk sum tables) is
-    created or replaced during the count, on F_{2^20} and F_{3^9}."""
+    no lazy cache (exp/log tables, Frobenius tables, digit table, reduction
+    matrix, trace tables, span tables, and in characteristic 3 the chunk sum
+    tables) is created or replaced during the count, on F_{2^20} and
+    F_{3^9}, and on F_27, where d = k and no trace tables are built; on the
+    exp/log tables and, with TABLE_LIMIT forced to 0, on the past-limit
+    path."""
+    if not tabled:
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
     monkeypatch.setattr(counting, "CHUNK", 8)  # many jobs, so the pool runs
     params = params_from_s(family, s)
     field = make_field(Family(family).char, (2 * s + 1) * r)
@@ -341,7 +349,7 @@ class TestDigitFieldEngine:
         A, B = f._digits(codes), f._digits(other)
         prod = f._codes(f._dmul(A, B))
         assert all(int(prod[i]) == f.mul(int(codes[i]), int(other[i])) for i in range(64))
-        cubes = f._codes(f._linear(f._digit_matrices()[0][1], A))
+        cubes = f._half_lookup(f._frobenius_tables(), codes)
         assert all(int(cubes[i]) == f.pow(int(codes[i]), 3) for i in range(64))
         p7 = f._codes(f._dpow(A, 7))
         assert all(int(p7[i]) == f.pow(int(codes[i]), 7) for i in range(64))

@@ -279,7 +279,8 @@ class TestArrayLayer:
         assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
         assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
         units = np.where(a == 0, 1, a)
-        for e in (0, 1, 2, f.p, f.p ** (f.k - 1), 7, (f.order - 1) // 2, f.order - 1, f.order, -1, -5):
+        frobenius = [f.p**j for j in range(f.k)]
+        for e in (0, 1, 2, *frobenius, 7, (f.order - 1) // 2, f.order - 1, f.order, -1, -5):
             base = a if e >= 0 else units
             assert f.vpow(base, e).tolist() == [f.pow(x, e) for x in base.tolist()], e
         x, y = int(a[7]), int(b[8])
