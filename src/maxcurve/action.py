@@ -97,11 +97,12 @@ def build_places(params: CurveParams) -> PlaceSet:
     ys = f.vadd(y0[xs, None], np.array(kernel))
     # the m roots t0 * zeta^j: t0 = s^e with m e = 1 mod n/m (at q=8,
     # gcd(5, 819) = 1), and zeta = g^(n/m); s = 0 has the single root 0,
-    # whose m copies np.unique merges while it sorts the places
+    # whose m copies are merged once the places are sorted
     zeta = f.pow(f.generator_code(), n // m)
     t0 = f.vpow(s[xs], pow(m, -1, n // m))
     ts = f.vmul(t0[:, None], [f.pow(zeta, j) for j in range(m)])
-    keys = np.unique(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]))
+    keys = np.sort(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]), axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
     low = (1 << f.k) - 1
     X, Y, T = keys >> (2 * f.k), (keys >> f.k) & low, keys & low
@@ -228,7 +229,8 @@ def element_order(a: np.ndarray) -> int:
         label = nxt
         jump = jump[jump]
     sizes = np.bincount(label)
-    return math.lcm(*np.unique(sizes[sizes > 0]).tolist())
+    # the distinct cycle lengths are the nonzero bins past 0 of the sizes
+    return math.lcm(*(np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist())
 
 
 def power(a: np.ndarray, n: int) -> np.ndarray:

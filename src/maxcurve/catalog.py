@@ -17,6 +17,11 @@ over a subfield, share one subfield rule (_subfield_kind) that places its
 two Singer tori; each states only the census outside them.  SZ-B2, SZ-B3
 and RE-B state their census by hand.
 
+Most swept specs fail the Riemann-Hurwitz integrality test.  The sweep
+tests each with plain integer arithmetic (rh_genus), builds a spec and a
+record only for the valid ones, and keeps the rejected n of each H; the
+(spec, reason) rows of SpectrumResult.invalid are built on first read.
+
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
 assembly the kind carries a known-mismatch note and the composition value is
@@ -27,14 +32,15 @@ such case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .curves import CurveParams, Family, genus, params_from_s, require, resolve_curve
 from .gf import _factorize
-from .ramification import census_different, solve_rh
+from .ramification import census_different, rh_genus, solve_rh
 
 
 def divisors(n: int) -> list[int]:
@@ -455,10 +461,9 @@ def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
 
     def census(cp, a):
         r = a["r"]
-        # an even r | (q+1)/2 puts the (q+1)-torus involution in C_r; every
-        # r | (q-1)/2 is odd, and the (q-1)-torus census takes no parity rule
-        # because the closed-formula identities evaluate it at even r too
-        inv = 1 if plus and r % 2 == 0 else 0
+        # an even r puts the torus involution in C_r; only the (q+1)-torus
+        # has one, since every r | (q-1)/2 is odd
+        inv = 1 - r % 2
         return {"order2": inv + (r if dihedral else 0), torus: r - 1 - inv}
 
     def closed(cp, a):
@@ -744,12 +749,13 @@ def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int,
 
 def _assess(
     kind: KindDef, cp: CurveParams, h: dict, certified: bool, ns: Iterable[int]
-) -> tuple[list[GenusRecord], list[tuple[QuotientSpec, str]]]:
-    """The records of the valid specs (H, n), n in ns, and the invalid ones
-    with their reasons, each list in the order of ns; certified is the first
-    entry of kind.certified(cp, h).  The class sums are computed once; each
-    n costs integer arithmetic, and the closed formula runs once per valid
-    spec.  H must come from the kind's sweep and each n must divide m."""
+) -> tuple[list[GenusRecord], list[int]]:
+    """The records of the valid specs (H, n), n in ns, and the rejected n,
+    each list in the order of ns; certified is the first entry of
+    kind.certified(cp, h).  The class sums are computed once; each n costs
+    integer arithmetic, and a spec and its record, with the closed formula,
+    are built only for valid n (_rejections builds the rejected ones).  H
+    must come from the kind's sweep and each n must divide m."""
     at = _order_and_delta_of_n(kind.counts(cp, h), cp)
     two_g_minus_2 = _two_g_minus_2(cp)
     # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
@@ -757,22 +763,30 @@ def _assess(
     n_at = args.index(("n", 0))
     hn = dict(h)
     records: list[GenusRecord] = []
-    invalid: list[tuple[QuotientSpec, str]] = []
+    rejected: list[int] = []
     for n in ns:
-        args[n_at] = ("n", n)
-        spec = QuotientSpec(kind.id, cp, tuple(args))
         order, delta = at(n)
-        gd, reason = solve_rh(two_g_minus_2, order, delta)
-        if reason is not None:
-            invalid.append((spec, "composition fails the RH oracle: " + reason))
+        gd = rh_genus(two_g_minus_2, order, delta)
+        if gd is None:
+            rejected.append(n)
             continue
+        args[n_at] = ("n", n)
         hn["n"] = n
         closed = kind.closed(cp, hn)
         gc = closed.numerator if closed.denominator == 1 else None
         mismatch = gc != gd
         note = (kind.known_mismatch or "") if mismatch else ""
-        records.append(GenusRecord(spec, order, delta, gd, gc, certified, mismatch, note))
-    return records, invalid
+        records.append(GenusRecord(QuotientSpec(kind.id, cp, tuple(args)), order, delta, gd, gc, certified,
+                                   mismatch, note))
+    return records, rejected
+
+
+def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int]) -> list[tuple[QuotientSpec, str]]:
+    """The (spec, reason) rows of specs (H, n) that _assess rejected."""
+    at = _order_and_delta_of_n(kind.counts(cp, h), cp)
+    two_g_minus_2 = _two_g_minus_2(cp)
+    return [(QuotientSpec.make(kind.id, cp, **h, n=n),
+             "composition fails the RH oracle: " + solve_rh(two_g_minus_2, *at(n))[1]) for n in ns]
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
@@ -794,9 +808,9 @@ def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
     if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
     certificate = kind.certified(cp, h)
-    records, invalid = _assess(kind, cp, h, certificate[0], (n,))
-    if invalid:
-        return Validation(False, False, invalid[0][1]), None
+    records, rejected = _assess(kind, cp, h, certificate[0], (n,))
+    if rejected:
+        return Validation(False, False, _rejections(kind, cp, h, rejected)[0][1]), None
     return Validation(True, *certificate), replace(records[0], spec=spec)
 
 
@@ -814,12 +828,24 @@ def evaluate(spec: QuotientSpec) -> GenusRecord:
 
 @dataclass
 class SpectrumResult:
+    """The records of a sweep, sorted by genus, and its mismatches.  The
+    sweep keeps only the rejected n of each H (`rejected`, one (kind, H
+    args, rejected n) triple per H that has any, in sweep order); `invalid`
+    builds their (spec, reason) rows on first read.  `stages` holds the
+    seconds spent in the sweep and in the sort."""
+
     family: Family
     params: CurveParams
     records: list[GenusRecord]
     mismatches: list[GenusRecord]
     unexplained_mismatches: list[GenusRecord]
-    invalid: list[tuple[QuotientSpec, str]]
+    rejected: list[tuple[KindDef, dict, list[int]]]
+    stages: dict[str, float] = field(compare=False)
+
+    @cached_property
+    def invalid(self) -> list[tuple[QuotientSpec, str]]:
+        """The rejected specs with their reasons, in sweep order."""
+        return [row for kind, h, ns in self.rejected for row in _rejections(kind, self.params, h, ns)]
 
     def genera(self) -> list[int]:
         return sorted({rec.genus for rec in self.records})
@@ -828,24 +854,29 @@ class SpectrumResult:
 def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     """Enumerate all valid specs of every kind over its parameter domain (its
     sweep of H times the divisors n of m), with the dual-path comparison
-    applied to each."""
+    applied to each.  Rejected specs are kept as their n per H, and
+    SpectrumResult.invalid builds them on first read."""
     family, params = resolve_curve(family, params)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
+    started = time.perf_counter()
     records: list[GenusRecord] = []
-    invalid: list[tuple[QuotientSpec, str]] = []
+    rejected: list[tuple[KindDef, dict, list[int]]] = []
     ns = divisors(params.m)
     for kind in KINDS.values():
         if kind.char == family.char:
             for h in kind.sweep(params):
-                valid, rejected = _assess(kind, params, h, kind.certified(params, h)[0], ns)
+                valid, rejected_ns = _assess(kind, params, h, kind.certified(params, h)[0], ns)
                 records += valid
-                invalid += rejected
+                if rejected_ns:
+                    rejected.append((kind, h, rejected_ns))
     mismatches = [rec for rec in records if rec.mismatch]
     # a mismatch carries its kind's known-mismatch note, if the kind has one
     unexplained = [rec for rec in mismatches if not rec.note]
+    swept = time.perf_counter()
     records.sort(key=lambda r: (r.genus, r.spec.kind, r.spec.args))
-    return SpectrumResult(family, params, records, mismatches, unexplained, invalid)
+    stages = {"sweep": swept - started, "sort": time.perf_counter() - swept}
+    return SpectrumResult(family, params, records, mismatches, unexplained, rejected, stages)
 
 
 # ---------------------------------------------------------------------------

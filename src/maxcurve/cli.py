@@ -168,7 +168,8 @@ def cmd_spectrum(args) -> int:
             results["new_vs_baseline"] = new_genera
         if table1 is not None:
             results["table1"] = table1
-        print(_record("spectrum", {"family": family.value, "s": args.s}, results, started))
+        print(_record("spectrum", {"family": family.value, "s": args.s}, results, started,
+                      stages={k: round(v, 6) for k, v in res.stages.items()}))
     return EXIT_VERIFY if table1 is not None and not table1["contained"] else EXIT_OK
 
 

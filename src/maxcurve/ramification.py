@@ -183,11 +183,20 @@ def census_different(census: dict[str, int], pairs: int, params: CurveParams) ->
     return size, plain, cross, pairs * special
 
 
-def solve_rh(two_g_minus_2_cover: int, order: int, delta: int) -> tuple[int | None, str | None]:
-    """Solve |L| (2 g_L - 2) + delta = 2g - 2 for g_L without raising:
-    (g_L, None) when g_L is a nonnegative integer, else (None, why not)."""
+def rh_genus(two_g_minus_2_cover: int, order: int, delta: int) -> int | None:
+    """Solve |L| (2 g_L - 2) + delta = 2g - 2 for g_L: g_L when it is a
+    nonnegative integer, else None."""
     num = two_g_minus_2_cover - delta + 2 * order
-    den = 2 * order
-    if num % den != 0 or num < 0:
-        return None, f"RH gives genus {num}/{den}, not a nonnegative integer"
-    return num // den, None
+    if num < 0 or num % (2 * order):
+        return None
+    return num // (2 * order)
+
+
+def solve_rh(two_g_minus_2_cover: int, order: int, delta: int) -> tuple[int | None, str | None]:
+    """rh_genus without raising: (g_L, None) when g_L is a nonnegative
+    integer, else (None, why not)."""
+    g = rh_genus(two_g_minus_2_cover, order, delta)
+    if g is None:
+        num = two_g_minus_2_cover - delta + 2 * order
+        return None, f"RH gives genus {num}/{2 * order}, not a nonnegative integer"
+    return g, None

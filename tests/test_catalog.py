@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,11 +167,13 @@ class TestDualPathIdentities:
         grid = lambda cp: [dict(r=r, n=n) for r in range(1, 8) for n in range(1, 8)]
         for kid in ("RE-P1", "RE-P2", "RE-P3", "RE-M1", "RE-M2", "RE-M3", "RE-M4"):
             self.check_kind(kid, params, grid)
-        grid_j = lambda cp: [
-            dict(r=r, n=n, j=j) for r in range(1, 7) for n in range(1, 7) for j in (1, 2)
-        ]
-        for kid in ("RE-C2", "RE-C3", "RE-C4", "RE-C5"):
-            self.check_kind(kid, params, grid_j)
+        # r divides (q+1)/2 for RE-C2 and RE-C4, and (q-1)/2, which is odd,
+        # for RE-C3 and RE-C5: no subgroup has an even r there
+        for kid, rs in (("RE-C2", range(1, 7)), ("RE-C3", (1, 3, 5)), ("RE-C4", range(1, 7)),
+                        ("RE-C5", (1, 3, 5))):
+            self.check_kind(kid, params, lambda cp: [
+                dict(r=r, n=n, j=j) for r in rs for n in range(1, 7) for j in (1, 2)
+            ])
         grid_c6 = lambda cp: [dict(j=j, n=n) for j in (1, 2) for n in range(1, 8)]
         self.check_kind("RE-C6", params, grid_c6)
         grid_c1 = lambda cp: [
@@ -522,6 +525,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("family,s,n_invalid,digest", [
         ("suzuki-cover", 7, 7268, "db6fcaf6a6f8181c3bff0cb09ee848b0b5f060aac892565de875067bbf968581"),
         ("ree-cover", 3, 4362, "7fb4abec1c7d1a21f0d7ed808f256babef74133e7a6408c0ce5d8806e1c71d17"),
+        ("suzuki-cover", 10, 21625, "d875a4addd41eb4b0f5cd3399c915acf56c734026f129a62a46331df906fa22e"),
     ])
     def test_invalid_list_pinned(self, family, s, n_invalid, digest):
         # sha256 of the (kind, args, reason) rows of the specs the sweep
@@ -530,6 +534,26 @@ class TestSpectrum:
         rows = [[spec.kind, [list(a) for a in spec.args], reason] for spec, reason in invalid]
         assert len(rows) == n_invalid
         assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
+
+    def test_sweep_builds_no_rejected_specs(self):
+        # 21,625 of the 24,696 specs at s=10 are rejected; building them in
+        # the sweep took the peak past 11 MB; keeping only their n, under 3 MB
+        params = params_from_s("suzuki-cover", 10)
+        spectrum("suzuki-cover", params)
+        tracemalloc.start()
+        try:
+            res = spectrum("suzuki-cover", params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "invalid" not in vars(res)
+        assert peak < 5_000_000
+
+    def test_invalid_is_built_once(self):
+        res = spectrum("ree-cover", P27)
+        first = res.invalid
+        assert res.invalid is first
+        assert first == spectrum("ree-cover", P27).invalid
 
     def test_tame_records(self):
         # tame quotients over the small orbit and those containing the central

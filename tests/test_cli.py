@@ -243,6 +243,15 @@ class TestSpectrum:
         assert code == EXIT_USAGE and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
+    def test_stages_beside_results(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--family", "ree-cover", "--s", "1")
+        rec = json.loads(out)
+        assert code == EXIT_OK
+        assert sorted(rec["stages"]) == ["sort", "sweep"]
+        assert all(v >= 0 for v in rec["stages"].values())
+        assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
+        assert "stages" not in rec["results"]
+
     @pytest.mark.parametrize("family,s,digest", [
         ("suzuki-cover", 1, "4f1f0a8e42f0"),
         ("suzuki-cover", 2, "5f2ca1c7e3f1"),

@@ -15,6 +15,7 @@ from maxcurve.ramification import (
     i_from_filtration,
     i_sigma,
     i_sigma_tau,
+    rh_genus,
     solve_rh,
 )
 
@@ -270,3 +271,28 @@ class TestGenusFromRH:
     def test_round_trip(self, g, order, delta):
         two_g_minus_2 = order * (2 * g - 2) + delta
         assert solve_rh(two_g_minus_2, order, delta) == (g, None)
+
+    @pytest.mark.parametrize("args", [(390, 1, 0), (390, 5, 260), (390, 1, 1), (390, 5, 265), (390, 7, 5),
+                                      (390, 1, 1000), (390, 1, 392), (390, 1, 394)])
+    def test_rh_genus_is_the_genus_of_solve_rh(self, args):
+        assert rh_genus(*args) == solve_rh(*args)[0]
+
+    @pytest.mark.parametrize("params", [P8, P27], ids=["P8", "P27"])
+    def test_rh_genus_agrees_on_the_sweep(self, params):
+        # the sweep tests each spec with rh_genus and builds the reason of
+        # a rejected one with solve_rh later
+        two_g_minus_2 = cat._two_g_minus_2(params)
+        seen = 0
+        for kind in KINDS.values():
+            if kind.char != params.p:
+                continue
+            for h in kind.sweep(params):
+                at = cat._order_and_delta_of_n(kind.counts(params, h), params)
+                for n in divisors(params.m):
+                    order, delta = at(n)
+                    genus, reason = solve_rh(two_g_minus_2, order, delta)
+                    assert rh_genus(two_g_minus_2, order, delta) == genus, (kind.id, h, n)
+                    assert (genus is None) == (reason is not None)
+                    seen += 1
+        res = spectrum(params.family, params)
+        assert seen == len(res.records) + len(res.invalid)
