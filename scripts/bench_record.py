@@ -17,7 +17,10 @@ machine falls on every root alike.  Each root gets one record in --out
 - nproc, the machine, and the Python and numpy versions that the benchmark
   reported;
 - per workload, the median and the runs of every end-to-end (--trace 0) and
-  per-layer (--trace 1) metric, and the check counts.
+  per-layer (--trace 1) metric, and the check counts;
+- `verify_group_stages`: the median `timing` and `stages` of
+  `maxcurve verify-group --s 1 --json`, run VERIFY_GROUP_RUNS times in one
+  process after the benchmark runs.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """
@@ -35,6 +38,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SHORT = 12
+VERIFY_GROUP_RUNS = 20
+# one verify-group record per line on stdout, all in one warm process
+VERIFY_GROUP_LOOP = """
+import sys
+from maxcurve import cli
+for _ in range(int(sys.argv[1])):
+    cli.main(["verify-group", "--s", "1", "--json"])
+"""
 
 
 def git(root: Path, *args: str, env: dict | None = None) -> str:
@@ -85,6 +96,27 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def stage_medians(records: list[dict]) -> dict:
+    """The median `timing` and the median of each of the `stages` of the
+    given verify-group records."""
+    return {
+        "runs": len(records),
+        "timing": statistics.median(r["timing"] for r in records),
+        "stages": {name: statistics.median(r["stages"][name] for r in records) for name in records[0]["stages"]},
+    }
+
+
+def verify_group_stages(root: Path, runs: int) -> dict:
+    """Median stage times of `runs` verify-group runs in one process, on the
+    sources of the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", VERIFY_GROUP_LOOP, str(runs)], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {root}: verify-group exited with {proc.returncode}: {proc.stderr.strip()}")
+    return stage_medians([json.loads(line) for line in proc.stdout.splitlines()])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, action="append", help="checkout to measure (repeatable; default: this one)")
@@ -106,6 +138,8 @@ def main() -> int:
                     runs[root, w, trace].append(run_bench(root, w, seed, seconds, trace))
                     print(f"{root}: {w} seed {seed} trace {trace} done", file=sys.stderr)
 
+    stages = {root: verify_group_stages(root, VERIFY_GROUP_RUNS) for root in roots}
+
     args.out.mkdir(parents=True, exist_ok=True)
     for root in roots:
         ident = ids[root]
@@ -120,6 +154,7 @@ def main() -> int:
             "seconds": seconds,
             "workloads": {w: {"end_to_end": summarize(runs[root, w, 0]), "per_layer": summarize(runs[root, w, 1])}
                           for w in workloads},
+            "verify_group_stages": stages[root],
         }
         name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
         path = args.out / f"BENCH_{name}.json"

@@ -8,8 +8,19 @@ the torus map t -> lambda t, and the lifted involution built from the
 rational functions alpha/beta, y/beta, t/beta with its degenerate locus
 completed by the forced swap of the origin with the infinite place.
 
+Places are sorted by (x, y, t), and a dense index finds the id of a
+triple without a search.  Each x that has places owns one block of
+q * width[x] consecutive ids, where width[x] is m, or 1 when x^q + x = 0.
+Inside the block the y values are the coset y + F_q and the t values the
+m roots of x^q + x, so the rank of y in its block depends on y alone, and
+so does the rank of t; the index is four tables over the field codes.
+
+A generator's coordinate maps are evaluated once over the field codes and
+gathered by the coordinates of the places.
+
 A permutation is a plain int32 array whose entry i is the image of place i,
-so a[b] applies b first, and the field arithmetic is FieldSpec's.
+so a[b] (computed as a.take(b)) applies b first, and the field arithmetic
+is FieldSpec's.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,12 +48,21 @@ class ModelError(RuntimeError):
 
 @dataclass
 class PlaceSet:
+    """The places, and the dense index over the field codes that ids()
+    reads: the affine place (x, y, t) sits at row
+    start[x] + yrank[y] * width[x] + trank[t] of keys, if it is a place."""
+
     field: FieldSpec
     params: CurveParams
     keys: np.ndarray  # packed (x, y, t) of each affine place, strictly increasing
     coords: tuple[np.ndarray, np.ndarray, np.ndarray]
     subfield: list[int]
     fq_ids: list[int]  # ids of the F_q-rational places, the infinite place first
+    codes: np.ndarray  # int64: every field code, the domain of the coordinate maps
+    start: np.ndarray  # int32 per x: the first row of its block
+    width: np.ndarray  # int32 per x: the number of t per y, m or 1
+    yrank: np.ndarray  # int32 per y: its rank in the coset y + F_q
+    trank: np.ndarray  # int32 per t: its rank among t * zeta^j
 
     INFTY = 0
 
@@ -56,14 +77,16 @@ class PlaceSet:
 
     def ids(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
         """Ids of the affine places (x, y, t); ModelError names the first
-        triple that is not a place."""
-        keys = _pack(self.field.k, x, y, t)
-        pos = np.searchsorted(self.keys, keys)
-        found = self.keys[np.minimum(pos, len(self.keys) - 1)] == keys
+        triple that is not a place.  A triple that is not a place may still
+        index a row (of another block, or clamped into range): its key
+        there differs from its own."""
+        row = self.start.take(x) + self.yrank.take(y) * self.width.take(x) + self.trank.take(t)
+        np.minimum(row, len(self.keys) - 1, out=row)
+        found = self.keys.take(row) == _pack(self.field.k, x, y, t)
         if not found.all():
             i = int(np.argmin(found))
             raise ModelError(f"{what} {(int(x[i]), int(y[i]), int(t[i]))} is not a place")
-        return pos + 1
+        return row + 1
 
 
 def _pack(k: int, x, y, t):
@@ -99,14 +122,26 @@ def build_places(params: CurveParams) -> PlaceSet:
     # gcd(5, 819) = 1), and zeta = g^(n/m); s = 0 has the single root 0,
     # whose m copies are merged once the places are sorted
     zeta = f.pow(f.generator_code(), n // m)
+    zetas = [f.pow(zeta, j) for j in range(m)]
     t0 = f.vpow(s[xs], pow(m, -1, n // m))
-    ts = f.vmul(t0[:, None], [f.pow(zeta, j) for j in range(m)])
+    ts = f.vmul(t0[:, None], zetas)
     keys = np.sort(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]), axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
     low = (1 << f.k) - 1
     X, Y, T = keys >> (2 * f.k), (keys >> f.k) & low, keys & low
     rational = np.isin(X, kernel) & np.isin(Y, kernel) & (T == 0)
+
+    # the index: each x with places owns q * width[x] rows, in x order; the
+    # rank of y (of t) is the number of smaller codes in y + F_q (t * zeta^j)
+    width = np.where(s == 0, 1, m).astype(np.int32)
+    size = np.zeros(f.order, dtype=np.int32)
+    size[xs] = q * width[xs]
+    start = np.zeros(f.order, dtype=np.int32)
+    np.cumsum(size[:-1], out=start[1:])
+    column = codes[:, None]
+    yrank = np.count_nonzero(f.vadd(column, np.array(kernel)) < column, axis=1).astype(np.int32)
+    trank = np.count_nonzero(f.vmul(column, zetas) < column, axis=1).astype(np.int32)
     return PlaceSet(
         field=f,
         params=params,
@@ -114,6 +149,11 @@ def build_places(params: CurveParams) -> PlaceSet:
         coords=(X, Y, T),
         subfield=kernel,
         fq_ids=[PlaceSet.INFTY] + (np.flatnonzero(rational) + 1).tolist(),
+        codes=codes,
+        start=start,
+        width=width,
+        yrank=yrank,
+        trank=trank,
     )
 
 
@@ -143,9 +183,9 @@ def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> np.ndarr
     if f.pow(delta, m) != A:
         raise ModelError("delta^m != A")
     X, Y, T = ps.coords
-    xi = f.vadd(f.vmul(X, A), b)
-    yi = f.vadd(f.vadd(f.vmul(Y, f.pow(A, q0 + 1)), f.vmul(X, f.pow(b, q0))), c)
-    ti = f.vmul(T, delta)
+    xi = f.vadd(f.vmul(ps.codes, A), b).take(X)
+    yi = f.vadd(f.vmul(ps.codes, f.pow(A, q0 + 1)).take(Y), f.vadd(f.vmul(ps.codes, f.pow(b, q0)), c).take(X))
+    ti = f.vmul(ps.codes, delta).take(T)
     return _perm_from_affine_images(ps, xi, yi, ti, "stabilizer")
 
 
@@ -163,7 +203,7 @@ def gen_gamma(ps: PlaceSet, lam: int) -> np.ndarray:
     if f.pow(lam, m) != 1 or any(f.pow(lam, d) == 1 for d in range(1, m) if m % d == 0):
         raise ModelError("lambda must have exact order m")
     X, Y, T = ps.coords
-    return _perm_from_affine_images(ps, X, Y, f.vmul(T, lam), "gamma")
+    return _perm_from_affine_images(ps, X, Y, f.vmul(ps.codes, lam).take(T), "gamma")
 
 
 def default_gamma(ps: PlaceSet) -> np.ndarray:
@@ -177,13 +217,16 @@ def gen_phi(ps: PlaceSet) -> np.ndarray:
     alpha^2q0; regular images are (alpha/beta, y/beta, t/beta).  The places
     where beta vanishes, together with the infinite place, are completed by
     the unique bijective pairing, which must be the origin <-> infinity swap.
+    Only the products of two place arrays are taken over the places; every
+    power is a map on the field codes.
     """
     f, params = ps.field, ps.params
     q0 = params.q0
     X, Y, T = ps.coords
-    y2 = f.vpow(Y, 2 * q0)
-    alpha = f.vadd(y2, f.vpow(X, 2 * q0 + 1))
-    beta = f.vadd(f.vmul(X, y2), f.vpow(alpha, 2 * q0))
+    pow2q0 = f.vpow(ps.codes, 2 * q0)
+    y2 = pow2q0.take(Y)
+    alpha = f.vadd(y2, f.vpow(ps.codes, 2 * q0 + 1).take(X))
+    beta = f.vadd(f.vmul(X, y2), pow2q0.take(alpha))
 
     degenerate = np.flatnonzero(beta == 0)
     if degenerate.size != 1:
@@ -193,20 +236,28 @@ def gen_phi(ps: PlaceSet) -> np.ndarray:
         raise ModelError("beta vanishes away from the origin")
 
     rows = np.flatnonzero(beta)
-    binv = f.vpow(beta[rows], -1)
+    binv = f.vpow(ps.codes, f.order - 2).take(beta[rows])  # 1/beta, as beta != 0
     perm = np.empty(len(ps), dtype=np.int32)
     perm[rows + 1] = ps.ids(f.vmul(alpha[rows], binv), f.vmul(Y[rows], binv),
                             f.vmul(T[rows], binv), "involution image")
     perm[origin_row + 1] = PlaceSet.INFTY
     perm[PlaceSet.INFTY] = origin_row + 1
     _require_bijection(perm, "involution is not a bijection")
-    if not np.array_equal(perm[perm], np.arange(len(ps))):
+    if not np.array_equal(perm.take(perm), _identity(len(ps))):
         raise ModelError("completed map is not an involution")
     return perm
 
 
+@lru_cache(maxsize=4)
+def _identity(n: int) -> np.ndarray:
+    """The identity permutation of n points, shared and read-only."""
+    ident = np.arange(n, dtype=np.int32)
+    ident.flags.writeable = False
+    return ident
+
+
 def fixed_points(a: np.ndarray) -> int:
-    return int(np.count_nonzero(a == np.arange(len(a))))
+    return int(np.count_nonzero(a == _identity(len(a))))
 
 
 def element_order(a: np.ndarray) -> int:
@@ -223,11 +274,11 @@ def element_order(a: np.ndarray) -> int:
     jump = a.astype(np.intp)
     label = np.arange(n)
     for _ in range((n - 1).bit_length()):
-        nxt = np.minimum(label, label[jump])
+        nxt = np.minimum(label, label.take(jump))
         if np.array_equal(nxt, label):
             break
         label = nxt
-        jump = jump[jump]
+        jump = jump.take(jump)
     sizes = np.bincount(label)
     # the distinct cycle lengths are the nonzero bins past 0 of the sizes
     return math.lcm(*(np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist())
@@ -238,8 +289,8 @@ def power(a: np.ndarray, n: int) -> np.ndarray:
     base = a
     while n:
         if n & 1:
-            result = base[result]
-        base = base[base]
+            result = base.take(result)
+        base = base.take(base)
         n >>= 1
     return result
 
@@ -316,9 +367,9 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
             perm = small[i][perm]
         o = element_order(perm)
         if o % target == 0:
-            full = np.arange(len(ps), dtype=np.int32)
+            full = _identity(len(ps))
             for i in word:
-                full = generators[i][full]
+                full = generators[i].take(full)
             full_order = element_order(full)
             if full_order != o:
                 raise ModelError(f"a word of order {o} on the small orbit has order {full_order} "

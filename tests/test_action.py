@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestPlaceSet:
             act.build_places(q8_params)
 
 
+def searchsorted_ids(ps, x, y, t, what="place"):
+    """Place ids by binary search on the packed keys: the reference for the
+    dense index of PlaceSet.ids, with its signature.  Every triple must be a
+    place."""
+    keys = act._pack(ps.field.k, x, y, t)
+    pos = np.searchsorted(ps.keys, keys)
+    assert np.array_equal(ps.keys[np.minimum(pos, len(ps.keys) - 1)], keys), what
+    return pos + 1
+
+
 class TestPlaceLookup:
     def test_image_that_is_not_a_place(self, place_set):
         X, Y, T = place_set.coords
@@ -131,6 +142,105 @@ class TestPlaceLookup:
 
     def test_ids_of_every_place(self, place_set):
         assert np.array_equal(place_set.ids(*place_set.coords, "place"), np.arange(1, 29185))
+
+
+class TestPlaceIndex:
+    """The dense index of PlaceSet.ids against binary search on the keys."""
+
+    def test_every_place(self, place_set):
+        coords = place_set.coords
+        assert np.array_equal(place_set.ids(*coords, "place"), searchsorted_ids(place_set, *coords))
+
+    def test_images_of_the_default_generators(self, place_set, generators, monkeypatch):
+        index_ids = act.PlaceSet.ids
+        looked_up = []
+
+        def checked(ps, x, y, t, what):
+            got = index_ids(ps, x, y, t, what)
+            assert np.array_equal(got, searchsorted_ids(ps, x, y, t, what)), what
+            looked_up.append(what)
+            return got
+
+        monkeypatch.setattr(act.PlaceSet, "ids", checked)
+        again = act.default_generators(place_set)
+        assert len(looked_up) == 5
+        for name, perm in generators.items():
+            assert again[name].tobytes() == perm.tobytes(), name
+
+    def test_stabilizers_and_tori_through_both_lookups(self, place_set, monkeypatch):
+        f, m = place_set.field, place_set.params.m
+        codes = np.arange(f.order)
+        rng = random.Random(3)
+        stabilizers = []
+        for i in range(10):
+            # the map permutes the places when A = 1 or b = 0
+            A = rng.choice(place_set.subfield[1:]) if i % 2 else 1
+            b = 0 if i % 2 else rng.choice(place_set.subfield)
+            c = rng.choice(place_set.subfield)
+            delta = rng.choice(np.flatnonzero(f.vpow(codes, m) == A).tolist())
+            stabilizers.append((A, b, c, delta))
+        zeta = f.pow(f.generator_code(), (f.order - 1) // m)
+        lambdas = [f.pow(zeta, j) for j in range(1, m)]
+
+        def perms():
+            return ([act.gen_stabilizer(place_set, *args) for args in stabilizers]
+                    + [act.gen_gamma(place_set, lam) for lam in lambdas])
+
+        by_index = perms()
+        monkeypatch.setattr(act.PlaceSet, "ids", searchsorted_ids)
+        by_search = perms()
+        for args, a, b in zip(stabilizers + lambdas, by_index, by_search):
+            assert a.tobytes() == b.tobytes(), args
+
+    def _rejects(self, ps, triple):
+        x, y, t = (np.array([c]) for c in triple)
+        with pytest.raises(ModelError, match=re.escape(f"probe {triple} is not a place")):
+            ps.ids(x, y, t, "probe")
+        # after a place, the error still names the triple
+        X, Y, T = ps.coords
+        x, y, t = (np.array([int(c[100]), v]) for c, v in zip((X, Y, T), triple))
+        with pytest.raises(ModelError, match=re.escape(f"probe {triple} is not a place")):
+            ps.ids(x, y, t, "probe")
+
+    def test_x_without_places(self, place_set):
+        x = next(c for c in range(place_set.field.order) if c not in set(place_set.coords[0].tolist()))
+        self._rejects(place_set, (x, 0, 0))
+
+    def test_y_outside_the_coset_of_its_x(self, place_set, triples):
+        x, y, t = triples[1000]
+        coset = {y ^ c for c in place_set.subfield}
+        other = next(c for c in range(place_set.field.order) if c not in coset)
+        self._rejects(place_set, (x, other, t))
+
+    def test_t_outside_the_roots_of_its_x(self, place_set, triples):
+        x, y, t = triples[1000]
+        roots = {t for (px, _, t) in triples if px == x}
+        assert len(roots) == 5
+        self._rejects(place_set, (x, y, next(c for c in range(1, 64) if c not in roots)))
+
+    def test_nonzero_t_where_x_has_the_single_root_zero(self, place_set):
+        # x = 0: x^q + x = 0, and a t of the largest rank lands on another
+        # row of the same block
+        t = int(np.flatnonzero(place_set.trank == 4)[0])
+        self._rejects(place_set, (0, 0, t))
+
+    def test_ranks_past_the_end_of_the_keys(self, place_set, triples):
+        ps = place_set
+        n = len(ps.keys)
+        # the last block ends on the last row, and the x beyond it start
+        # there: the largest ranks of y and t run past the end
+        xl, yl, tl = triples[-1]
+        assert ps.start[xl] + 8 * ps.width[xl] == n
+        beyond = [x for x in range(xl + 1, ps.field.order) if ps.start[x] == n]
+        assert beyond
+        y = int(np.flatnonzero(ps.yrank == 7)[0])
+        t = int(np.flatnonzero(ps.trank == 4)[0])
+        for x in beyond:
+            self._rejects(ps, (x, y, t))
+        # in the last block, the largest ranks read the last row
+        assert ps.yrank[yl] == 7 and ps.trank[tl] == 4
+        self._rejects(ps, (xl, yl, next(c for c in range(1, ps.field.order)
+                                        if ps.trank[c] == 4 and c != tl)))
 
 
 class TestElementOrder:

@@ -54,3 +54,22 @@ def test_summarize_takes_medians_and_sums_checks(bench_record):
         "checks_failed": 1,
         "metrics": {"pass_rel": {"median": 2.0, "unit": "ref", "runs": [3.0, 1.0, 2.0]}},
     }
+
+
+def test_stage_medians_of_verify_group_records(bench_record):
+    def rec(timing, places, rows):
+        return {"timing": timing, "stages": {"places": places, "rows": rows}}
+
+    assert bench_record.stage_medians([rec(0.03, 0.002, 0.001), rec(0.01, 0.004, 0.003),
+                                       rec(0.02, 0.003, 0.002)]) == {
+        "runs": 3,
+        "timing": 0.02,
+        "stages": {"places": 0.003, "rows": 0.002},
+    }
+
+
+def test_verify_group_stages_of_this_checkout(bench_record):
+    got = bench_record.verify_group_stages(SCRIPT.parents[1], 2)
+    assert got["runs"] == 2
+    assert sorted(got["stages"]) == ["closure", "generators", "orbits", "order_search", "places", "rows"]
+    assert 0 < sum(got["stages"].values()) <= got["timing"] + 1e-5  # each value is rounded to 6 decimals

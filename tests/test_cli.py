@@ -336,7 +336,7 @@ class TestVerifyGroup:
         assert checks["order-5 tau products (aggregate)"]["measured"] == 20
         # the rows are deterministic; the stage times sit beside them
         assert results_digest(rec["results"]) == "c399470caabc"
-        assert sorted(rec["stages"]) == ["closure", "generators", "orbits", "order_search", "places"]
+        assert sorted(rec["stages"]) == ["closure", "generators", "orbits", "order_search", "places", "rows"]
         assert all(v >= 0 for v in rec["stages"].values())
         assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
 
