@@ -3,8 +3,9 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives in about 0.5 s on two threads and 0.9 s
-on one (2-core x86_64, Python 3.11, numpy 2.4).  Times are in
+evaluates 551,882 representatives in about 0.46 s on two threads and 0.72 s
+on one (wall medians of 11 runs, 0.37-0.78 s and 0.61-0.77 s; 2-core
+x86_64, Python 3.11, numpy 2.4).  Times are in
 milliseconds, split by stage of `CountReport.stages`: `tables` builds the
 field's lazy tables for the count (the exp/log tables, or past
 `gf.TABLE_LIMIT` the Frobenius and digit tables, and the half tables of the

@@ -3,7 +3,7 @@ permutations of the 29185 places rational over the degree-4 extension.
 
 Places are triples (x, y, t) of field codes plus one distinguished infinite
 place at index 0.  Generators come in three flavors: stabilizer maps
-(x, y, t) -> (A x + b, A^(q0+1) y + b^q0 x + c, delta t) with delta^m = A,
+(x, y, t) -> (A x + b, A^(q0+1) y + A b^q0 x + c, delta t) with delta^m = A,
 the torus map t -> lambda t, and the lifted involution built from the
 rational functions alpha/beta, y/beta, t/beta with its degenerate locus
 completed by the forced swap of the origin with the infinite place.
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,7 +170,9 @@ def _perm_from_affine_images(ps: PlaceSet, xi, yi, ti, tag: str) -> np.ndarray:
 
 
 def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> np.ndarray:
-    """Lifted stabilizer element; requires A, b, c in the base subfield,
+    """Lifted stabilizer element: the scaling (A x, A^(q0+1) y, delta t),
+    then the translation (x + b, y + b^q0 x + c, t), so y maps to
+    A^(q0+1) y + A b^q0 x + c; requires A, b, c in the base subfield,
     A nonzero, and delta^m = A."""
     f, params = ps.field, ps.params
     q0, m = params.q0, params.m
@@ -184,7 +185,8 @@ def gen_stabilizer(ps: PlaceSet, A: int, b: int, c: int, delta: int) -> np.ndarr
         raise ModelError("delta^m != A")
     X, Y, T = ps.coords
     xi = f.vadd(f.vmul(ps.codes, A), b).take(X)
-    yi = f.vadd(f.vmul(ps.codes, f.pow(A, q0 + 1)).take(Y), f.vadd(f.vmul(ps.codes, f.pow(b, q0)), c).take(X))
+    yi = f.vadd(f.vmul(ps.codes, f.pow(A, q0 + 1)).take(Y),
+                f.vadd(f.vmul(ps.codes, f.mul(A, f.pow(b, q0))), c).take(X))
     ti = f.vmul(ps.codes, delta).take(T)
     return _perm_from_affine_images(ps, xi, yi, ti, "stabilizer")
 
@@ -243,21 +245,13 @@ def gen_phi(ps: PlaceSet) -> np.ndarray:
     perm[origin_row + 1] = PlaceSet.INFTY
     perm[PlaceSet.INFTY] = origin_row + 1
     _require_bijection(perm, "involution is not a bijection")
-    if not np.array_equal(perm.take(perm), _identity(len(ps))):
+    if not np.array_equal(perm.take(perm), np.arange(len(ps), dtype=np.int32)):
         raise ModelError("completed map is not an involution")
     return perm
 
 
-@lru_cache(maxsize=4)
-def _identity(n: int) -> np.ndarray:
-    """The identity permutation of n points, shared and read-only."""
-    ident = np.arange(n, dtype=np.int32)
-    ident.flags.writeable = False
-    return ident
-
-
 def fixed_points(a: np.ndarray) -> int:
-    return int(np.count_nonzero(a == _identity(len(a))))
+    return int(np.count_nonzero(a == np.arange(len(a), dtype=a.dtype)))
 
 
 def element_order(a: np.ndarray) -> int:
@@ -367,7 +361,7 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
             perm = small[i][perm]
         o = element_order(perm)
         if o % target == 0:
-            full = _identity(len(ps))
+            full = np.arange(len(ps), dtype=np.int32)
             for i in word:
                 full = generators[i].take(full)
             full_order = element_order(full)

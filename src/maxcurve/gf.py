@@ -9,7 +9,8 @@ FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer adds in characteristic 3 on the codes
 themselves, on every field, through the tritwise sums of 5-trit chunks.  It
 multiplies through int32 exp/log tables up to TABLE_LIMIT (8.4 MB for both
-on F_{2^20}), and only beyond it on digit arrays.  Each GF(p)-linear map
+on F_{2^20}), and only beyond it on digit arrays; there a power is Frobenius
+steps times such products.  Each GF(p)-linear map
 (Frobenius, traces, the index map of vspan, multiplication by a constant)
 is kept as the codes of its images of x^0, ..., x^(k-1), from which one
 builder makes two lookup tables, one for each half of a code.
@@ -354,9 +355,10 @@ class FieldSpec:
     # The operands of vadd, vsub and vmul broadcast; either may be one scalar
     # code.  In characteristic 3, vadd and vsub work on codes on every field,
     # chunk by chunk through _trit_tables.  Fields up to TABLE_LIMIT multiply
-    # through the exp/log tables.  Only products and non-Frobenius powers in
-    # larger ones work on digit arrays: uint8, with the k base-p digits of
-    # each code along a new first axis, so every step acts on whole rows.
+    # through the exp/log tables.  Only products in larger ones work on digit
+    # arrays: uint8, with the k base-p digits of each code along a new first
+    # axis, so every step acts on whole rows.  Powers there are Frobenius
+    # steps times products.
 
     def vadd(self, a, b) -> np.ndarray:
         if self.p == 2:
@@ -389,8 +391,15 @@ class FieldSpec:
         """a b elementwise, as int64 codes."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.order > TABLE_LIMIT:
+            # the schoolbook product of the digit arrays: its 2k - 1 rows,
+            # reduced, fold once through the digits of x^(k+j) mod the modulus
             a, b = np.broadcast_arrays(a, b)
-            return self._codes(self._dmul(self._digits(a), self._digits(b)))
+            A, B, k = self._digits(a), self._digits(b), self.k
+            C = np.zeros((2 * k - 1,) + a.shape, dtype=np.uint8)
+            for i in range(k):
+                C[i : i + k] += A[i] * B
+            C %= self.p
+            return self._codes(C[:k] + self._linear(self._reduction(), C[k:]))
         exp, log = self.tables()
         # log[a] + log[b] lies in [-2, 2n - 2], within int32, so the wrap
         # takes one step; the entries it reads for a zero operand are then
@@ -403,7 +412,10 @@ class FieldSpec:
 
     def vpow(self, a, e: int) -> np.ndarray:
         """a^e elementwise as int64 codes, with 0^0 = 1; e < 0 needs every
-        entry nonzero."""
+        entry nonzero.  Up to TABLE_LIMIT a gather from the exp/log tables;
+        beyond it, for r = e mod (order - 1), one Frobenius step per base-p
+        digit position of r and one vmul per unit of a digit, so a^(p^j)
+        takes j steps and no product."""
         a = np.asarray(a, dtype=np.int64)
         zero = a == 0
         if e < 0 and zero.any():
@@ -419,14 +431,15 @@ class FieldSpec:
             idx %= n
             out = np.asarray(exp[idx], dtype=np.int64)
         else:
-            j = next((j for j in range(self.k) if self.p**j == r), None)
-            if j is None:
-                out = self._codes(self._dpow(self._digits(a), r))
-            else:
-                out = a
-                for _ in range(j):  # a^(p^j): the Frobenius map j times
-                    out = self._half_lookup(self._frobenius_tables(), out)
-            out = np.array(out)  # a fresh array, as it is written below
+            out, conjugate = None, a  # conjugate = a^(p^i) at digit position i
+            while r:
+                r, digit = divmod(r, self.p)
+                for _ in range(digit):
+                    out = conjugate if out is None else self.vmul(out, conjugate)
+                if r:
+                    conjugate = self._half_lookup(self._frobenius_tables(), conjugate)
+            # a fresh array, as it is written below
+            out = np.ones_like(a) if out is None else np.array(out)
         out[zero] = 0 if e else 1
         return out
 
@@ -482,21 +495,19 @@ class FieldSpec:
         return self.vadd(low[lo], high[hi])
 
     def _frobenius_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The half tables of a -> a^p: its columns are the codes of x^(i p)."""
+        """The half tables of a -> a^p: its columns are the codes of x^(i p).
+        Read by vpow past TABLE_LIMIT only."""
         if self._frobenius is None:
             self._frobenius = self._half_tables([self.pow(self.p**i, self.p) for i in range(self.k)])
         return self._frobenius
 
     def _trace_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The half tables of the trace to GF(p^d), d | k: its columns are the
-        sums of the conjugates (x^i)^(p^(d j)) of the basis, formed with the
-        Frobenius tables."""
+        sums of the conjugates (x^i)^(p^(d j)) of the basis, formed by vpow."""
         if d not in self._traces:
-            frobenius = self._frobenius_tables()
             conjugate = total = self.p ** np.arange(self.k, dtype=np.int64)
             for _ in range(self.k // d - 1):
-                for _ in range(d):
-                    conjugate = self._half_lookup(frobenius, conjugate)
+                conjugate = self.vpow(conjugate, self.p**d)
                 total = self.vadd(total, conjugate)
             self._traces[d] = self._half_tables(total)
         return self._traces[d]
@@ -556,28 +567,6 @@ class FieldSpec:
             self._reduction_matrix = self._digits(np.array(powers, dtype=np.int64))
         return self._reduction_matrix
 
-    def _dmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Products of reduced digit arrays, reduced: the 2k-1 product rows,
-        reduced, fold once through the digits of x^(k+j) mod the modulus."""
-        k = self.k
-        C = np.zeros((2 * k - 1,) + np.broadcast_shapes(A.shape[1:], B.shape[1:]), dtype=np.uint8)
-        for i in range(k):
-            C[i : i + k] += A[i] * B
-        C %= self.p
-        return (C[:k] + self._linear(self._reduction(), C[k:])) % self.p
-
-    def _dpow(self, A: np.ndarray, e: int) -> np.ndarray:
-        """Square-and-multiply on a digit array, e >= 0."""
-        result = np.zeros_like(A)
-        result[0] = 1
-        while e:
-            if e & 1:
-                result = self._dmul(result, A)
-            e >>= 1
-            if e:
-                A = self._dmul(A, A)
-        return result
-
     # -- multiplicative structure ----------------------------------------
 
     def generator_code(self) -> int:
@@ -633,9 +622,10 @@ class FieldSpec:
         """Build the lazy caches that a count at subfield degree d reads: in
         characteristic 3 the chunk sum tables, the exp/log tables up to
         TABLE_LIMIT and beyond it the Frobenius tables, the digit table and
-        the reduction matrix, then the half tables of vtrace at d (none at
-        d = k) and of vspan at d.  Afterwards threads running that count
-        share the field, and the chunk sum tables, read-only."""
+        the reduction matrix of vpow and vmul, then the half tables of vtrace
+        at d (none at d = k), whose conjugates vpow forms, and of vspan at d.
+        Afterwards threads running that count share the field, and the chunk
+        sum tables, read-only."""
         self._check_subfield(d)
         if self.p == 3:
             _trit_tables()

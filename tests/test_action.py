@@ -173,9 +173,9 @@ class TestPlaceIndex:
         rng = random.Random(3)
         stabilizers = []
         for i in range(10):
-            # the map permutes the places when A = 1 or b = 0
-            A = rng.choice(place_set.subfield[1:]) if i % 2 else 1
-            b = 0 if i % 2 else rng.choice(place_set.subfield)
+            # in turn A = 1, then b = 0, then A != 1 with b != 0
+            A = rng.choice(place_set.subfield[1:]) if i % 3 else 1
+            b = rng.choice(place_set.subfield[1:]) if i % 3 != 1 else 0
             c = rng.choice(place_set.subfield)
             delta = rng.choice(np.flatnonzero(f.vpow(codes, m) == A).tolist())
             stabilizers.append((A, b, c, delta))
@@ -291,6 +291,19 @@ class TestStabilizerGenerators:
         a = act.stabilizer_in_complement(place_set, A, 0, 0)
         assert act.element_order(a) == 7
         assert act.fixed_points(a) == 2
+
+    def test_scaling_then_translation(self, place_set):
+        # A b^q0 x in the y-map: a general stabilizer element is a bijection,
+        # the scaling by A followed by the translation by (b, c)
+        f, m = place_set.field, place_set.params.m
+        mth_powers = f.vpow(np.arange(f.order), m)
+        units = [A for A in place_set.subfield if A not in (0, 1)]
+        for A, b, c in zip(units, place_set.subfield[1:], reversed(place_set.subfield)):
+            delta = int(np.flatnonzero(mth_powers == A)[-1])
+            scaled = act.gen_stabilizer(place_set, A, 0, 0, delta)
+            translated = act.gen_stabilizer(place_set, 1, b, c, 1)
+            both = act.gen_stabilizer(place_set, A, b, c, delta)
+            assert both.tobytes() == translated.take(scaled).tobytes(), (A, b, c)
 
     def test_delta_constraint_enforced(self, place_set):
         A = next(c for c in place_set.subfield if c not in (0, 1))

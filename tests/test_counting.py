@@ -341,19 +341,6 @@ class TestDigitFieldEngine:
     """The digit-array arithmetic of tableless fields, which runs the
     degree-6 Ree count, validated against scalar field arithmetic."""
 
-    def test_matches_field_ops_gf3_6(self):
-        f = make_field(3, 6)
-        rng = np.random.default_rng(17)
-        codes = rng.integers(0, f.order, 64, dtype=np.int64)
-        other = rng.integers(0, f.order, 64, dtype=np.int64)
-        A, B = f._digits(codes), f._digits(other)
-        prod = f._codes(f._dmul(A, B))
-        assert all(int(prod[i]) == f.mul(int(codes[i]), int(other[i])) for i in range(64))
-        cubes = f._half_lookup(f._frobenius_tables(), codes)
-        assert all(int(cubes[i]) == f.pow(int(codes[i]), 3) for i in range(64))
-        p7 = f._codes(f._dpow(A, 7))
-        assert all(int(p7[i]) == f.pow(int(codes[i]), 7) for i in range(64))
-
     def test_long_kernel_slice_matches_scalar(self):
         f = make_field(3, 18)
         q, q0, m = 27, 3, 19

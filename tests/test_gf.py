@@ -294,7 +294,13 @@ class TestArrayLayer:
         self.check(make_field(p, k), 200, k)
 
     def test_tableless_gf3_18_sample(self):
-        self.check(make_field(3, 18), 40, 18)
+        f = make_field(3, 18)
+        self.check(f, 40, 18)
+        # the Kummer exponent of the degree-6 Ree count: 16 base-3 digits,
+        # which sum to 18, so 15 Frobenius steps and 17 products
+        a = np.random.default_rng(19).integers(1, f.order, 40, dtype=np.int64)
+        e = (f.order - 1) // 19
+        assert f.vpow(a, e).tolist() == [f.pow(x, e) for x in a.tolist()]
 
     @pytest.mark.parametrize("p,k", [(2, 12), (3, 6)])
     def test_digit_path_of_tabled_fields(self, p, k, monkeypatch):
@@ -327,6 +333,7 @@ class TestArrayLayer:
         f = gf.FieldSpec(2, 12, default_modulus(2, 12))
         f.precompute(d)
         assert list(f._traces) == traced and list(f._spans) == [d]
+        assert f._frobenius is None  # read past TABLE_LIMIT only
         with pytest.raises(FieldError):
             f.precompute(5)
 
@@ -502,13 +509,13 @@ class TestTables:
         assert hashlib.sha256(make_field(p, k).tables()[0].astype(np.int64).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("p,k", [(2, 20), (3, 12)])
-    def test_large_tables_on_digit_path(self, p, k):
+    def test_large_tables_on_digit_path(self, p, k, monkeypatch):
         f = make_field(p, k)
         exp, log = f.tables()
-        g = f._digits(np.array([f.generator_code()]))
+        g = f.generator_code()
+        monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
         chunk = 1 << 16
-        nxt = np.concatenate([f._codes(f._dmul(f._digits(exp[lo : lo + chunk]), g))
-                              for lo in range(0, len(exp), chunk)])
+        nxt = np.concatenate([f.vmul(exp[lo : lo + chunk], g) for lo in range(0, len(exp), chunk)])
         assert np.array_equal(nxt, np.roll(exp, -1))  # exp[i] g = exp[i+1], and g^(order-1) = 1
         assert log[0] == -1 and np.array_equal(log[exp], np.arange(len(exp)))
 
