@@ -18,9 +18,10 @@ machine falls on every root alike.  Each root gets one record in --out
   reported;
 - per workload, the median and the runs of every end-to-end (--trace 0) and
   per-layer (--trace 1) metric, and the check counts;
-- `verify_group_stages`: the median `timing` and `stages` of
-  `maxcurve verify-group --s 1 --json`, run VERIFY_GROUP_RUNS times in one
-  process after the benchmark runs.
+- `verify_group_stages`: the median `timing`, `stages` and `minflt` (minor
+  page faults, the `ru_minflt` delta of the process) of `maxcurve
+  verify-group --s 1 --json`, run VERIFY_GROUP_RUNS times in one process,
+  after one unrecorded warm-up run, after the benchmark runs.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """
@@ -39,12 +40,19 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SHORT = 12
 VERIFY_GROUP_RUNS = 20
-# one verify-group record per line on stdout, all in one warm process
+# one verify-group record per line on stdout, all in one process after a
+# warm-up run, each with the minor page faults of its run as `minflt`
 VERIFY_GROUP_LOOP = """
-import sys
+import contextlib, io, json, resource, sys
 from maxcurve import cli
-for _ in range(int(sys.argv[1])):
-    cli.main(["verify-group", "--s", "1", "--json"])
+for i in range(int(sys.argv[1]) + 1):
+    out = io.StringIO()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify-group", "--s", "1", "--json"])
+    record = dict(json.loads(out.getvalue()), minflt=resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    if i:
+        print(json.dumps(record))
 """
 
 
@@ -97,11 +105,12 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def stage_medians(records: list[dict]) -> dict:
-    """The median `timing` and the median of each of the `stages` of the
-    given verify-group records."""
+    """The median `timing`, the median of each of the `stages` and the
+    median `minflt` of the given verify-group records."""
     return {
         "runs": len(records),
         "timing": statistics.median(r["timing"] for r in records),
+        "minflt": statistics.median(r["minflt"] for r in records),
         "stages": {name: statistics.median(r["stages"][name] for r in records) for name in records[0]["stages"]},
     }
 

@@ -21,10 +21,21 @@ gathered by the coordinates of the places.
 A permutation is a plain int32 array whose entry i is the image of place i,
 so a[b] (computed as a.take(b)) applies b first, and the field arithmetic
 is FieldSpec's.
+
+Memory: the per-place arrays that outlive a pass are built once, in
+build_places: the packed keys and the coordinates X, Y, T of PlaceSet,
+plus one shared read-only identity permutation per length.  A pass
+allocates its outputs (each generator, product and power is a fresh int32
+array), the gathered images of a generator, the products of the
+involution's t/beta, and the temporaries of PlaceSet.ids (its row is
+summed and its key packed in place).  Other arithmetic on a full-size
+array is done in place or into a buffer that is reused (element_order,
+verify_orbits); the involution's other maps are taken once per (x, y).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveParams
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec, _factorize, make_field
 
 
 # The random words find_element_of_order tries, and the most elements
@@ -60,8 +71,8 @@ class PlaceSet:
     codes: np.ndarray  # int64: every field code, the domain of the coordinate maps
     start: np.ndarray  # int32 per x: the first row of its block
     width: np.ndarray  # int32 per x: the number of t per y, m or 1
-    yrank: np.ndarray  # int32 per y: its rank in the coset y + F_q
-    trank: np.ndarray  # int32 per t: its rank among t * zeta^j
+    yrank: np.ndarray  # int32 per y of a place: its rank in the coset y + F_q (0 for other codes)
+    trank: np.ndarray  # int32 per t of a place: its rank among t * zeta^j (0 for other codes)
 
     INFTY = 0
 
@@ -77,20 +88,31 @@ class PlaceSet:
     def ids(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
         """Ids of the affine places (x, y, t); ModelError names the first
         triple that is not a place.  A triple that is not a place may still
-        index a row (of another block, or clamped into range): its key
-        there differs from its own."""
-        row = self.start.take(x) + self.yrank.take(y) * self.width.take(x) + self.trank.take(t)
-        np.minimum(row, len(self.keys) - 1, out=row)
-        found = self.keys.take(row) == _pack(self.field.k, x, y, t)
+        index a row (of another block, or past the last row, which is read
+        instead): its key there differs from its own."""
+        row = self.width.take(x)
+        term = self.yrank.take(y)
+        row *= term
+        # the codes are in range; mode="clip" lets take write to `out` unbuffered
+        row += self.start.take(x, out=term, mode="clip")
+        row += self.trank.take(t, out=term, mode="clip")
+        found = self.keys.take(row, mode="clip") == _pack(self.field.k, x, y, t)
         if not found.all():
             i = int(np.argmin(found))
             raise ModelError(f"{what} {(int(x[i]), int(y[i]), int(t[i]))} is not a place")
-        return row + 1
+        row += 1
+        return row
 
 
 def _pack(k: int, x, y, t):
-    """(x, y, t) as one integer; codes below 2^k keep the lexicographic order."""
-    return (x << (2 * k)) | (y << k) | t
+    """(x, y, t) of equal shapes as one int64 integer, ((x << k | y) << k)
+    | t, shifted and ORed in place; codes below 2^k keep the lexicographic
+    order."""
+    key = np.left_shift(x, k, dtype=np.int64)
+    key |= y
+    key <<= k
+    key |= t
+    return key
 
 
 def build_places(params: CurveParams) -> PlaceSet:
@@ -116,31 +138,36 @@ def build_places(params: CurveParams) -> PlaceSet:
     # x carries places iff y^q + y = x^q0 s and t^m = s are solvable
     y0 = pre[f.vmul(f.vpow(codes, q0), s)]
     xs = np.flatnonzero((y0 >= 0) & ((s == 0) | (f.vpow(s, n // m) == 1)))
-    ys = f.vadd(y0[xs, None], np.array(kernel))
-    # the m roots t0 * zeta^j: t0 = s^e with m e = 1 mod n/m (at q=8,
-    # gcd(5, 819) = 1), and zeta = g^(n/m); s = 0 has the single root 0,
-    # whose m copies are merged once the places are sorted
+    # each row the coset y0 + F_q, ascending
+    ys = np.sort(f.vadd(y0[xs, None], np.array(kernel)), axis=1)
+    # each row the m roots t0 * zeta^j, ascending: t0 = s^e with m e = 1 mod
+    # n/m (at q=8, gcd(5, 819) = 1), and zeta = g^(n/m); s = 0 has the
+    # single root 0, whose m copies are merged below
     zeta = f.pow(f.generator_code(), n // m)
     zetas = [f.pow(zeta, j) for j in range(m)]
     t0 = f.vpow(s[xs], pow(m, -1, n // m))
-    ts = f.vmul(t0[:, None], zetas)
-    keys = np.sort(_pack(f.k, xs[:, None, None], ys[:, :, None], ts[:, None, :]), axis=None)
+    ts = np.sort(f.vmul(t0[:, None], zetas), axis=1)
+    # xs ascend, and so does each row of ys and ts: the keys come out sorted
+    keys = _pack(f.k, *np.broadcast_arrays(xs[:, None, None], ys[:, :, None], ts[:, None, :])).ravel()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
     low = (1 << f.k) - 1
     X, Y, T = keys >> (2 * f.k), (keys >> f.k) & low, keys & low
-    rational = np.isin(X, kernel) & np.isin(Y, kernel) & (T == 0)
+    in_kernel = np.zeros(f.order, dtype=bool)
+    in_kernel[kernel] = True
+    rational = in_kernel.take(X) & in_kernel.take(Y) & (T == 0)
 
     # the index: each x with places owns q * width[x] rows, in x order; the
-    # rank of y (of t) is the number of smaller codes in y + F_q (t * zeta^j)
+    # rank of y in y + F_q (of t among t * zeta^j) is its column in ys (ts)
     width = np.where(s == 0, 1, m).astype(np.int32)
     size = np.zeros(f.order, dtype=np.int32)
     size[xs] = q * width[xs]
     start = np.zeros(f.order, dtype=np.int32)
     np.cumsum(size[:-1], out=start[1:])
-    column = codes[:, None]
-    yrank = np.count_nonzero(f.vadd(column, np.array(kernel)) < column, axis=1).astype(np.int32)
-    trank = np.count_nonzero(f.vmul(column, zetas) < column, axis=1).astype(np.int32)
+    yrank = np.zeros(f.order, dtype=np.int32)
+    yrank[ys] = np.arange(q, dtype=np.int32)
+    trank = np.zeros(f.order, dtype=np.int32)
+    trank[ts[s[xs] != 0]] = np.arange(m, dtype=np.int32)  # the root 0 keeps rank 0
     return PlaceSet(
         field=f,
         params=params,
@@ -219,39 +246,58 @@ def gen_phi(ps: PlaceSet) -> np.ndarray:
     alpha^2q0; regular images are (alpha/beta, y/beta, t/beta).  The places
     where beta vanishes, together with the infinite place, are completed by
     the unique bijective pairing, which must be the origin <-> infinity swap.
-    Only the products of two place arrays are taken over the places; every
-    power is a map on the field codes.
+    alpha, beta, alpha/beta and y/beta depend on (x, y) alone: they are
+    taken once per pair (x, y) and spread over its rows, so t/beta is the
+    only product over the places.
     """
-    f, params = ps.field, ps.params
-    q0 = params.q0
+    f, q0 = ps.field, ps.params.q0
     X, Y, T = ps.coords
-    pow2q0 = f.vpow(ps.codes, 2 * q0)
-    y2 = pow2q0.take(Y)
-    alpha = f.vadd(y2, f.vpow(ps.codes, 2 * q0 + 1).take(X))
-    beta = f.vadd(f.vmul(X, y2), pow2q0.take(alpha))
+    # the rows of a pair (x, y) are consecutive, the first with the t of
+    # rank 0; np.repeat(v, size) spreads a value v per pair over its rows
+    lead = np.flatnonzero(ps.trank.take(T) == 0)
+    size = np.diff(lead, append=len(T))
+    x, y = X.take(lead), Y.take(lead)
+    y2 = f.vpow(y, 2 * q0)
+    alpha = f.vadd(y2, f.vpow(x, 2 * q0 + 1))
+    beta = f.vadd(f.vmul(x, y2), f.vpow(alpha, 2 * q0))
 
-    degenerate = np.flatnonzero(beta == 0)
-    if degenerate.size != 1:
-        raise ModelError(f"beta vanishes at {degenerate.size} affine places, expected 1")
-    origin_row = int(degenerate[0])
-    if ps.keys[origin_row] != 0:  # the packed key of (0, 0, 0)
+    zeros = int(size[beta == 0].sum())
+    if zeros != 1:
+        raise ModelError(f"beta vanishes at {zeros} affine places, expected 1")
+    # (0, 0, 0) has the least packed key, 0, so the origin is row 0 (id 1)
+    # and, as the one row of its pair, pair 0
+    if ps.keys[0] != 0 or beta[0] != 0:
         raise ModelError("beta vanishes away from the origin")
 
-    rows = np.flatnonzero(beta)
-    binv = f.vpow(ps.codes, f.order - 2).take(beta[rows])  # 1/beta, as beta != 0
+    beta[0] = 1  # the origin is completed below, not divided by beta
+    binv = f.vpow(beta, -1)
+
+    def rows(v):  # v per pair, spread over rows 1..
+        return np.repeat(v, size)[1:]
+
+    # t/beta, the product over the places, first: its temporaries are freed
+    # before the other images are spread
+    ti = f.vmul(T[1:], rows(binv))
     perm = np.empty(len(ps), dtype=np.int32)
-    perm[rows + 1] = ps.ids(f.vmul(alpha[rows], binv), f.vmul(Y[rows], binv),
-                            f.vmul(T[rows], binv), "involution image")
-    perm[origin_row + 1] = PlaceSet.INFTY
-    perm[PlaceSet.INFTY] = origin_row + 1
+    perm[2:] = ps.ids(rows(f.vmul(alpha, binv)), rows(f.vmul(y, binv)), ti, "involution image")
+    perm[1] = PlaceSet.INFTY
+    perm[PlaceSet.INFTY] = 1
     _require_bijection(perm, "involution is not a bijection")
-    if not np.array_equal(perm.take(perm), np.arange(len(ps), dtype=np.int32)):
+    if not np.array_equal(perm.take(perm), _identity(len(perm))):
         raise ModelError("completed map is not an involution")
     return perm
 
 
+@functools.lru_cache
+def _identity(n: int) -> np.ndarray:
+    """The identity permutation of n points: one shared array, read-only."""
+    one = np.arange(n, dtype=np.int32)
+    one.flags.writeable = False
+    return one
+
+
 def fixed_points(a: np.ndarray) -> int:
-    return int(np.count_nonzero(a == np.arange(len(a), dtype=a.dtype)))
+    return int(np.count_nonzero(a == _identity(len(a))))
 
 
 def element_order(a: np.ndarray) -> int:
@@ -265,28 +311,63 @@ def element_order(a: np.ndarray) -> int:
     of a p-cycle meet every such cycle inside it, so all carry that minimum.
     """
     n = len(a)
-    jump = a.astype(np.intp)
-    label = np.arange(n)
+    jump, spare_jump = a.astype(np.intp), np.empty(n, dtype=np.intp)
+    label, nxt = np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     for _ in range((n - 1).bit_length()):
-        nxt = np.minimum(label, label.take(jump))
+        # the indices are in range; mode="clip" lets take write to `out` unbuffered
+        np.minimum(label, label.take(jump, out=nxt, mode="clip"), out=nxt)
         if np.array_equal(nxt, label):
             break
-        label = nxt
-        jump = jump.take(jump)
+        label, nxt = nxt, label
+        jump, spare_jump = jump.take(jump, out=spare_jump, mode="clip"), jump
     sizes = np.bincount(label)
     # the distinct cycle lengths are the nonzero bins past 0 of the sizes
     return math.lcm(*(np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist())
 
 
+def _walk_order(a: np.ndarray) -> int:
+    """The lcm of the cycle lengths, found by walking each cycle.  On the 65
+    places of the small orbit this is several times faster than
+    element_order, whose array passes cost microseconds each at any size."""
+    image, seen, order = a.tolist(), [False] * len(a), 1
+    for start in range(len(image)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = image[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 def power(a: np.ndarray, n: int) -> np.ndarray:
-    result = np.arange(len(a), dtype=np.int32)
+    """a^n for n >= 0, a fresh array for n > 0; a^0 is the shared read-only
+    identity."""
+    result = _identity(len(a))
     base = a
     while n:
         if n & 1:
             result = base.take(result)
-        base = base.take(base)
         n >>= 1
+        if n:
+            base = base.take(base)
     return result
+
+
+def has_order(a: np.ndarray, o: int, powers: dict[int, np.ndarray] | None = None) -> bool:
+    """Whether the permutation a has order exactly o: a^o = 1, and a^(o/p)
+    != 1 for each prime p | o.  The powers it takes are added to `powers`
+    (exponent -> power), which may already hold some of them."""
+    powers = {} if powers is None else powers
+    one = _identity(len(a))
+
+    def is_one(e: int) -> bool:
+        if e not in powers:
+            powers[e] = power(a, e)
+        return np.array_equal(powers[e], one)
+
+    return is_one(o) and not any(is_one(o // p) for p in _factorize(o))
 
 
 def default_generators(ps: PlaceSet) -> dict[str, np.ndarray]:
@@ -310,6 +391,7 @@ def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
     """Orbit sizes of the group generated by the given permutations."""
     n = len(ps)
     seen = np.zeros(n, dtype=bool)
+    reached = np.empty(n, dtype=bool)  # one buffer for every BFS level
     sizes = []
     while not seen.all():
         start = int(np.argmin(seen))  # the first unseen place
@@ -317,10 +399,10 @@ def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
         seen[start] = True
         size = 1
         while frontier.size:
-            reached = np.zeros(n, dtype=bool)
+            reached.fill(False)
             for p in perms:
-                reached[p[frontier]] = True
-            frontier = np.flatnonzero(reached & ~seen)
+                reached[p.take(frontier)] = True
+            frontier = np.flatnonzero(np.greater(reached, seen, out=reached))  # reached, not seen
             seen[frontier] = True
             size += frontier.size
         sizes.append(size)
@@ -330,13 +412,13 @@ def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
 def _small_orbit_restriction(ps: PlaceSet, generators: list[np.ndarray]) -> list[np.ndarray]:
     """Each generator as a permutation of the small orbit: entry i is the
     position within fq_rational_ids() of the image of its i-th place."""
-    fq_ids = ps.fq_rational_ids()
-    slot = np.full(len(ps), -1)  # position of each place within fq_ids
-    slot[fq_ids] = np.arange(len(fq_ids))
+    fq_ids = np.array(ps.fq_rational_ids())  # ascending, the infinite place first
     restricted = []
     for i, g in enumerate(generators):
-        r = slot[g[fq_ids]]
-        if (r < 0).any():
+        image = g.take(fq_ids)
+        r = np.searchsorted(fq_ids, image)  # the position of each image within fq_ids
+        # a position past the end reads the last id, which differs from the image
+        if not np.array_equal(fq_ids.take(r, mode="clip"), image):
             raise ModelError(f"generator {i} moves an F_q-rational place off the small orbit")
         restricted.append(r)
     return restricted
@@ -351,24 +433,26 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
     (the F_q-rational places), on which the lifted simple group acts
     faithfully.  Only the first word whose order there is divisible by
     `target` is composed over all places; its full order must equal its
-    small-orbit order, or ModelError says the restriction is not faithful."""
+    small-orbit order, checked by powers (has_order), or ModelError says
+    the restriction is not faithful."""
     rng = random.Random(seed)
     small = _small_orbit_restriction(ps, generators)
     for _ in range(MAX_TRIES):
         word = [rng.randrange(len(generators)) for _ in range(rng.randint(2, 8))]
-        perm = np.arange(len(small[0]))
-        for i in word:
-            perm = small[i][perm]
-        o = element_order(perm)
+        perm = small[word[0]]
+        for i in word[1:]:
+            perm = small[i].take(perm)
+        o = _walk_order(perm)
         if o % target == 0:
-            full = np.arange(len(ps), dtype=np.int32)
-            for i in word:
+            full = generators[word[0]]
+            for i in word[1:]:  # a word has at least two letters, so full is a fresh array
                 full = generators[i].take(full)
-            full_order = element_order(full)
-            if full_order != o:
-                raise ModelError(f"a word of order {o} on the small orbit has order {full_order} "
+            powers = {1: full}
+            if not has_order(full, o, powers):
+                raise ModelError(f"a word of order {o} on the small orbit has order {element_order(full)} "
                                  "on all places: the restriction is not faithful")
-            return power(full, o // target)
+            e = o // target
+            return powers[e] if e in powers else power(full, e)
     raise ModelError(f"no element of order {target} found in {MAX_TRIES} tries")
 
 

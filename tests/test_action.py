@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -110,6 +111,23 @@ class TestPlaceSet:
 
     def test_keys_increase_along_the_place_list(self, place_set):
         assert np.all(np.diff(place_set.keys) > 0)
+
+    def test_fq_rational_ids_by_membership(self, place_set):
+        X, Y, T = place_set.coords
+        kernel = place_set.subfield
+        rational = np.isin(X, kernel) & np.isin(Y, kernel) & (T == 0)
+        assert place_set.fq_rational_ids() == [0] + (np.flatnonzero(rational) + 1).tolist()
+
+    def test_ranks_of_the_place_coordinates(self, place_set):
+        # the rank of a place's y in its coset y + F_q, and of its t among
+        # t * zeta^j, counted directly
+        f, m = place_set.field, place_set.params.m
+        zeta = f.pow(f.generator_code(), (f.order - 1) // m)
+        ys, ts = (np.unique(c)[:, None] for c in place_set.coords[1:])
+        assert np.array_equal(place_set.yrank[ys[:, 0]],
+                              np.count_nonzero(f.vadd(ys, np.array(place_set.subfield)) < ys, axis=1))
+        assert np.array_equal(place_set.trank[ts[:, 0]],
+                              np.count_nonzero(f.vmul(ts, [f.pow(zeta, j) for j in range(m)]) < ts, axis=1))
 
     def test_wrong_kernel_size_raises(self, q8_params, monkeypatch):
         monkeypatch.setattr(FieldSpec, "subfield_codes", lambda self, d: [0, 1])
@@ -259,6 +277,7 @@ class TestElementOrder:
     def test_random_permutations(self, perm):
         arr = np.array(perm, dtype=np.int32)
         assert act.element_order(arr) == cycle_walk_order(perm)
+        assert act._walk_order(arr) == cycle_walk_order(perm)
 
     def test_default_generators(self, generators):
         for name, a in generators.items():
@@ -364,6 +383,43 @@ class TestPhi:
     def test_single_fixed_place(self, generators):
         assert act.fixed_points(generators["phi"]) == 1
 
+    def test_beta_vanishing_away_from_row_0(self, triples, place_set):
+        # rows 0 and 1, (0, 0, 0) and (0, y, 0) with y in F_q, swapped: beta
+        # vanishes only at the origin, now on row 1
+        assert triples[1][0] == triples[1][2] == 0
+        swapped = tuple(np.concatenate(([c[1], c[0]], c[2:])) for c in place_set.coords)
+        with pytest.raises(ModelError, match="beta vanishes away from the origin"):
+            act.gen_phi(dataclasses.replace(place_set, coords=swapped))
+
+    def test_beta_vanishing_at_two_places(self, triples, place_set):
+        assert triples[1][0] == triples[1][2] == 0
+        X, Y, T = place_set.coords
+        Y = Y.copy()
+        Y[1] = 0  # row 1 holds a second (0, 0, 0)
+        with pytest.raises(ModelError, match="beta vanishes at 2 affine places, expected 1"):
+            act.gen_phi(dataclasses.replace(place_set, coords=(X, Y, T)))
+
+    def test_beta_vanishing_on_the_places_of_one_pair(self, place_set):
+        # the m places of the first (x, y) with m roots t moved to x = y = 0:
+        # beta vanishes there and at the origin
+        X, Y, T = (c.copy() for c in place_set.coords)
+        r = int(np.argmax(place_set.width[X] == 5))
+        X[r:r + 5] = Y[r:r + 5] = 0
+        with pytest.raises(ModelError, match="beta vanishes at 6 affine places, expected 1"):
+            act.gen_phi(dataclasses.replace(place_set, coords=(X, Y, T)))
+
+    def test_completion_must_be_a_bijection(self, place_set, monkeypatch):
+        monkeypatch.setattr(act.PlaceSet, "ids", lambda ps, x, y, t, what: np.full(len(x), 2, dtype=np.int32))
+        with pytest.raises(ModelError, match="involution is not a bijection"):
+            act.gen_phi(place_set)
+
+    def test_completion_must_be_an_involution(self, place_set, monkeypatch):
+        # the ids 2, ..., n - 1 moved by one: a bijection, of order n - 2
+        monkeypatch.setattr(act.PlaceSet, "ids",
+                            lambda ps, x, y, t, what: np.roll(np.arange(2, len(ps), dtype=np.int32), 1))
+        with pytest.raises(ModelError, match="completed map is not an involution"):
+            act.gen_phi(place_set)
+
 
 class TestGroupStructure:
     def test_orbits(self, place_set, generators):
@@ -458,6 +514,22 @@ class TestOrderSearch:
         with pytest.raises(ModelError, match="no element of order 11 found in 50 tries"):
             act.find_element_of_order(place_set, 11, simple_group_gens)
 
+    def test_returns_a_fresh_array(self, place_set, simple_group_gens):
+        for target in (13, 5):
+            got = act.find_element_of_order(place_set, target, simple_group_gens)
+            assert got.flags.writeable
+            assert not any(np.shares_memory(got, g) for g in simple_group_gens)
+
+    def test_unfaithful_restriction_names_both_orders(self, place_set, generators):
+        with pytest.raises(ModelError) as err:
+            act.find_element_of_order(place_set, 2, [generators["phi"], generators["gamma"]], seed=1)
+        found = re.fullmatch(r"a word of order (\d+) on the small orbit has order (\d+) on all "
+                             r"places: the restriction is not faithful", str(err.value))
+        assert found
+        small, full = map(int, found.groups())
+        # gamma adds its factor 5 on the places off the small orbit
+        assert small % 2 == 0 and full == math.lcm(small, 5)
+
     def test_generator_acting_trivially_on_small_orbit(self, place_set, generators):
         # gamma fixes every F_q-rational place, so a word's order on the small
         # orbit misses gamma's factor 5
@@ -491,3 +563,71 @@ class TestCompose:
         order = act.element_order(perm)
         # |Aut| = 29120 * 5
         assert (29120 * 5) % order == 0
+
+
+def cycle_type_permutation(cycles: list[int], n: int = 40) -> np.ndarray:
+    """A permutation of n points with the given cycle lengths, the other
+    points fixed, in scrambled positions."""
+    points = np.random.default_rng(sum(cycles)).permutation(n)
+    perm = np.arange(n, dtype=np.int32)
+    start = 0
+    for length in cycles:
+        cycle = points[start:start + length]
+        perm[cycle] = np.roll(cycle, -1)
+        start += length
+    return perm
+
+
+class TestHasOrder:
+    """has_order checks a^o = 1 and a^(o/p) != 1 for the primes p | o; it
+    must agree with element_order."""
+
+    @pytest.mark.parametrize("cycles, order", [([4], 4), ([4, 2, 2], 4), ([8, 4, 2], 8), ([9, 3], 9),
+                                               ([9, 9, 1], 9), ([4, 3], 12), ([4, 6], 12), ([3, 2, 2], 6)])
+    def test_cycle_types(self, cycles, order):
+        perm = cycle_type_permutation(cycles)
+        assert act.element_order(perm) == order
+        for o in range(1, 3 * order + 1):
+            assert act.has_order(perm, o) == (o == order), o
+
+    @given(word=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_element_order_on_words(self, generators, word):
+        names = list(generators)
+        perm = generators[names[word[0]]]
+        for idx in word[1:]:
+            perm = generators[names[idx]].take(perm)
+        order = act.element_order(perm)
+        divisors = [d for d in range(1, order + 1) if order % d == 0]
+        for o in divisors + [order + 1, 2 * order, 5 * order]:
+            assert act.has_order(perm, o) == (o == order), o
+
+    def test_keeps_the_powers_it_takes(self):
+        perm = cycle_type_permutation([4, 3])
+        powers = {}
+        assert act.has_order(perm, 12, powers)
+        assert set(powers) == {12, 6, 4}
+        for e, p in powers.items():
+            assert np.array_equal(p, act.power(perm, e))
+
+
+class TestSharedIdentity:
+    def test_power_zero_is_read_only(self, generators):
+        one = act.power(generators["phi"], 0)
+        assert np.array_equal(one, np.arange(29185))
+        assert not one.flags.writeable
+        with pytest.raises(ValueError):
+            one[0] = 1
+        assert act.power(generators["gamma"], 0) is one  # one array per length
+
+    def test_positive_powers_are_fresh(self, generators):
+        a = generators["torus7"]
+        for n in (1, 2, 7):
+            p = act.power(a, n)
+            assert p.flags.writeable
+            assert not np.shares_memory(p, a) and not np.shares_memory(p, act.power(a, 0))
+
+    def test_fixed_points_leave_the_identity_as_it_is(self, generators):
+        counts = [act.fixed_points(a) for a in generators.values()]
+        assert all(isinstance(c, int) for c in counts)
+        assert np.array_equal(act.power(generators["phi"], 0), np.arange(29185))

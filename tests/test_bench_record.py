@@ -57,13 +57,14 @@ def test_summarize_takes_medians_and_sums_checks(bench_record):
 
 
 def test_stage_medians_of_verify_group_records(bench_record):
-    def rec(timing, places, rows):
-        return {"timing": timing, "stages": {"places": places, "rows": rows}}
+    def rec(timing, places, rows, minflt):
+        return {"timing": timing, "stages": {"places": places, "rows": rows}, "minflt": minflt}
 
-    assert bench_record.stage_medians([rec(0.03, 0.002, 0.001), rec(0.01, 0.004, 0.003),
-                                       rec(0.02, 0.003, 0.002)]) == {
+    assert bench_record.stage_medians([rec(0.03, 0.002, 0.001, 500), rec(0.01, 0.004, 0.003, 300),
+                                       rec(0.02, 0.003, 0.002, 900)]) == {
         "runs": 3,
         "timing": 0.02,
+        "minflt": 500,
         "stages": {"places": 0.003, "rows": 0.002},
     }
 
@@ -73,3 +74,4 @@ def test_verify_group_stages_of_this_checkout(bench_record):
     assert got["runs"] == 2
     assert sorted(got["stages"]) == ["closure", "generators", "orbits", "order_search", "places", "rows"]
     assert 0 < sum(got["stages"].values()) <= got["timing"] + 1e-5  # each value is rounded to 6 decimals
+    assert isinstance(got["minflt"], (int, float)) and got["minflt"] >= 0
