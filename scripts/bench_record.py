@@ -20,8 +20,10 @@ machine falls on every root alike.  Each root gets one record in --out
   per-layer (--trace 1) metric, and the check counts;
 - `verify_group_stages`: the median `timing`, `stages` and `minflt` (minor
   page faults, the `ru_minflt` delta of the process) of `maxcurve
-  verify-group --s 1 --json`, run VERIFY_GROUP_RUNS times in one process,
-  after one unrecorded warm-up run, after the benchmark runs.
+  verify-group --s 1 --json`, run STAGE_RUNS times in one process, after
+  one unrecorded warm-up run, after the benchmark runs;
+- `spectrum_stages`: the same for each of the SPECTRUM_COMMANDS, the wide
+  spectra split in `sweep` and `sort`, each command in its own process.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """
@@ -39,17 +41,24 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SHORT = 12
-VERIFY_GROUP_RUNS = 20
-# one verify-group record per line on stdout, all in one process after a
-# warm-up run, each with the minor page faults of its run as `minflt`
-VERIFY_GROUP_LOOP = """
+STAGE_RUNS = 20
+VERIFY_GROUP_COMMAND = ["verify-group", "--s", "1", "--json"]
+# the wide spectra, in spectrum's default JSON format
+SPECTRUM_COMMANDS = {
+    "suzuki-cover s=7": ["spectrum", "--family", "suzuki-cover", "--s", "7"],
+    "ree-cover s=3": ["spectrum", "--family", "ree-cover", "--s", "3"],
+}
+# one JSON record of the maxcurve command argv[2:] per line on stdout, all in
+# one process after a warm-up run, each with the minor page faults of its run
+# as `minflt`
+STAGES_LOOP = """
 import contextlib, io, json, resource, sys
 from maxcurve import cli
 for i in range(int(sys.argv[1]) + 1):
     out = io.StringIO()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with contextlib.redirect_stdout(out):
-        cli.main(["verify-group", "--s", "1", "--json"])
+        cli.main(sys.argv[2:])
     record = dict(json.loads(out.getvalue()), minflt=resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     if i:
         print(json.dumps(record))
@@ -106,7 +115,7 @@ def summarize(runs: list[dict]) -> dict:
 
 def stage_medians(records: list[dict]) -> dict:
     """The median `timing`, the median of each of the `stages` and the
-    median `minflt` of the given verify-group records."""
+    median `minflt` of the given command records."""
     return {
         "runs": len(records),
         "timing": statistics.median(r["timing"] for r in records),
@@ -115,15 +124,23 @@ def stage_medians(records: list[dict]) -> dict:
     }
 
 
-def verify_group_stages(root: Path, runs: int) -> dict:
-    """Median stage times of `runs` verify-group runs in one process, on the
-    sources of the checkout."""
+def command_stages(root: Path, command: list[str], runs: int) -> dict:
+    """Median stage times of `runs` runs of the maxcurve command in one
+    process, on the sources of the checkout."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", VERIFY_GROUP_LOOP, str(runs)], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", STAGES_LOOP, str(runs), *command], cwd=root, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"error: {root}: verify-group exited with {proc.returncode}: {proc.stderr.strip()}")
+        raise SystemExit(f"error: {root}: {command[0]} exited with {proc.returncode}: {proc.stderr.strip()}")
     return stage_medians([json.loads(line) for line in proc.stdout.splitlines()])
+
+
+def verify_group_stages(root: Path, runs: int) -> dict:
+    return command_stages(root, VERIFY_GROUP_COMMAND, runs)
+
+
+def spectrum_stages(root: Path, runs: int) -> dict:
+    return {name: command_stages(root, command, runs) for name, command in SPECTRUM_COMMANDS.items()}
 
 
 def main() -> int:
@@ -147,7 +164,8 @@ def main() -> int:
                     runs[root, w, trace].append(run_bench(root, w, seed, seconds, trace))
                     print(f"{root}: {w} seed {seed} trace {trace} done", file=sys.stderr)
 
-    stages = {root: verify_group_stages(root, VERIFY_GROUP_RUNS) for root in roots}
+    stages = {root: verify_group_stages(root, STAGE_RUNS) for root in roots}
+    spectra = {root: spectrum_stages(root, STAGE_RUNS) for root in roots}
 
     args.out.mkdir(parents=True, exist_ok=True)
     for root in roots:
@@ -164,6 +182,7 @@ def main() -> int:
             "workloads": {w: {"end_to_end": summarize(runs[root, w, 0]), "per_layer": summarize(runs[root, w, 1])}
                           for w in workloads},
             "verify_group_stages": stages[root],
+            "spectrum_stages": spectra[root],
         }
         name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
         path = args.out / f"BENCH_{name}.json"

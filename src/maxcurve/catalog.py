@@ -7,7 +7,7 @@ sweep yields the args of H, and the sweep times the divisors n of m is its
 parameter domain: a spec outside it is invalid.  Its class counts are the
 class census of H minus the identity, so the class equation gives the order,
 |H x C_n| = n (1 + sum of the counts), and the different degree is affine in
-n (see _order_and_delta_of_n).  The 16 kinds whose H is C_r . C_f inside the
+n (see _orders_and_deltas).  The 16 kinds whose H is C_r . C_f inside the
 normalizer of a cyclic torus share one census and sweep (_normalizer_kind);
 their factories state only the displayed formula.  The 11 involution kinds
 RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an involution iota, share
@@ -17,10 +17,17 @@ over a subfield, share one subfield rule (_subfield_kind) that places its
 two Singer tori; each states only the census outside them.  SZ-B2, SZ-B3
 and RE-B state their census by hand.
 
-Most swept specs fail the Riemann-Hurwitz integrality test.  The sweep
-tests each with plain integer arithmetic (rh_genus), builds a spec and a
-record only for the valid ones, and keeps the rejected n of each H; the
-(spec, reason) rows of SpectrumResult.invalid are built on first read.
+A spec is a QuotientSpec and its result a GenusRecord, both immutable,
+hashable named tuples.  A sweep computes the curve's constants once: 2g - 2,
+the class table (ramification.class_table) and the divisors n of m.  Per H
+it makes one pass over the class census (census_different) and gets the
+order and different degree of every H x C_n in one call
+(_orders_and_deltas).  Per n it tests Riemann-Hurwitz integrality with
+rh_genus, which most specs fail.  Only an H with a valid n gets its
+certificate, its sorted args and a copy of its args with n, and only a
+valid spec gets the closed formula, a spec and a record.  The sweep keeps
+the rejected n of each H; the (spec, reason) rows of
+SpectrumResult.invalid are built on first read.
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -33,14 +40,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 from .curves import CurveParams, Family, genus, params_from_s, require, resolve_curve
 from .gf import _factorize
-from .ramification import census_different, rh_genus, solve_rh
+from .ramification import ClassTable, census_different, class_table, rh_genus, solve_rh
 
 
 def divisors(n: int) -> list[int]:
@@ -64,8 +72,7 @@ def _two_g_minus_2(params: CurveParams) -> int:
     return 2 * genus(params) - 2
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(NamedTuple):
     kind: str
     params: CurveParams
     args: tuple[tuple[str, int], ...]
@@ -76,7 +83,7 @@ class QuotientSpec:
 
     @staticmethod
     def make(kind: str, params: CurveParams, **args: int) -> "QuotientSpec":
-        return QuotientSpec(kind=kind, params=params, args=tuple(sorted(args.items())))
+        return QuotientSpec(kind, params, tuple(sorted(args.items())))
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,7 @@ class Validation:
     reason: str
 
 
-@dataclass(frozen=True)
-class GenusRecord:
+class GenusRecord(NamedTuple):
     spec: QuotientSpec
     order: int
     delta: int
@@ -731,45 +737,54 @@ KINDS: dict[str, KindDef] = {kind.id: kind for kind in (
 # evaluation
 
 
-def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int, int]]:
-    """|H x C_n| and its different degree as functions of n, from the
+def _orders_and_deltas(counts, table: ClassTable, ns: Iterable[int]) -> list[tuple[int, int, int]]:
+    """(n, |H x C_n|, its different degree) for each n in ns, from the
     counts of H.  The elements h tau^k with k = 0 are H's census (different
     A); each of the n - 1 powers tau^k != 0 brings tau^k and the census with
     a tau component (different B); c (gcd(d, n) - 1) of them are special
     pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B + c (gcd(d, n) - 1) S:
-    one pass over the class census per H, and integer arithmetic per n."""
+    one pass over the class census per H, and integer arithmetic per n, all
+    in one call."""
     census, (pairs, period) = counts
-    size, plain, cross, special = census_different(census, pairs, cp)
+    size, plain, cross, special = census_different(census, pairs, table)
+    gcd = math.gcd
+    # `special and` skips the gcd for an H without special pairs
+    return [(n, n * size, plain + (n - 1) * cross + (special and special * (gcd(period, n) - 1))) for n in ns]
+
+
+def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int, int]]:
+    """|H x C_n| and its different degree as a function of n: one n of
+    _orders_and_deltas."""
+    table = class_table(cp)
 
     def at(n: int) -> tuple[int, int]:
-        return n * size, plain + (n - 1) * cross + special * (math.gcd(period, n) - 1)
+        return _orders_and_deltas(counts, table, (n,))[0][1:]
 
     return at
 
 
-def _assess(
-    kind: KindDef, cp: CurveParams, h: dict, certified: bool, ns: Iterable[int]
-) -> tuple[list[GenusRecord], list[int]]:
+def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_minus_2: int,
+            table: ClassTable) -> tuple[list[GenusRecord], list[int]]:
     """The records of the valid specs (H, n), n in ns, and the rejected n,
-    each list in the order of ns; certified is the first entry of
-    kind.certified(cp, h).  The class sums are computed once; each n costs
-    integer arithmetic, and a spec and its record, with the closed formula,
-    are built only for valid n (_rejections builds the rejected ones).  H
-    must come from the kind's sweep and each n must divide m."""
-    at = _order_and_delta_of_n(kind.counts(cp, h), cp)
-    two_g_minus_2 = _two_g_minus_2(cp)
-    # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
-    args = sorted({**h, "n": 0}.items())
-    n_at = args.index(("n", 0))
-    hn = dict(h)
+    each list in the order of ns; two_g_minus_2 and table are those of cp.
+    Each n costs integer arithmetic and one rh_genus; the certificate, the
+    sorted args and the closed formula are computed, and a spec and its
+    record built, only for valid n (_rejections builds the rejected ones).
+    H must come from the kind's sweep and each n must divide m."""
     records: list[GenusRecord] = []
     rejected: list[int] = []
-    for n in ns:
-        order, delta = at(n)
+    args = None
+    for n, order, delta in _orders_and_deltas(kind.counts(cp, h), table, ns):
         gd = rh_genus(two_g_minus_2, order, delta)
         if gd is None:
             rejected.append(n)
             continue
+        if args is None:
+            # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
+            args = sorted({**h, "n": 0}.items())
+            n_at = args.index(("n", 0))
+            hn = dict(h)
+            certified = kind.certified(cp, h)[0]
         args[n_at] = ("n", n)
         hn["n"] = n
         closed = kind.closed(cp, hn)
@@ -783,10 +798,10 @@ def _assess(
 
 def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int]) -> list[tuple[QuotientSpec, str]]:
     """The (spec, reason) rows of specs (H, n) that _assess rejected."""
-    at = _order_and_delta_of_n(kind.counts(cp, h), cp)
     two_g_minus_2 = _two_g_minus_2(cp)
     return [(QuotientSpec.make(kind.id, cp, **h, n=n),
-             "composition fails the RH oracle: " + solve_rh(two_g_minus_2, *at(n))[1]) for n in ns]
+             "composition fails the RH oracle: " + solve_rh(two_g_minus_2, order, delta)[1])
+            for n, order, delta in _orders_and_deltas(kind.counts(cp, h), class_table(cp), ns)]
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
@@ -807,11 +822,10 @@ def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
     n = h.pop("n", None)
     if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
-    certificate = kind.certified(cp, h)
-    records, rejected = _assess(kind, cp, h, certificate[0], (n,))
+    records, rejected = _assess(kind, cp, h, (n,), _two_g_minus_2(cp), class_table(cp))
     if rejected:
         return Validation(False, False, _rejections(kind, cp, h, rejected)[0][1]), None
-    return Validation(True, *certificate), replace(records[0], spec=spec)
+    return Validation(True, *kind.certified(cp, h)), records[0]._replace(spec=spec)
 
 
 def validate(spec: QuotientSpec) -> Validation:
@@ -831,8 +845,9 @@ class SpectrumResult:
     """The records of a sweep, sorted by genus, and its mismatches.  The
     sweep keeps only the rejected n of each H (`rejected`, one (kind, H
     args, rejected n) triple per H that has any, in sweep order); `invalid`
-    builds their (spec, reason) rows on first read.  `stages` holds the
-    seconds spent in the sweep and in the sort."""
+    builds their (spec, reason) rows on first read.  `n_subgroups` counts
+    the H swept, `n_specs` the specs (H, n).  `stages` holds the seconds
+    spent in the sweep and in the sort."""
 
     family: Family
     params: CurveParams
@@ -840,7 +855,12 @@ class SpectrumResult:
     mismatches: list[GenusRecord]
     unexplained_mismatches: list[GenusRecord]
     rejected: list[tuple[KindDef, dict, list[int]]]
+    n_subgroups: int
     stages: dict[str, float] = field(compare=False)
+
+    @property
+    def n_specs(self) -> int:
+        return len(self.records) + sum(len(ns) for _, _, ns in self.rejected)
 
     @cached_property
     def invalid(self) -> list[tuple[QuotientSpec, str]]:
@@ -849,6 +869,10 @@ class SpectrumResult:
 
     def genera(self) -> list[int]:
         return sorted({rec.genus for rec in self.records})
+
+
+# the spectrum order: genus, then kind, then args
+_SPECTRUM_ORDER = attrgetter("genus_delta", "spec.kind", "spec.args")
 
 
 def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
@@ -860,13 +884,18 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
     started = time.perf_counter()
+    # the per-curve constants, once per sweep
+    two_g_minus_2 = _two_g_minus_2(params)
+    table = class_table(params)
+    ns = divisors(params.m)
     records: list[GenusRecord] = []
     rejected: list[tuple[KindDef, dict, list[int]]] = []
-    ns = divisors(params.m)
+    n_subgroups = 0
     for kind in KINDS.values():
         if kind.char == family.char:
             for h in kind.sweep(params):
-                valid, rejected_ns = _assess(kind, params, h, kind.certified(params, h)[0], ns)
+                n_subgroups += 1
+                valid, rejected_ns = _assess(kind, params, h, ns, two_g_minus_2, table)
                 records += valid
                 if rejected_ns:
                     rejected.append((kind, h, rejected_ns))
@@ -874,9 +903,9 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     # a mismatch carries its kind's known-mismatch note, if the kind has one
     unexplained = [rec for rec in mismatches if not rec.note]
     swept = time.perf_counter()
-    records.sort(key=lambda r: (r.genus, r.spec.kind, r.spec.args))
+    records.sort(key=_SPECTRUM_ORDER)
     stages = {"sweep": swept - started, "sort": time.perf_counter() - swept}
-    return SpectrumResult(family, params, records, mismatches, unexplained, rejected, stages)
+    return SpectrumResult(family, params, records, mismatches, unexplained, rejected, n_subgroups, stages)
 
 
 # ---------------------------------------------------------------------------

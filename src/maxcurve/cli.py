@@ -146,6 +146,8 @@ def cmd_spectrum(args) -> int:
     else:
         results = {
             "genera": genera,
+            "n_subgroups": res.n_subgroups,
+            "n_specs": res.n_specs,
             "n_records": len(res.records),
             "n_mismatches": len(res.mismatches),
             "n_unexplained_mismatches": len(res.unexplained_mismatches),

@@ -49,21 +49,30 @@ def _ree_table(params: CurveParams) -> dict[str, tuple[int, int]]:
     }
 
 
+@dataclass(frozen=True)
+class ClassTable:
+    """The class contributions of one curve: rows maps each class to
+    (i(sigma), i(sigma * tau^k) for k != 0), and special is the value 4m
+    resp. 6m of a special (sigma, tau^j) pair.  Shared by every caller and
+    never mutated."""
+
+    family: Family
+    rows: dict[str, tuple[int, int]]
+    special: int
+
+    def row(self, cls: str) -> tuple[int, int]:
+        row = self.rows.get(cls)
+        if row is None:
+            raise UnknownClassError(f"unknown class {cls!r} for {self.family}")
+        return row
+
+
 @lru_cache(maxsize=64)
-def _contributions(params: CurveParams) -> tuple[dict[str, tuple[int, int]], int]:
-    """The class table of the curve and the value 4m resp. 6m of a special
-    (sigma, tau^j) pair, built once per parameter set.  The dict is shared by
-    every caller and never mutated."""
+def class_table(params: CurveParams) -> ClassTable:
+    """The class table of the curve, built once per parameter set."""
     if params.p == 2:
-        return _suzuki_table(params), 4 * params.m
-    return _ree_table(params), 6 * params.m
-
-
-def _row(table: dict[str, tuple[int, int]], cls: str, params: CurveParams) -> tuple[int, int]:
-    row = table.get(cls)
-    if row is None:
-        raise UnknownClassError(f"unknown class {cls!r} for {params.family}")
-    return row
+        return ClassTable(params.family, _suzuki_table(params), 4 * params.m)
+    return ClassTable(params.family, _ree_table(params), 6 * params.m)
 
 
 def i_sigma(cls: str, params: CurveParams):
@@ -73,15 +82,15 @@ def i_sigma(cls: str, params: CurveParams):
     matching tau power, returns the pair (plain value, special value); the
     special value occurs for exactly one tau exponent per such element.
     """
-    table, special = _contributions(params)
+    table = class_table(params)
     if cls == "div_m_special_j":
-        return (0, special)
-    return _row(table, cls, params)[0]
+        return (0, table.special)
+    return table.row(cls)[0]
 
 
 def i_sigma_tau(cls: str, params: CurveParams) -> int:
     """Contribution of (class element) * tau^k for k != 0, special j aside."""
-    return _row(_contributions(params)[0], cls, params)[1]
+    return class_table(params).row(cls)[1]
 
 
 @dataclass(frozen=True)
@@ -146,23 +155,24 @@ def delta_from_composition(composition, params: CurveParams) -> int:
     cross value from the contribution table applies.  div_m_special_j
     entries count declared special (sigma, tau^j) pairs at 4m resp. 6m.
     """
-    table, special = _contributions(params)
+    table = class_table(params)
     total = 0
     for entry in composition:
         cls, mult = entry[0], entry[1]
         if mult < 0:
             raise ValueError("negative multiplicity")
         if cls == "div_m_special_j":
-            total += mult * special
+            total += mult * table.special
         else:
             with_tau = len(entry) > 2 and entry[2]
-            total += mult * _row(table, cls, params)[1 if with_tau else 0]
+            total += mult * table.row(cls)[1 if with_tau else 0]
     return total
 
 
-def census_different(census: dict[str, int], pairs: int, params: CurveParams) -> tuple[int, int, int, int]:
+def census_different(census: dict[str, int], pairs: int, table: ClassTable) -> tuple[int, int, int, int]:
     """(|H|, A, B, C) of a subgroup H from its class census (the nontrivial
-    classes with their element counts) in one pass over the class table.
+    classes with their element counts) in one pass, one row lookup per
+    class, over the curve's class table.
 
     A is the different degree of H, B that of one coset H tau^k with k != 0
     (tau^k and the census with a tau component), and C that of the given
@@ -171,25 +181,28 @@ def census_different(census: dict[str, int], pairs: int, params: CurveParams) ->
     A + (n - 1) B + (gcd(d, n) - 1) C.  delta_from_composition stays the
     per-entry path the sweep is checked against.
     """
-    table, special = _contributions(params)
-    size, plain, cross = 1, 0, table["tau_power"][0]
+    rows = table.rows
+    size, plain, cross = 1, 0, rows["tau_power"][0]
     for cls, cnt in census.items():
         if cnt < 0:
             raise ValueError("negative multiplicity")
-        at_1, at_tau = _row(table, cls, params)
+        # a row is a nonempty tuple: row() runs only to raise for a class
+        # the table lacks
+        at_1, at_tau = rows.get(cls) or table.row(cls)
         size += cnt
         plain += cnt * at_1
         cross += cnt * at_tau
-    return size, plain, cross, pairs * special
+    return size, plain, cross, pairs * table.special
 
 
 def rh_genus(two_g_minus_2_cover: int, order: int, delta: int) -> int | None:
     """Solve |L| (2 g_L - 2) + delta = 2g - 2 for g_L: g_L when it is a
     nonnegative integer, else None."""
-    num = two_g_minus_2_cover - delta + 2 * order
-    if num < 0 or num % (2 * order):
+    two_order = 2 * order
+    num = two_g_minus_2_cover - delta + two_order
+    if num < 0 or num % two_order:
         return None
-    return num // (2 * order)
+    return num // two_order
 
 
 def solve_rh(two_g_minus_2_cover: int, order: int, delta: int) -> tuple[int | None, str | None]:

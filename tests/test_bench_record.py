@@ -75,3 +75,13 @@ def test_verify_group_stages_of_this_checkout(bench_record):
     assert sorted(got["stages"]) == ["closure", "generators", "orbits", "order_search", "places", "rows"]
     assert 0 < sum(got["stages"].values()) <= got["timing"] + 1e-5  # each value is rounded to 6 decimals
     assert isinstance(got["minflt"], (int, float)) and got["minflt"] >= 0
+
+
+def test_spectrum_stages_of_this_checkout(bench_record):
+    got = bench_record.spectrum_stages(SCRIPT.parents[1], 2)
+    assert sorted(got) == ["ree-cover s=3", "suzuki-cover s=7"]
+    for stages in got.values():
+        assert stages["runs"] == 2
+        assert sorted(stages["stages"]) == ["sort", "sweep"]
+        assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
+        assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0

@@ -535,6 +535,19 @@ class TestSpectrum:
         assert len(rows) == n_invalid
         assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("family,s,n_records,digest", [
+        ("suzuki-cover", 7, 1796, "19883e4cc149438b548ce6559aea48219ff5a9803094362e7f60d4cac54f059e"),
+        ("ree-cover", 3, 3204, "48dd13ec984a12f78cf3679206c74039d5f452fb7dd7ebaf7db3368f9ac111a7"),
+    ])
+    def test_full_rows_pinned(self, family, s, n_records, digest):
+        # sha256 of every field of every record, in spectrum order: the CSV
+        # pins leave out certified, mismatch and note
+        records = spectrum(family, params_from_s(family, s)).records
+        rows = [[r.spec.kind, [list(a) for a in r.spec.args], r.order, r.delta, r.genus, r.genus_closed,
+                 r.certified, r.mismatch, r.note] for r in records]
+        assert len(rows) == n_records
+        assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == digest
+
     def test_sweep_builds_no_rejected_specs(self):
         # 21,625 of the 24,696 specs at s=10 are rejected; building them in
         # the sweep took the peak past 11 MB; keeping only their n, under 3 MB
@@ -577,6 +590,30 @@ class TestSpectrum:
             assert validate(spec) == cat.Validation(False, False, reason)
         for rec in res.records:
             assert evaluate(rec.spec) == rec
+
+
+class TestRecordTypes:
+    """QuotientSpec and GenusRecord are immutable, hashable tuples
+    (TestSpectrum.test_sweep_agrees_with_single_specs checks that evaluate
+    rebuilds every swept record)."""
+
+    def test_fields_cannot_be_assigned(self):
+        rec = evaluate(QuotientSpec.make("SZ-B1", P8, r=7, n=1))
+        for obj, name in ((rec, "genus_delta"), (rec, "note"), (rec.spec, "kind"), (rec.spec, "args")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            rec.genus = 0
+        assert rec.genus == rec.genus_delta == 28
+
+    def test_both_hash(self):
+        rec = evaluate(QuotientSpec.make("SZ-B1", P8, r=7, n=1))
+        again = evaluate(QuotientSpec.make("SZ-B1", P8, n=1, r=7))
+        assert hash(rec) == hash(again) and hash(rec.spec) == hash(again.spec)
+        assert len({rec, again}) == 1 and len({rec.spec, again.spec}) == 1
+        assert rec.spec.arg_dict == {"n": 1, "r": 7}
+        records = spectrum("ree-cover", P27).records
+        assert len(set(records)) == len({rec.spec for rec in records}) == len(records)
 
 
 class TestGenericTameEvaluators:

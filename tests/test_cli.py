@@ -9,7 +9,9 @@ import pytest
 
 import maxcurve
 from maxcurve import counting, gf
+from maxcurve.catalog import divisors, spectrum
 from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from maxcurve.curves import params_from_s
 
 SRC = str(Path(maxcurve.__file__).resolve().parents[1])  # the directory holding the package
 
@@ -251,6 +253,23 @@ class TestSpectrum:
         assert all(v >= 0 for v in rec["stages"].values())
         assert sum(rec["stages"].values()) <= rec["timing"] + 1e-5
         assert "stages" not in rec["results"]
+
+    @pytest.mark.parametrize("family,s,n_subgroups,n_specs,n_records", [
+        ("suzuki-cover", 1, 33, 66, 54),
+        ("suzuki-cover", 7, 1133, 9064, 1796),
+        ("ree-cover", 3, 1261, 7566, 3204),
+    ])
+    def test_json_counts_what_was_swept(self, capsys, family, s, n_subgroups, n_specs, n_records):
+        # every H meets every divisor n of m, and a spec is a record or rejected
+        code, out, _ = run(capsys, "spectrum", "--family", family, "--s", str(s))
+        results = json.loads(out)["results"]
+        assert code == EXIT_OK
+        assert (results["n_subgroups"], results["n_specs"], results["n_records"]) == (n_subgroups, n_specs, n_records)
+        params = params_from_s(family, s)
+        assert n_specs == n_subgroups * len(divisors(params.m))
+        assert n_specs == n_records + len(spectrum(family, params).invalid)
+        _, again, _ = run(capsys, "spectrum", "--family", family, "--s", str(s))
+        assert json.loads(again)["results"] == results
 
     @pytest.mark.parametrize("family,s,digest", [
         ("suzuki-cover", 1, "4f1f0a8e42f0"),

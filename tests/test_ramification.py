@@ -10,6 +10,7 @@ from maxcurve.curves import params_from_s
 from maxcurve.ramification import (
     UnknownClassError,
     census_different,
+    class_table,
     delta_from_composition,
     filtration,
     i_from_filtration,
@@ -173,7 +174,7 @@ class TestDeltaFromComposition:
             for h in kind.sweep(params):
                 census, (pairs, _) = kind.counts(params, h)
                 tau = [(cls, cnt, True) for cls, cnt in census.items()]
-                assert census_different(census, pairs, params) == (
+                assert census_different(census, pairs, class_table(params)) == (
                     1 + sum(census.values()),
                     delta_from_composition(list(census.items()), params),
                     delta_from_composition([("tau_power", 1), *tau], params),
@@ -182,9 +183,12 @@ class TestDeltaFromComposition:
 
     def test_census_different_rejects_what_the_per_entry_path_rejects(self):
         with pytest.raises(ValueError, match="negative multiplicity"):
-            census_different({"order2": -1}, 0, P8)
-        with pytest.raises(UnknownClassError, match="unknown class 'order9'"):
-            census_different({"order2": 1, "order9": 3}, 0, P8)
+            census_different({"order2": -1}, 0, class_table(P8))
+        with pytest.raises(UnknownClassError, match="unknown class 'order9' for Family.SUZUKI_COVER"):
+            census_different({"order2": 1, "order9": 3}, 0, class_table(P8))
+        # the count is checked before the class, as in delta_from_composition
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            census_different({"order9": -1}, 0, class_table(P8))
 
     def test_tables_stay_distinct_per_curve(self):
         # P8 and P32 share family and class names; each keeps its own values
