@@ -23,7 +23,10 @@ machine falls on every root alike.  Each root gets one record in --out
   verify-group --s 1 --json`, run STAGE_RUNS times in one process, after
   one unrecorded warm-up run, after the benchmark runs;
 - `spectrum_stages`: the same for each of the SPECTRUM_COMMANDS, the wide
-  spectra split in `sweep` and `sort`, each command in its own process.
+  spectra split in `sweep` and `sort`, each command in its own process;
+- `count_stages`: the same for each of the COUNT_COMMANDS, the degree-6 Ree
+  counts on one thread split in `tables`, `representatives`, `kernel` and
+  `reduction`.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """
@@ -47,6 +50,11 @@ VERIFY_GROUP_COMMAND = ["verify-group", "--s", "1", "--json"]
 SPECTRUM_COMMANDS = {
     "suzuki-cover s=7": ["spectrum", "--family", "suzuki-cover", "--s", "7"],
     "ree-cover s=3": ["spectrum", "--family", "ree-cover", "--s", "3"],
+}
+# the degree-6 Ree counts over F_{3^18}, which no benchmark workload runs
+COUNT_COMMANDS = {
+    f"{family} s=1 ext=6": ["count", "--family", family, "--s", "1", "--ext", "6", "--threads", "1"]
+    for family in ("ree-cover", "ree-base")
 }
 # one JSON record of the maxcurve command argv[2:] per line on stdout, all in
 # one process after a warm-up run, each with the minor page faults of its run
@@ -143,6 +151,10 @@ def spectrum_stages(root: Path, runs: int) -> dict:
     return {name: command_stages(root, command, runs) for name, command in SPECTRUM_COMMANDS.items()}
 
 
+def count_stages(root: Path, runs: int) -> dict:
+    return {name: command_stages(root, command, runs) for name, command in COUNT_COMMANDS.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, action="append", help="checkout to measure (repeatable; default: this one)")
@@ -166,6 +178,7 @@ def main() -> int:
 
     stages = {root: verify_group_stages(root, STAGE_RUNS) for root in roots}
     spectra = {root: spectrum_stages(root, STAGE_RUNS) for root in roots}
+    counts = {root: count_stages(root, STAGE_RUNS) for root in roots}
 
     args.out.mkdir(parents=True, exist_ok=True)
     for root in roots:
@@ -183,6 +196,7 @@ def main() -> int:
                           for w in workloads},
             "verify_group_stages": stages[root],
             "spectrum_stages": spectra[root],
+            "count_stages": counts[root],
         }
         name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
         path = args.out / f"BENCH_{name}.json"

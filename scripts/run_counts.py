@@ -3,16 +3,18 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives in about 0.46 s on two threads and 0.72 s
-on one (wall medians of 11 runs, 0.37-0.78 s and 0.61-0.77 s; 2-core
-x86_64, Python 3.11, numpy 2.4).  Times are in
+evaluates 551,882 representatives in about 0.76 s on one thread
+(median of 20 warm runs in one process, `count_stages` of
+BENCH_a7ac85d00117+8fe9fcc5279a.json; 2-core x86_64, Python 3.11.7, numpy
+2.4.6).  Times are in
 milliseconds, split by stage of `CountReport.stages`: `tables` builds the
 field's lazy tables for the count (the exp/log tables, or past
 `gf.TABLE_LIMIT` the Frobenius and digit tables, and the half tables of the
 trace to F_q and of the representatives' index map), and only the first
-count over each field and F_q pays it; `reps` cuts the index ranges into
-jobs; `kernel` turns each job's indices into codes through the index map's
-tables, evaluates them and sums their fibres; `wall` is the whole count.
+count over each field and F_q pays it; `reps` counts the representatives
+and cuts their ranks into jobs; `kernel` turns each job's ranks into
+indices and codes through the index map's tables, evaluates them and sums
+their fibres; `wall` is the whole count.
 """
 
 import argparse

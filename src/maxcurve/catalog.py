@@ -26,8 +26,9 @@ order and different degree of every H x C_n in one call
 rh_genus, which most specs fail.  Only an H with a valid n gets its
 certificate, its sorted args and a copy of its args with n, and only a
 valid spec gets the closed formula, a spec and a record.  The sweep keeps
-the rejected n of each H; the (spec, reason) rows of
-SpectrumResult.invalid are built on first read.
+records only: every H meets every n, so the specs swept are the H swept
+times the divisors of m, and SpectrumResult.invalid sweeps again, on first
+read, for the (spec, reason) rows of the rejected specs.
 
 Dual-path policy: the composition path is authoritative.  Closed formulas are
 transcribed verbatim; where a displayed formula disagrees with its own class
@@ -699,7 +700,7 @@ def _mk_re_s():
     def closed(cp, a):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        order, delta = _order_and_delta_of_n(kind.counts(cp, a), cp)(a["n"])
+        [(_, order, delta)] = _orders_and_deltas(kind.counts(cp, a), class_table(cp), (a["n"],))
         return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order)
 
     def sweep(cp):
@@ -752,32 +753,28 @@ def _orders_and_deltas(counts, table: ClassTable, ns: Iterable[int]) -> list[tup
     return [(n, n * size, plain + (n - 1) * cross + (special and special * (gcd(period, n) - 1))) for n in ns]
 
 
-def _order_and_delta_of_n(counts, cp: CurveParams) -> Callable[[int], tuple[int, int]]:
-    """|H x C_n| and its different degree as a function of n: one n of
-    _orders_and_deltas."""
-    table = class_table(cp)
-
-    def at(n: int) -> tuple[int, int]:
-        return _orders_and_deltas(counts, table, (n,))[0][1:]
-
-    return at
+def _subgroups(cp: CurveParams) -> Iterable[tuple[KindDef, dict]]:
+    """(kind, H args) of every H that the spectrum of cp sweeps, in sweep
+    order."""
+    for kind in KINDS.values():
+        if kind.char == cp.p:
+            for h in kind.sweep(cp):
+                yield kind, h
 
 
 def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_minus_2: int,
-            table: ClassTable) -> tuple[list[GenusRecord], list[int]]:
-    """The records of the valid specs (H, n), n in ns, and the rejected n,
-    each list in the order of ns; two_g_minus_2 and table are those of cp.
-    Each n costs integer arithmetic and one rh_genus; the certificate, the
-    sorted args and the closed formula are computed, and a spec and its
-    record built, only for valid n (_rejections builds the rejected ones).
-    H must come from the kind's sweep and each n must divide m."""
+            table: ClassTable) -> list[GenusRecord]:
+    """The records of the valid specs (H, n), n in ns, in the order of ns;
+    two_g_minus_2 and table are those of cp.  Each n costs integer
+    arithmetic and one rh_genus; the certificate, the sorted args and the
+    closed formula are computed, and a spec and its record built, only for
+    valid n (_rejections builds the rejected ones).  H must come from the
+    kind's sweep and each n must divide m."""
     records: list[GenusRecord] = []
-    rejected: list[int] = []
     args = None
     for n, order, delta in _orders_and_deltas(kind.counts(cp, h), table, ns):
         gd = rh_genus(two_g_minus_2, order, delta)
         if gd is None:
-            rejected.append(n)
             continue
         if args is None:
             # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
@@ -793,15 +790,17 @@ def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_mi
         note = (kind.known_mismatch or "") if mismatch else ""
         records.append(GenusRecord(QuotientSpec(kind.id, cp, tuple(args)), order, delta, gd, gc, certified,
                                    mismatch, note))
-    return records, rejected
+    return records
 
 
-def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int]) -> list[tuple[QuotientSpec, str]]:
-    """The (spec, reason) rows of specs (H, n) that _assess rejected."""
-    two_g_minus_2 = _two_g_minus_2(cp)
+def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_minus_2: int,
+                table: ClassTable) -> list[tuple[QuotientSpec, str]]:
+    """The (spec, reason) rows of the specs (H, n), n in ns, that RH
+    rejects (those _assess makes no record of), in the order of ns."""
     return [(QuotientSpec.make(kind.id, cp, **h, n=n),
              "composition fails the RH oracle: " + solve_rh(two_g_minus_2, order, delta)[1])
-            for n, order, delta in _orders_and_deltas(kind.counts(cp, h), class_table(cp), ns)]
+            for n, order, delta in _orders_and_deltas(kind.counts(cp, h), table, ns)
+            if rh_genus(two_g_minus_2, order, delta) is None]
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
@@ -822,9 +821,10 @@ def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
     n = h.pop("n", None)
     if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
-    records, rejected = _assess(kind, cp, h, (n,), _two_g_minus_2(cp), class_table(cp))
-    if rejected:
-        return Validation(False, False, _rejections(kind, cp, h, rejected)[0][1]), None
+    two_g_minus_2, table = _two_g_minus_2(cp), class_table(cp)
+    records = _assess(kind, cp, h, (n,), two_g_minus_2, table)
+    if not records:
+        return Validation(False, False, _rejections(kind, cp, h, (n,), two_g_minus_2, table)[0][1]), None
     return Validation(True, *kind.certified(cp, h)), records[0]._replace(spec=spec)
 
 
@@ -842,30 +842,30 @@ def evaluate(spec: QuotientSpec) -> GenusRecord:
 
 @dataclass
 class SpectrumResult:
-    """The records of a sweep, sorted by genus, and its mismatches.  The
-    sweep keeps only the rejected n of each H (`rejected`, one (kind, H
-    args, rejected n) triple per H that has any, in sweep order); `invalid`
-    builds their (spec, reason) rows on first read.  `n_subgroups` counts
-    the H swept, `n_specs` the specs (H, n).  `stages` holds the seconds
-    spent in the sweep and in the sort."""
+    """The records of a sweep, sorted by genus, and its mismatches.
+    `n_subgroups` counts the H swept, and `n_specs` the specs (H, n): every
+    H meets every divisor n of m.  The sweep keeps no rejected spec;
+    `invalid` sweeps again on first read for their (spec, reason) rows.
+    `stages` holds the seconds spent in the sweep and in the sort."""
 
     family: Family
     params: CurveParams
     records: list[GenusRecord]
     mismatches: list[GenusRecord]
     unexplained_mismatches: list[GenusRecord]
-    rejected: list[tuple[KindDef, dict, list[int]]]
     n_subgroups: int
     stages: dict[str, float] = field(compare=False)
 
     @property
     def n_specs(self) -> int:
-        return len(self.records) + sum(len(ns) for _, _, ns in self.rejected)
+        return self.n_subgroups * len(divisors(self.params.m))
 
     @cached_property
     def invalid(self) -> list[tuple[QuotientSpec, str]]:
         """The rejected specs with their reasons, in sweep order."""
-        return [row for kind, h, ns in self.rejected for row in _rejections(kind, self.params, h, ns)]
+        cp = self.params
+        two_g_minus_2, table, ns = _two_g_minus_2(cp), class_table(cp), divisors(cp.m)
+        return [row for kind, h in _subgroups(cp) for row in _rejections(kind, cp, h, ns, two_g_minus_2, table)]
 
     def genera(self) -> list[int]:
         return sorted({rec.genus for rec in self.records})
@@ -878,8 +878,8 @@ _SPECTRUM_ORDER = attrgetter("genus_delta", "spec.kind", "spec.args")
 def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     """Enumerate all valid specs of every kind over its parameter domain (its
     sweep of H times the divisors n of m), with the dual-path comparison
-    applied to each.  Rejected specs are kept as their n per H, and
-    SpectrumResult.invalid builds them on first read."""
+    applied to each.  Rejected specs are not kept; SpectrumResult.invalid
+    sweeps again for them on first read."""
     family, params = resolve_curve(family, params)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
@@ -889,23 +889,17 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     table = class_table(params)
     ns = divisors(params.m)
     records: list[GenusRecord] = []
-    rejected: list[tuple[KindDef, dict, list[int]]] = []
     n_subgroups = 0
-    for kind in KINDS.values():
-        if kind.char == family.char:
-            for h in kind.sweep(params):
-                n_subgroups += 1
-                valid, rejected_ns = _assess(kind, params, h, ns, two_g_minus_2, table)
-                records += valid
-                if rejected_ns:
-                    rejected.append((kind, h, rejected_ns))
+    for kind, h in _subgroups(params):
+        n_subgroups += 1
+        records += _assess(kind, params, h, ns, two_g_minus_2, table)
     mismatches = [rec for rec in records if rec.mismatch]
     # a mismatch carries its kind's known-mismatch note, if the kind has one
     unexplained = [rec for rec in mismatches if not rec.note]
     swept = time.perf_counter()
     records.sort(key=_SPECTRUM_ORDER)
     stages = {"sweep": swept - started, "sort": time.perf_counter() - swept}
-    return SpectrumResult(family, params, records, mismatches, unexplained, rejected, n_subgroups, stages)
+    return SpectrumResult(family, params, records, mismatches, unexplained, n_subgroups, stages)
 
 
 # ---------------------------------------------------------------------------

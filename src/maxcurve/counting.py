@@ -19,14 +19,15 @@ to
 
 n_j the j-th base-p digit of n.  The indices in [q^{j-1}, 2 q^{j-1}) have
 digit 1 at b_0 g^j and none above, so they give the x_P whose last nonzero
-c_i is c_j = 1; with index 0 for x = 0 the count evaluates the indices
-
-    {0} u [1, 2) u [q, 2q) u ... u [q^{r-2}, 2 q^{r-2}).
-
-They are cut into jobs of CHUNK indices, and each job turns its indices into
-codes, evaluates them and sums their fibres, so neither the representatives
-nor their fibres are ever listed.  One kernel, _fibres, evaluates every
-family on FieldSpec's array arithmetic.
+c_i is c_j = 1.  The count numbers its 1 + (q^(r-1) - 1)/(q - 1)
+representatives by rank: rank 0 is index 0, x = 0, and the ranks that
+follow run through the blocks [1, 2), [q, 2q), ..., [q^{r-2}, 2 q^{r-2}) in
+order (_indices).  A job is CHUNK consecutive ranks: it turns them into
+indices and codes, evaluates them and sums their fibres, so neither the
+representatives nor their fibres are ever listed.  One kernel, _fibres,
+evaluates every family on FieldSpec's array arithmetic; t = 0 needs
+u = x^q - x = 0, that is x in F_q, the orbit of 0, so the t = 0 places are
+q f(0) in number.
 """
 
 from __future__ import annotations
@@ -83,17 +84,20 @@ def default_threads() -> int:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: x codes in, per-x (f(x), f(x) at t = 0) out
+# the kernel: x codes in, per-x fibre counts f(x) out
 
 
-def _fibres(field: FieldSpec, params: CurveParams, x, with_t: bool):
-    """Per x code: (f(x), f(x) where u = x^q - x vanishes, else 0).
+def _fibres(field: FieldSpec, params: CurveParams, x, e: int):
+    """Per x code, the fibre count f(x) of the curve whose Kummer degree is
+    e: m for a cover (t^m = u), 1 for a base curve.
 
     The p-1 Artin-Schreier equations w^q - w = x^(j q0) u, j = 1..p-1, have q
     solutions each iff the trace to GF(q) of the right side vanishes, and
-    none otherwise.  The cover's t^m = u then has gcd(m, ell-1) roots iff u
-    is a power of that order; the power-residue test, the costliest step on
-    digit arrays, runs only on rows with a nonzero fibre so far.
+    none otherwise.  t^e = u then has gcd(e, ell-1) roots iff u is a power of
+    that order, and one root, t = 0, where u = 0.  The power-residue test,
+    the costliest step on digit arrays, runs only when that gcd exceeds 1
+    (otherwise t -> t^e is a bijection of F_ell^*) and only on rows with a
+    nonzero fibre so far.
     """
     q, d = params.q, 2 * params.s + 1
     u = field.vsub(field.vpow(x, q), x)
@@ -103,12 +107,11 @@ def _fibres(field: FieldSpec, params: CurveParams, x, with_t: bool):
     for _ in range(field.p - 1):
         c = field.vmul(xq0, c)
         f *= np.where(field.vtrace(c, d) == 0, q, 0)
-    t0 = np.where(u == 0, f, 0)
-    if with_t:
-        dk = math.gcd(params.m, field.order - 1)
+    dk = math.gcd(e, field.order - 1)
+    if dk > 1:
         live = (f != 0) & (u != 0)
         f[live] *= np.where(field.vpow(u[live], (field.order - 1) // dk) == 1, dk, 0)
-    return f, t0
+    return f
 
 
 def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
@@ -117,40 +120,32 @@ def _prepare(family: Family | str, params: CurveParams, r: int, modulus):
     make_field raises FieldError."""
     family, params = resolve_curve(family, params)
     field = make_field(family.char, (2 * params.s + 1) * r, modulus)
-    return family, params, field, partial(_fibres, field, params, with_t=family.is_cover)
+    return family, params, field, partial(_fibres, field, params, e=params.m if family.is_cover else 1)
 
 
-def _index_ranges(q: int, r: int) -> list[tuple[int, int]]:
-    """The index ranges [lo, hi) whose vspan images are 0 and the x_P."""
-    return [(0, 1)] + [(q**j, 2 * q**j) for j in range(r - 1)]
-
-
-def _jobs(ranges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """The ranges, in order, cut and merged into jobs of at most CHUNK
-    indices, so that small ranges share one kernel call."""
-    jobs, job, room = [], [], CHUNK
-    for lo, hi in ranges:
-        while lo < hi:
-            step = min(hi - lo, room)
-            job.append((lo, lo + step))
-            lo, room = lo + step, room - step
-            if not room:
-                jobs.append(job)
-                job, room = [], CHUNK
-    return jobs + [job] if job else jobs
-
-
-def _indices(ranges: list[tuple[int, int]]) -> np.ndarray:
-    return np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges])
+def _indices(lo: int, hi: int, q: int) -> np.ndarray:
+    """The indices of the representatives of ranks lo..hi-1: rank 0 is
+    index 0, and the ranks after it run through the blocks [q^j, 2 q^j),
+    j = 0, 1, ..., in order."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    start, size = 1, 1  # block j holds the ranks [start, start + size), size = q^j
+    while start < hi:
+        end = start + size
+        if end > lo:
+            idx[max(start, lo) - lo:min(end, hi) - lo] += size - start
+        start, size = end, size * q
+    return idx
 
 
 def _streamed_count(family: Family | str, params: CurveParams, r: int, modulus=None):
-    """(n_points, t0_affine) summed over every x of the field: the reference
-    that the orbit-reduced count is tested against."""
-    _, _, field, kernel = _prepare(family, params, r, modulus)
-    parts = [kernel(np.arange(lo, min(lo + CHUNK, field.order), dtype=np.int64))
-             for lo in range(0, field.order, CHUNK)]
-    return 1 + sum(int(f.sum()) for f, _ in parts), sum(int(t.sum()) for _, t in parts)
+    """(n_points, t0_affine) summed over every x of the field, and over F_q
+    for t = 0: the reference that the orbit-reduced count is tested
+    against."""
+    _, params, field, kernel = _prepare(family, params, r, modulus)
+    n_points = 1 + sum(int(kernel(np.arange(lo, min(lo + CHUNK, field.order), dtype=np.int64)).sum())
+                       for lo in range(0, field.order, CHUNK))
+    fq = np.array(field.subfield_codes(2 * params.s + 1), dtype=np.int64)
+    return n_points, int(kernel(fq).sum())
 
 
 def count_points(
@@ -164,28 +159,26 @@ def count_points(
     including the single infinite place."""
     family, params, field, kernel = _prepare(family, params, r, modulus)
     threads = default_threads() if threads is None else positive_threads(threads, "threads")
-    d = 2 * params.s + 1
+    q, d = params.q, 2 * params.s + 1
     t_start = time.perf_counter()
     field.precompute(d)  # before threads share the field
     t_tables = time.perf_counter()
-    ranges = _index_ranges(params.q, r)
-    jobs = _jobs(ranges)
+    reps = 1 + (q ** (r - 1) - 1) // (q - 1)
+    jobs = range(0, reps, CHUNK)
     t_reps = time.perf_counter()
 
-    def evaluate(job):  # (sum of f, f and t0 at the job's first x)
-        f, t0 = kernel(field.vspan(_indices(job), d))
-        return int(f.sum()), int(f[0]), int(t0[0])
+    def evaluate(lo):  # (sum of f, f at the job's first x)
+        f = kernel(field.vspan(_indices(lo, min(lo + CHUNK, reps), q), d))
+        return int(f.sum()), int(f[0])
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(evaluate, jobs))
     else:
-        results = [evaluate(job) for job in jobs]
+        results = [evaluate(lo) for lo in jobs]
     t_kernel = time.perf_counter()
-    q = params.q
-    _, f0, t0 = results[0]  # x = 0, the first index of job 0
-    n_points = 1 + q * f0 + q * (q - 1) * (sum(total for total, _, _ in results) - f0)
-    t0_affine = q * t0  # t = 0 needs x in F_q, the orbit of 0
+    f0 = results[0][1]  # x = 0, rank 0
+    n_points = 1 + q * f0 + q * (q - 1) * (sum(total for total, _ in results) - f0)
 
     ell = field.order
     g = genus(params)
@@ -212,8 +205,8 @@ def count_points(
         note=note,
         wall_time=t_end - t_start,
         modulus=field.modulus,
-        t0_affine=t0_affine,
-        elements_evaluated=sum(hi - lo for lo, hi in ranges),
+        t0_affine=q * f0,  # t = 0 needs x in F_q, the orbit of 0
+        elements_evaluated=reps,
         threads=threads,
         stages={"tables": t_tables - t_start, "representatives": t_reps - t_tables,
                 "kernel": t_kernel - t_reps, "reduction": t_end - t_kernel},

@@ -639,15 +639,16 @@ class FieldSpec:
         self._span_tables(d)
 
     def subfield_codes(self, d: int) -> list[int]:
-        """All codes fixed by the d-th Frobenius power, i.e. GF(p^d)."""
+        """All codes fixed by the d-th Frobenius power, i.e. GF(p^d): 0 and
+        the powers of a generator w of GF(p^d)^*, the first 2b of them taken
+        as the first b and their products with w^b."""
         self._check_subfield(d)
         sub = self.p**d - 1
         w = self.pow(self.generator_code(), (self.order - 1) // sub)  # generates GF(p^d)^*
-        codes, cur = [0], 1
-        for _ in range(sub):
-            codes.append(cur)
-            cur = self.mul(cur, w)
-        return sorted(codes)
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < sub:
+            powers = np.concatenate([powers, self.vmul(powers, self.pow(w, len(powers)))])
+        return sorted([0, *powers[:sub].tolist()])
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.k}), modulus={self.modulus})"

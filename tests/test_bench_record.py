@@ -85,3 +85,13 @@ def test_spectrum_stages_of_this_checkout(bench_record):
         assert sorted(stages["stages"]) == ["sort", "sweep"]
         assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
         assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0
+
+
+def test_count_stages_of_this_checkout(bench_record):
+    got = bench_record.count_stages(SCRIPT.parents[1], 2)
+    assert sorted(got) == ["ree-base s=1 ext=6", "ree-cover s=1 ext=6"]
+    for stages in got.values():
+        assert stages["runs"] == 2
+        assert sorted(stages["stages"]) == ["kernel", "reduction", "representatives", "tables"]
+        assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
+        assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0

@@ -8,6 +8,7 @@ import pytest
 from maxcurve import catalog as cat
 from maxcurve.catalog import KINDS, QuotientSpec, evaluate, spectrum, table1_check, validate
 from maxcurve.curves import genus as curve_genus, params_from_s
+from maxcurve.ramification import class_table
 
 P8 = params_from_s("suzuki-cover", 1)
 P32 = params_from_s("suzuki-cover", 2)
@@ -19,7 +20,7 @@ def frac_delta_genus(kind, cp, args) -> Fraction:
     any integrality requirement (for identity testing).  The order comes from
     the class equation, so the closed formulas' denominators also check the
     class census."""
-    order, delta = cat._order_and_delta_of_n(kind.counts(cp, args), cp)(args["n"])
+    [(_, order, delta)] = cat._orders_and_deltas(kind.counts(cp, args), class_table(cp), (args["n"],))
     return 1 + Fraction(cat._two_g_minus_2(cp) - delta, 2 * order)
 
 
@@ -300,7 +301,7 @@ def _named_orders():
 def test_class_census_gives_the_group_order():
     seen = set()
     for kid, cp, args, named in _named_orders():
-        order, _ = cat._order_and_delta_of_n(KINDS[kid].counts(cp, args), cp)(args["n"])
+        [(_, order, _)] = cat._orders_and_deltas(KINDS[kid].counts(cp, args), class_table(cp), (args["n"],))
         assert order == named, (kid, cp.s, args)
         seen.add(kid)
     assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3",

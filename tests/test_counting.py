@@ -1,19 +1,13 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from maxcurve import counting, gf
 from maxcurve.cli import count_results
-from maxcurve.counting import (
-    CountReport,
-    _fibres,
-    _index_ranges,
-    _indices,
-    _streamed_count,
-    count_points,
-)
+from maxcurve.counting import CountReport, _fibres, _indices, _streamed_count, count_points
 from maxcurve.curves import Family, genus, hasse_weil_target, params_from_s
 from maxcurve.gf import FieldError, default_modulus, is_irreducible, make_field
 
@@ -188,11 +182,22 @@ DEGREE_SIX_JOBS = [("ree-cover", 1, 6), ("ree-base", 1, 6)]
 REPRESENTATIVE_LIMIT = 1 << 16
 
 
+def t0_oracle(family: str, s: int, r: int) -> int:
+    """The sum of f over every x of the field where u = x^q - x vanishes,
+    u formed with FieldSpec's array ops: the t = 0 places, found without
+    the orbit argument that u = 0 exactly on F_q."""
+    params = params_from_s(family, s)
+    field = make_field(Family(family).char, (2 * s + 1) * r)
+    xs = np.arange(field.order, dtype=np.int64)
+    zero = xs[field.vsub(field.vpow(xs, params.q), xs) == 0]
+    return int(_fibres(field, params, zero, params.m if Family(family).is_cover else 1).sum())
+
+
 def span_oracle(field, q: int, r: int) -> np.ndarray:
     """Code 0, then one x_P per point P of P^{r-2}(F_q), built as spans:
     for each j, g^j plus every sum of c_i g^i over i < j, with g^j by scalar
     pow and F_q listed by subfield_codes.  The reference for the index map
-    of count_points (FieldSpec.vspan over _index_ranges)."""
+    of count_points (FieldSpec.vspan over the indices of every rank)."""
     sub = np.array(field.subfield_codes(field.k // r), dtype=np.int64) if r > 2 else None
     reps = [np.zeros(1, dtype=np.int64)]
     span = reps[0]  # every sum of c_i g^i over 1 <= i < j
@@ -206,7 +211,26 @@ def span_oracle(field, q: int, r: int) -> np.ndarray:
 
 def _representatives(family, s, r) -> int:
     q = Family(family).char ** (2 * s + 1)
+    return _reps(q, r)
+
+
+def _reps(q: int, r: int) -> int:
     return 1 + (q ** (r - 1) - 1) // (q - 1)
+
+
+def rank_oracle(q: int, r: int) -> np.ndarray:
+    """The indices of count_points' representatives in rank order: 0, then
+    the blocks [q^j, 2 q^j) for j = 0..r-2."""
+    return np.concatenate([[0]] + [np.arange(q**j, 2 * q**j) for j in range(r - 1)]).astype(np.int64)
+
+
+# the covers whose Kummer factor is 1 at every x: gcd(m, ell - 1) = 1, so
+# t -> t^m is a bijection of F_ell^* and _fibres skips the power-residue test
+BIJECTIVE_KUMMER_JOBS = [
+    (family, s, r) for family, s, r in ADMITTED_JOBS
+    if Family(family).is_cover
+    and math.gcd(params_from_s(family, s).m, Family(family).char ** ((2 * s + 1) * r) - 1) == 1
+]
 
 
 class TestOrbitReduction:
@@ -218,7 +242,9 @@ class TestOrbitReduction:
         equals the streamed sum (count_points itself checks Hasse-Weil)."""
         rep = count_points(family, params_from_s(family, s), r, threads=1)
         if rep.ell <= STREAMED_ORDER_LIMIT:
-            assert (rep.n_points, rep.t0_affine) == _streamed_count(family, params_from_s(family, s), r)
+            streamed = _streamed_count(family, params_from_s(family, s), r)
+            assert (rep.n_points, rep.t0_affine) == streamed
+            assert streamed[1] == t0_oracle(family, s, r)
 
     @pytest.mark.parametrize("family,s,r", DESK_JOBS)
     def test_digit_path_matches_tables(self, family, s, r, monkeypatch):
@@ -241,7 +267,7 @@ class TestOrbitReduction:
         once, with 0 first, and the count evaluates as many."""
         params = params_from_s(family, s)
         field = make_field(Family(family).char, (2 * s + 1) * r)
-        codes = field.vspan(_indices(_index_ranges(params.q, r)), 2 * s + 1)
+        codes = field.vspan(_indices(0, _reps(params.q, r), params.q), 2 * s + 1)
         oracle = span_oracle(field, params.q, r)
         assert codes[0] == 0 and len(np.unique(codes)) == len(codes)
         assert np.array_equal(np.sort(codes), np.sort(oracle))
@@ -249,23 +275,47 @@ class TestOrbitReduction:
 
     def test_representatives_match_span_oracle_alternative_modulus(self):
         field = make_field(2, 12, _alternative_modulus_2_12())
-        codes = field.vspan(_indices(_index_ranges(8, 4)), 3)
+        codes = field.vspan(_indices(0, _reps(8, 4), 8), 3)
         assert codes[0] == 0 and len(np.unique(codes)) == len(codes) == 74
         assert np.array_equal(np.sort(codes), np.sort(span_oracle(field, 8, 4)))
 
-    def test_jobs_cover_the_ranges_in_order(self, monkeypatch):
-        monkeypatch.setattr(counting, "CHUNK", 100)
-        ranges = _index_ranges(27, 4)
-        jobs = counting._jobs(ranges)
-        assert [sum(hi - lo for lo, hi in job) for job in jobs] == [100] * 7 + [58]
-        assert np.array_equal(_indices([rng for job in jobs for rng in job]), _indices(ranges))
+    @pytest.mark.parametrize("r", range(1, 7))
+    @pytest.mark.parametrize("q", [8, 27, 32])
+    def test_rank_map(self, q, r, monkeypatch):
+        """Rank 0 maps to index 0 and the ranks after it to the blocks
+        [q^j, 2 q^j) in order, also job by job: with CHUNK = 100 the cuts fall
+        inside blocks, and with CHUNK = q + 2 the first cut falls at the end
+        of the block [q, 2q)."""
+        reps = _reps(q, r)
+        expected = rank_oracle(q, r)
+        assert len(expected) == reps
+        assert np.array_equal(_indices(0, reps, q), expected)
+        for chunk in (100, q + 2):
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+            jobs = [_indices(lo, min(lo + counting.CHUNK, reps), q) for lo in range(0, reps, counting.CHUNK)]
+            assert np.array_equal(np.concatenate(jobs), expected)
+
+    @pytest.mark.parametrize("family,s,r", BIJECTIVE_KUMMER_JOBS)
+    def test_bijective_kummer_factor_is_one(self, family, s, r):
+        """Where gcd(m, ell - 1) = 1 the cover has as many places as the base
+        curve, at t = 0 and in all."""
+        base = family.replace("cover", "base")
+        cover_rep = count_points(family, params_from_s(family, s), r, threads=1)
+        base_rep = count_points(base, params_from_s(base, s), r, threads=1)
+        assert (cover_rep.n_points, cover_rep.t0_affine) == (base_rep.n_points, base_rep.t0_affine)
+
+    def test_bijective_kummer_jobs(self):
+        # the three covers left out are maximal, and their m divides ell - 1
+        assert len(BIJECTIVE_KUMMER_JOBS) == 33
+        assert {job for job in ADMITTED_JOBS if Family(job[0]).is_cover} - set(BIJECTIVE_KUMMER_JOBS) == {
+            ("suzuki-cover", 1, 4), ("suzuki-cover", 2, 4), ("ree-cover", 1, 6)}
 
     @pytest.mark.parametrize("modulus", [None, "alt"])
     def test_orbits_partition_the_field(self, modulus):
         """F_8 and the orbits of the x_P under x -> lam*x + a tile GF(2^12)."""
         f = make_field(2, 12, _alternative_modulus_2_12() if modulus else None)
         sub = f.subfield_codes(3)
-        codes = [int(c) for c in f.vspan(_indices(_index_ranges(8, 4)), 3)]
+        codes = [int(c) for c in f.vspan(_indices(0, _reps(8, 4), 8), 3)]
         assert codes[0] == 0 and len(codes) == 1 + 73
         seen = set(sub)
         for x in codes[1:]:
@@ -344,7 +394,7 @@ class TestDigitFieldEngine:
     def test_long_kernel_slice_matches_scalar(self):
         f = make_field(3, 18)
         q, q0, m = 27, 3, 19
-        orbit = f.vspan(_indices(_index_ranges(q, 6)), 3)
+        orbit = f.vspan(_indices(0, _reps(q, 6), q), 3)
         assert len(orbit) == 1 + 1 + 27 + 27**2 + 27**3 + 27**4
         # a streamed range, the first and last orbit representatives, and a
         # block of the orbit set: every x of the first 105 and every x with a
@@ -352,7 +402,7 @@ class TestDigitFieldEngine:
         # where the indices [27^3, 2 27^3) give way to [27^4, 2 27^4)
         lo = 3**9 + 12345
         xs = np.concatenate([np.arange(lo, lo + 60), orbit[:3], orbit[-2:], orbit[18393:22489]])
-        contrib, t0 = _fibres(f, P27, xs, True)
+        contrib = _fibres(f, P27, xs, m)
         checked = [i for i in range(len(xs)) if i < 105 or contrib[i]]
         assert len(checked) > 110
         expected = []
@@ -373,5 +423,5 @@ class TestDigitFieldEngine:
                 nt = 1
             else:
                 nt = 19 if f.pow(u, exp_kummer) == 1 else 0
-            expected.append((ny * nz * nt, ny * nz if u == 0 else 0))
-        assert list(zip(contrib[checked].tolist(), t0[checked].tolist())) == expected
+            expected.append(ny * nz * nt)
+        assert contrib[checked].tolist() == expected
