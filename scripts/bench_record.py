@@ -25,8 +25,7 @@ machine falls on every root alike.  Each root gets one record in --out
 - `spectrum_stages`: the same for each of the SPECTRUM_COMMANDS, the wide
   spectra split in `sweep` and `sort`, each command in its own process;
 - `count_stages`: the same for each of the COUNT_COMMANDS, the degree-6 Ree
-  counts on one thread split in `tables`, `representatives`, `kernel` and
-  `reduction`.
+  counts on one thread split in `tables`, `kernel` and `reduction`.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """

@@ -11,10 +11,10 @@ milliseconds, split by stage of `CountReport.stages`: `tables` builds the
 field's lazy tables for the count (the exp/log tables, or past
 `gf.TABLE_LIMIT` the Frobenius and digit tables, and the half tables of the
 trace to F_q and of the representatives' index map), and only the first
-count over each field and F_q pays it; `reps` counts the representatives
-and cuts their ranks into jobs; `kernel` turns each job's ranks into
-indices and codes through the index map's tables, evaluates them and sums
-their fibres; `wall` is the whole count.
+count over each field and F_q pays it; `kernel` cuts the representatives'
+ranks into jobs, turns each job's ranks into indices and codes through the
+index map's tables, evaluates them and sums their fibres; `wall` is the
+whole count.
 """
 
 import argparse
@@ -44,7 +44,7 @@ def main() -> None:
 
     print(f"threads: {threads}")
     print(f"{'family':14} {'s':>2} {'ext':>3} {'field':>8} {'points':>12} {'target':>12} {'max':>5} "
-          f"{'elems':>7} {'tables':>9} {'reps':>9} {'kernel':>9} {'wall':>9}")
+          f"{'elems':>7} {'tables':>9} {'kernel':>9} {'wall':>9}")
     for family, s, exts in JOBS:
         params = params_from_s(family, s)
         for r in exts:
@@ -53,8 +53,7 @@ def main() -> None:
             print(
                 f"{family:14} {s:>2} {r:>3} {f'{rep.ell:.0e}' if rep.ell > 10**7 else rep.ell:>8} "
                 f"{rep.n_points:>12} {target:>12} {str(rep.is_maximal):>5} "
-                f"{rep.elements_evaluated:>7} {rep.stages['tables'] * 1e3:>7.2f}ms "
-                f"{rep.stages['representatives'] * 1e3:>7.2f}ms {rep.stages['kernel'] * 1e3:>7.2f}ms "
+                f"{rep.elements_evaluated:>7} {rep.stages['tables'] * 1e3:>7.2f}ms {rep.stages['kernel'] * 1e3:>7.2f}ms "
                 f"{rep.wall_time * 1e3:>7.2f}ms"
             )
 

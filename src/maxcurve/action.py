@@ -25,12 +25,9 @@ is FieldSpec's.
 Memory: the per-place arrays that outlive a pass are built once, in
 build_places: the packed keys and the coordinates X, Y, T of PlaceSet,
 plus one shared read-only identity permutation per length.  A pass
-allocates its outputs (each generator, product and power is a fresh int32
-array), the gathered images of a generator, the products of the
-involution's t/beta, and the temporaries of PlaceSet.ids (its row is
-summed and its key packed in place).  Other arithmetic on a full-size
-array is done in place or into a buffer that is reused (element_order,
-verify_orbits); the involution's other maps are taken once per (x, y).
+allocates plain temporaries; each generator, product and power is a fresh
+int32 array.  The involution's maps other than t/beta are taken once per
+pair (x, y), and keys are packed in place.
 """
 
 from __future__ import annotations
@@ -90,18 +87,12 @@ class PlaceSet:
         triple that is not a place.  A triple that is not a place may still
         index a row (of another block, or past the last row, which is read
         instead): its key there differs from its own."""
-        row = self.width.take(x)
-        term = self.yrank.take(y)
-        row *= term
-        # the codes are in range; mode="clip" lets take write to `out` unbuffered
-        row += self.start.take(x, out=term, mode="clip")
-        row += self.trank.take(t, out=term, mode="clip")
+        row = self.start.take(x) + self.yrank.take(y) * self.width.take(x) + self.trank.take(t)
         found = self.keys.take(row, mode="clip") == _pack(self.field.k, x, y, t)
         if not found.all():
             i = int(np.argmin(found))
             raise ModelError(f"{what} {(int(x[i]), int(y[i]), int(t[i]))} is not a place")
-        row += 1
-        return row
+        return row + 1
 
 
 def _pack(k: int, x, y, t):
@@ -235,12 +226,6 @@ def gen_gamma(ps: PlaceSet, lam: int) -> np.ndarray:
     return _perm_from_affine_images(ps, X, Y, f.vmul(ps.codes, lam).take(T), "gamma")
 
 
-def default_gamma(ps: PlaceSet) -> np.ndarray:
-    """The torus map with lambda = g^(n/m), the zeta of build_places."""
-    f = ps.field
-    return gen_gamma(ps, f.pow(f.generator_code(), (f.order - 1) // ps.params.m))
-
-
 def gen_phi(ps: PlaceSet) -> np.ndarray:
     """The lifted involution.  alpha = y^2q0 + x^(2q0+1), beta = x y^2q0 +
     alpha^2q0; regular images are (alpha/beta, y/beta, t/beta).  The places
@@ -311,15 +296,12 @@ def element_order(a: np.ndarray) -> int:
     of a p-cycle meet every such cycle inside it, so all carry that minimum.
     """
     n = len(a)
-    jump, spare_jump = a.astype(np.intp), np.empty(n, dtype=np.intp)
-    label, nxt = np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    jump, label = a.astype(np.intp), np.arange(n, dtype=np.intp)
     for _ in range((n - 1).bit_length()):
-        # the indices are in range; mode="clip" lets take write to `out` unbuffered
-        np.minimum(label, label.take(jump, out=nxt, mode="clip"), out=nxt)
+        nxt = np.minimum(label, label.take(jump))
         if np.array_equal(nxt, label):
             break
-        label, nxt = nxt, label
-        jump, spare_jump = jump.take(jump, out=spare_jump, mode="clip"), jump
+        label, jump = nxt, jump.take(jump)
     sizes = np.bincount(label)
     # the distinct cycle lengths are the nonzero bins past 0 of the sizes
     return math.lcm(*(np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist())
@@ -355,24 +337,19 @@ def power(a: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def has_order(a: np.ndarray, o: int, powers: dict[int, np.ndarray] | None = None) -> bool:
+def has_order(a: np.ndarray, o: int) -> bool:
     """Whether the permutation a has order exactly o: a^o = 1, and a^(o/p)
-    != 1 for each prime p | o.  The powers it takes are added to `powers`
-    (exponent -> power), which may already hold some of them."""
-    powers = {} if powers is None else powers
+    != 1 for each prime p | o."""
     one = _identity(len(a))
-
-    def is_one(e: int) -> bool:
-        if e not in powers:
-            powers[e] = power(a, e)
-        return np.array_equal(powers[e], one)
-
-    return is_one(o) and not any(is_one(o // p) for p in _factorize(o))
+    return (np.array_equal(power(a, o), one)
+            and not any(np.array_equal(power(a, o // p), one) for p in _factorize(o)))
 
 
 def default_generators(ps: PlaceSet) -> dict[str, np.ndarray]:
     """A fixed generating set: a full-torus stabilizer element, the two wild
-    translations, the involution, and the torus map."""
+    translations, the involution, and the torus map with lambda = g^(n/m),
+    the zeta of build_places."""
+    f = ps.field
     nonzero_sub = [c for c in ps.subfield if c != 0]
     # the base subfield's unit group is cyclic of prime order, so any
     # non-identity unit generates it
@@ -383,7 +360,7 @@ def default_generators(ps: PlaceSet) -> dict[str, np.ndarray]:
         "wild_b": stabilizer_in_complement(ps, one, nonzero_sub[0], 0),
         "wild_c": stabilizer_in_complement(ps, one, 0, nonzero_sub[0]),
         "phi": gen_phi(ps),
-        "gamma": default_gamma(ps),
+        "gamma": gen_gamma(ps, f.pow(f.generator_code(), (f.order - 1) // ps.params.m)),
     }
 
 
@@ -391,7 +368,6 @@ def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
     """Orbit sizes of the group generated by the given permutations."""
     n = len(ps)
     seen = np.zeros(n, dtype=bool)
-    reached = np.empty(n, dtype=bool)  # one buffer for every BFS level
     sizes = []
     while not seen.all():
         start = int(np.argmin(seen))  # the first unseen place
@@ -399,10 +375,10 @@ def verify_orbits(ps: PlaceSet, perms: list[np.ndarray]) -> tuple[int, ...]:
         seen[start] = True
         size = 1
         while frontier.size:
-            reached.fill(False)
+            reached = np.zeros(n, dtype=bool)
             for p in perms:
                 reached[p.take(frontier)] = True
-            frontier = np.flatnonzero(np.greater(reached, seen, out=reached))  # reached, not seen
+            frontier = np.flatnonzero(reached & ~seen)
             seen[frontier] = True
             size += frontier.size
         sizes.append(size)
@@ -433,8 +409,9 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
     (the F_q-rational places), on which the lifted simple group acts
     faithfully.  Only the first word whose order there is divisible by
     `target` is composed over all places; its full order must equal its
-    small-orbit order, checked by powers (has_order), or ModelError says
-    the restriction is not faithful."""
+    small-orbit order o, checked by powers (has_order), or ModelError says
+    the restriction is not faithful.  The result is that word to the power
+    o / target, a fresh array."""
     rng = random.Random(seed)
     small = _small_orbit_restriction(ps, generators)
     for _ in range(MAX_TRIES):
@@ -447,12 +424,10 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
             full = generators[word[0]]
             for i in word[1:]:  # a word has at least two letters, so full is a fresh array
                 full = generators[i].take(full)
-            powers = {1: full}
-            if not has_order(full, o, powers):
+            if not has_order(full, o):
                 raise ModelError(f"a word of order {o} on the small orbit has order {element_order(full)} "
                                  "on all places: the restriction is not faithful")
-            e = o // target
-            return powers[e] if e in powers else power(full, e)
+            return power(full, o // target)
     raise ModelError(f"no element of order {target} found in {MAX_TRIES} tries")
 
 
@@ -462,13 +437,8 @@ def stabilizer_subgroup_order(ps: PlaceSet, generators: list[np.ndarray]) -> int
     restrictions to the small orbit (the F_q-rational places), which tell
     the elements apart."""
     gens = _small_orbit_restriction(ps, generators)
-    seen: set[bytes] = set()
-    frontier = []
-    for g in gens:
-        key = g.tobytes()
-        if key not in seen:
-            seen.add(key)
-            frontier.append(g)
+    one = np.arange(len(ps.fq_rational_ids()), dtype=np.intp)  # the dtype of the restrictions
+    seen, frontier = {one.tobytes()}, [one]
     while frontier:
         nxt = []
         for g in gens:

@@ -62,7 +62,7 @@ class CountReport:
     t0_affine: int
     elements_evaluated: int
     threads: int
-    stages: dict[str, float]  # seconds per stage: tables, representatives, kernel, reduction
+    stages: dict[str, float]  # seconds per stage: tables, kernel, reduction
 
 
 def positive_threads(value, source: str) -> int:
@@ -165,7 +165,6 @@ def count_points(
     t_tables = time.perf_counter()
     reps = 1 + (q ** (r - 1) - 1) // (q - 1)
     jobs = range(0, reps, CHUNK)
-    t_reps = time.perf_counter()
 
     def evaluate(lo):  # (sum of f, f at the job's first x)
         f = kernel(field.vspan(_indices(lo, min(lo + CHUNK, reps), q), d))
@@ -208,6 +207,5 @@ def count_points(
         t0_affine=q * f0,  # t = 0 needs x in F_q, the orbit of 0
         elements_evaluated=reps,
         threads=threads,
-        stages={"tables": t_tables - t_start, "representatives": t_reps - t_tables,
-                "kernel": t_kernel - t_reps, "reduction": t_end - t_kernel},
+        stages={"tables": t_tables - t_start, "kernel": t_kernel - t_tables, "reduction": t_end - t_kernel},
     )

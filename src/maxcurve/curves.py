@@ -105,7 +105,7 @@ class HermitianCoverRecord:
     in_window: bool
     excluded: bool
     window: tuple[int, int]
-    genus_from_delta: int | None
+    genus_from_delta: int
 
 
 def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_order: int) -> HermitianCoverRecord:
@@ -118,12 +118,10 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
     ruled-out orders q^2+q+1 and q^2+2q+1.  A group order below 1 is a
     ValueError.
 
-    genus_from_delta is the genus that Riemann-Hurwitz solves from delta.
-    Since delta is (2 g_H - 2) - |G| (2 g - 2) with g = genus(params), it is
-    g for every group order: a Riemann-Hurwitz identity, not a coincidence.
+    genus_from_delta is g = genus(params), the genus that Riemann-Hurwitz
+    solves from delta: delta is (2 g_H - 2) - |G| (2 g - 2), so RH gives g
+    for every group order, a Riemann-Hurwitz identity, not a coincidence.
     """
-    from .ramification import solve_rh  # ramification imports this module
-
     family, params = resolve_curve(family, params)
     if group_order < 1:
         raise ValueError(f"group order must be a positive integer, got {group_order}")
@@ -138,9 +136,9 @@ def hermitian_cover_analysis(family: Family | str, params: CurveParams, group_or
         excluded = group_order in (q**2 + q + 1, q**2 + 2 * q + 1)
     else:
         raise ValueError("only the cover families admit this analysis")
-    delta = two_g_cover_minus_2 - group_order * (2 * genus(params) - 2)
+    g = genus(params)
+    delta = two_g_cover_minus_2 - group_order * (2 * g - 2)
     in_window = window[0] <= group_order <= window[1]
-    g, _ = solve_rh(two_g_cover_minus_2, group_order, delta)
     return HermitianCoverRecord(
         family=family,
         group_order=group_order,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -445,6 +446,9 @@ class TestGroupStructure:
     def test_stabilizer_closure_order(self, place_set, simple_group_gens):
         assert act.stabilizer_subgroup_order(place_set, simple_group_gens[:3]) == 448 == 8 * 8 * 7
 
+    def test_closure_of_no_generators_is_the_trivial_group(self, place_set):
+        assert act.stabilizer_subgroup_order(place_set, []) == 1
+
     def test_closure_gives_up_above_the_cap(self, place_set, simple_group_gens, monkeypatch):
         monkeypatch.setattr(act, "CLOSURE_CAP", 100)  # the closure has 448 elements
         with pytest.raises(ModelError, match="closure exceeded cap"):
@@ -578,6 +582,44 @@ def cycle_type_permutation(cycles: list[int], n: int = 40) -> np.ndarray:
     return perm
 
 
+def union_find_orbit_sizes(n, perms):
+    """Orbit sizes by union-find over the edges i -- p(i): the reference
+    for the BFS of verify_orbits."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in perms:
+        for i, j in enumerate(p.tolist()):
+            parent[root(i)] = root(j)
+    return tuple(sorted(collections.Counter(root(i) for i in range(n)).values()))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_orbits_matches_union_find(seed):
+    """Seeded random groups on 1 to 300 points, by 1 to 3 generators of
+    which some are the identity; verify_orbits reads only the length of
+    the place set, so range(n) stands in for it."""
+    rng = np.random.default_rng(seed)
+    n = {0: 1, 1: 300}.get(seed, int(rng.integers(1, 301)))
+    perms = []
+    for _ in range(int(rng.integers(1, 4))):
+        if rng.random() < 0.25:
+            perms.append(np.arange(n, dtype=np.int32))
+        else:
+            # a product of a few random cycles, so that the orbits vary in size
+            perm = np.arange(n, dtype=np.int32)
+            for _ in range(int(rng.integers(1, 4))):
+                cycle = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                perm[cycle] = perm[np.roll(cycle, -1)]
+            perms.append(perm)
+    assert act.verify_orbits(range(n), perms) == union_find_orbit_sizes(n, perms)
+
+
 class TestHasOrder:
     """has_order checks a^o = 1 and a^(o/p) != 1 for the primes p | o; it
     must agree with element_order."""
@@ -601,14 +643,6 @@ class TestHasOrder:
         divisors = [d for d in range(1, order + 1) if order % d == 0]
         for o in divisors + [order + 1, 2 * order, 5 * order]:
             assert act.has_order(perm, o) == (o == order), o
-
-    def test_keeps_the_powers_it_takes(self):
-        perm = cycle_type_permutation([4, 3])
-        powers = {}
-        assert act.has_order(perm, 12, powers)
-        assert set(powers) == {12, 6, 4}
-        for e, p in powers.items():
-            assert np.array_equal(p, act.power(perm, e))
 
 
 class TestSharedIdentity:

@@ -92,6 +92,6 @@ def test_count_stages_of_this_checkout(bench_record):
     assert sorted(got) == ["ree-base s=1 ext=6", "ree-cover s=1 ext=6"]
     for stages in got.values():
         assert stages["runs"] == 2
-        assert sorted(stages["stages"]) == ["kernel", "reduction", "representatives", "tables"]
+        assert sorted(stages["stages"]) == ["kernel", "reduction", "tables"]
         assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
         assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0

@@ -100,7 +100,7 @@ class TestCount:
                            "--threads", "2")
         rec = json.loads(out)
         assert code == EXIT_OK and rec["threads"] == 2
-        assert sorted(rec["stages"]) == ["kernel", "reduction", "representatives", "tables"]
+        assert sorted(rec["stages"]) == ["kernel", "reduction", "tables"]
         assert all(v >= 0 for v in rec["stages"].values())
         assert sum(rec["stages"].values()) <= rec["wall_time"] + 1e-5
         assert not {"threads", "stages"} & set(rec["results"])

@@ -384,7 +384,7 @@ def test_report_fields():
     assert rep.wall_time >= 0
     assert genus(rep.params) == 196
     assert rep.threads == counting.default_threads()
-    assert list(rep.stages) == ["tables", "representatives", "kernel", "reduction"]
+    assert list(rep.stages) == ["tables", "kernel", "reduction"]
 
 
 class TestDigitFieldEngine:

@@ -17,7 +17,7 @@ from maxcurve.curves import (
     hermitian_cover_analysis,
     params_from_s,
 )
-from maxcurve.ramification import filtration
+from maxcurve.ramification import filtration, solve_rh
 
 
 @pytest.mark.parametrize(
@@ -94,6 +94,7 @@ class TestHermitianCover:
         # the Riemann-Hurwitz identity: delta is built from the cover genus,
         # so the quotient genus it forces is that genus
         assert rec.genus_from_delta == genus(p) == 246051
+        assert solve_rh(q**6 - q**3 - 2, (q + 1) ** 2, rec.delta) == (246051, None)
         assert rec.excluded  # (q+1)^2 = q^2+2q+1 is one of the ruled-out orders
         assert hermitian_cover_analysis("ree-cover", p, q * q + q + 1).excluded
         assert not hermitian_cover_analysis("ree-cover", p, q * q + q + 2).excluded
