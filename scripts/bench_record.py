@@ -20,12 +20,16 @@ machine falls on every root alike.  Each root gets one record in --out
   per-layer (--trace 1) metric, and the check counts;
 - `verify_group_stages`: the median `timing`, `stages` and `minflt` (minor
   page faults, the `ru_minflt` delta of the process) of `maxcurve
-  verify-group --s 1 --json`, run STAGE_RUNS times in one process, after
-  one unrecorded warm-up run, after the benchmark runs;
-- `spectrum_stages`: the same for each of the SPECTRUM_COMMANDS, the wide
-  spectra split in `sweep` and `sort`, each command in its own process;
-- `count_stages`: the same for each of the COUNT_COMMANDS, the degree-6 Ree
-  counts on one thread split in `tables`, `kernel` and `reduction`.
+  verify-group --s 1 --json`;
+- `spectrum_stages`: the same for each wide spectrum, split in `sweep` and
+  `sort`;
+- `count_stages`: the same for each degree-6 Ree count on one thread, split
+  in `tables`, `kernel` and `reduction`.
+The stage records are taken after the benchmark runs, in STAGE_ROUNDS
+rounds.  Each round runs every command of STAGE_COMMANDS once in each root,
+the first root changing from round to round as for the benchmark runs: a
+fresh process per command and root, which makes one unrecorded warm-up run
+and STAGE_RUNS recorded ones.  The medians are over the runs of all rounds.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
 measured src/ differs from that of the sha.
 """
@@ -43,18 +47,19 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SHORT = 12
-STAGE_RUNS = 20
-VERIFY_GROUP_COMMAND = ["verify-group", "--s", "1", "--json"]
-# the wide spectra, in spectrum's default JSON format
-SPECTRUM_COMMANDS = {
-    "suzuki-cover s=7": ["spectrum", "--family", "suzuki-cover", "--s", "7"],
-    "ree-cover s=3": ["spectrum", "--family", "ree-cover", "--s", "3"],
-}
-# the degree-6 Ree counts over F_{3^18}, which no benchmark workload runs
-COUNT_COMMANDS = {
-    f"{family} s=1 ext=6": ["count", "--family", family, "--s", "1", "--ext", "6", "--threads", "1"]
-    for family in ("ree-cover", "ree-base")
-}
+STAGE_ROUNDS = 5
+STAGE_RUNS = 4
+# (record key, name within it or None for a key that holds one command's
+# medians, maxcurve command): verify-group, the wide spectra in spectrum's
+# default JSON format, and the degree-6 Ree counts over F_{3^18}, which no
+# benchmark workload runs
+STAGE_COMMANDS = [
+    ("verify_group_stages", None, ["verify-group", "--s", "1", "--json"]),
+    *(("spectrum_stages", f"{family} s={s}", ["spectrum", "--family", family, "--s", str(s)])
+      for family, s in (("suzuki-cover", 7), ("ree-cover", 3))),
+    *(("count_stages", f"{family} s=1 ext=6", ["count", "--family", family, "--s", "1", "--ext", "6", "--threads", "1"])
+      for family in ("ree-cover", "ree-base")),
+]
 # one JSON record of the maxcurve command argv[2:] per line on stdout, all in
 # one process after a warm-up run, each with the minor page faults of its run
 # as `minflt`
@@ -131,27 +136,38 @@ def stage_medians(records: list[dict]) -> dict:
     }
 
 
-def command_stages(root: Path, command: list[str], runs: int) -> dict:
-    """Median stage times of `runs` runs of the maxcurve command in one
-    process, on the sources of the checkout."""
+def command_runs(root: Path, command: list[str], runs: int) -> list[dict]:
+    """The records of `runs` runs of the maxcurve command in one process,
+    after a warm-up run, on the sources of the checkout."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", STAGES_LOOP, str(runs), *command], cwd=root, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {root}: {command[0]} exited with {proc.returncode}: {proc.stderr.strip()}")
-    return stage_medians([json.loads(line) for line in proc.stdout.splitlines()])
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def verify_group_stages(root: Path, runs: int) -> dict:
-    return command_stages(root, VERIFY_GROUP_COMMAND, runs)
+def rotated(roots: list[Path], i: int) -> list[Path]:
+    """The roots in the order of round i: the first root changes from round
+    to round."""
+    return roots[i % len(roots):] + roots[:i % len(roots)]
 
 
-def spectrum_stages(root: Path, runs: int) -> dict:
-    return {name: command_stages(root, command, runs) for name, command in SPECTRUM_COMMANDS.items()}
-
-
-def count_stages(root: Path, runs: int) -> dict:
-    return {name: command_stages(root, command, runs) for name, command in COUNT_COMMANDS.items()}
+def stage_records(roots: list[Path], commands: list[tuple], rounds: int, runs: int) -> dict:
+    """{root: {record key: medians, or {name: medians}}} of the commands, a
+    list like STAGE_COMMANDS, run round by round in every root."""
+    pooled = {(root, key, name): [] for root in roots for key, name, _ in commands}
+    for i in range(rounds):
+        for key, name, command in commands:
+            for root in rotated(roots, i):
+                pooled[root, key, name] += command_runs(root, command, runs)
+    out = {root: {} for root in roots}
+    for (root, key, name), records in pooled.items():
+        if name is None:
+            out[root][key] = stage_medians(records)
+        else:
+            out[root].setdefault(key, {})[name] = stage_medians(records)
+    return out
 
 
 def main() -> int:
@@ -171,13 +187,10 @@ def main() -> int:
     for w in workloads:
         for i, seed in enumerate(args.seeds):
             for trace in (0, 1):
-                for root in roots[i % len(roots):] + roots[:i % len(roots)]:
+                for root in rotated(roots, i):
                     runs[root, w, trace].append(run_bench(root, w, seed, seconds, trace))
                     print(f"{root}: {w} seed {seed} trace {trace} done", file=sys.stderr)
-
-    stages = {root: verify_group_stages(root, STAGE_RUNS) for root in roots}
-    spectra = {root: spectrum_stages(root, STAGE_RUNS) for root in roots}
-    counts = {root: count_stages(root, STAGE_RUNS) for root in roots}
+    stages = stage_records(roots, STAGE_COMMANDS, STAGE_ROUNDS, STAGE_RUNS)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for root in roots:
@@ -193,9 +206,7 @@ def main() -> int:
             "seconds": seconds,
             "workloads": {w: {"end_to_end": summarize(runs[root, w, 0]), "per_layer": summarize(runs[root, w, 1])}
                           for w in workloads},
-            "verify_group_stages": stages[root],
-            "spectrum_stages": spectra[root],
-            "count_stages": counts[root],
+            **stages[root],
         }
         name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
         path = args.out / f"BENCH_{name}.json"

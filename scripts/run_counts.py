@@ -3,13 +3,13 @@
 
 Counts are orbit-reduced: one x per orbit of x -> lam*x + a is evaluated
 (the `elems` column).  The degree-6 Ree count over F_{3^18} is included; it
-evaluates 551,882 representatives in about 0.76 s on one thread
-(median of 20 warm runs in one process, `count_stages` of
-BENCH_a7ac85d00117+8fe9fcc5279a.json; 2-core x86_64, Python 3.11.7, numpy
+evaluates 551,882 representatives in about 0.51 s on one thread (median of
+20 warm runs, 5 rounds of 4 in fresh processes, `count_stages` of
+BENCH_537bd13d613b+cf2c8a066636.json; 2-core x86_64, Python 3.11.7, numpy
 2.4.6).  Times are in
 milliseconds, split by stage of `CountReport.stages`: `tables` builds the
 field's lazy tables for the count (the exp/log tables, or past
-`gf.TABLE_LIMIT` the Frobenius and digit tables, and the half tables of the
+`gf.TABLE_LIMIT` the Frobenius tables, and the half tables of the
 trace to F_q and of the representatives' index map), and only the first
 count over each field and F_q pays it; `kernel` cuts the representatives'
 ranks into jobs, turns each job's ranks into indices and codes through the

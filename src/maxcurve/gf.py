@@ -9,8 +9,9 @@ FieldSpec does arithmetic on single codes and, through its v* methods, on
 int64 arrays of codes.  The array layer adds in characteristic 3 on the codes
 themselves, on every field, through the tritwise sums of 5-trit chunks.  It
 multiplies through int32 exp/log tables up to TABLE_LIMIT (8.4 MB for both
-on F_{2^20}), and only beyond it on digit arrays; there a power is Frobenius
-steps times such products.  Each GF(p)-linear map
+on F_{2^20}), and only beyond it on digit arrays, whose product folds its
+high rows into the low ones through the modulus itself; there a power is
+Frobenius steps times such products.  Each GF(p)-linear map
 (Frobenius, traces, the index map of vspan, multiplication by a constant)
 is kept as the codes of its images of x^0, ..., x^(k-1), from which one
 builder makes two lookup tables, one for each half of a code.
@@ -263,10 +264,10 @@ def _digits_to_code(digits: Sequence[int], p: int) -> int:
 class FieldSpec:
     """A concrete GF(p^k) with a fixed monic irreducible modulus.
 
-    Immutable after construction; the lazily built exp/log tables, half
-    tables (Frobenius, traces, vspan), digit table and reduction matrix are
-    read-only caches, so instances are safe to share across threads once
-    precompute(d) has built those that a count at subfield degree d reads.
+    Immutable after construction; the lazily built exp/log tables and half
+    tables (Frobenius, traces, vspan) are read-only caches, so instances are
+    safe to share across threads once precompute(d) has built those that a
+    count at subfield degree d reads.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
@@ -287,8 +288,6 @@ class FieldSpec:
         self._mod_int = _digits_to_code(mod, p) if p == 2 else None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._generator_code: int | None = None
-        self._digit_table: np.ndarray | None = None
-        self._reduction_matrix: np.ndarray | None = None
         self._frobenius: tuple[np.ndarray, np.ndarray] | None = None  # half tables of a -> a^p
         self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of the trace
         self._spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> half tables of vspan
@@ -391,15 +390,21 @@ class FieldSpec:
         """a b elementwise, as int64 codes."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.order > TABLE_LIMIT:
-            # the schoolbook product of the digit arrays: its 2k - 1 rows,
-            # reduced, fold once through the digits of x^(k+j) mod the modulus
+            # the schoolbook product of the digit arrays; its rows 2k - 2 down
+            # to k, each reduced mod p just before, fold into the k rows below
+            # through x^k = -(f_0 + f_1 x + ... + f_(k-1) x^(k-1))
             a, b = np.broadcast_arrays(a, b)
-            A, B, k = self._digits(a), self._digits(b), self.k
+            A, B, k, p = self._digits(a), self._digits(b), self.k, self.p
             C = np.zeros((2 * k - 1,) + a.shape, dtype=np.uint8)
             for i in range(k):
                 C[i : i + k] += A[i] * B
-            C %= self.p
-            return self._codes(C[:k] + self._linear(self._reduction(), C[k:]))
+            low = [-f % p for f in self.modulus[:k]]
+            for j in range(2 * k - 2, k - 1, -1):
+                C[j] %= p
+                for i, c in enumerate(low):
+                    if c:
+                        C[j - k + i] += c * C[j]
+            return self._codes(C[:k])
         exp, log = self.tables()
         # log[a] + log[b] lies in [-2, 2n - 2], within int32, so the wrap
         # takes one step; the entries it reads for a zero operand are then
@@ -526,46 +531,30 @@ class FieldSpec:
     # -- digit arrays ----------------------------------------------------
     #
     # A reduced digit array holds values up to p - 1.  Unreduced ones stay
-    # below 256: the largest is a sum of k digit products, (p - 1)^2 k <= 72.
-
-    def _half_digits(self) -> np.ndarray:
-        """The digits of the codes below p^h, h = ceil(k/2): shape (h, p^h)."""
-        if self._digit_table is None:
-            h = (self.k + 1) // 2
-            table = np.zeros((h, self.p**h), dtype=np.uint8)
-            c = np.arange(self.p**h)
-            for i in range(h):
-                c, table[i] = np.divmod(c, self.p)
-            self._digit_table = table
-        return self._digit_table
+    # below 256: a row of vmul's product takes at most k digit products and
+    # k - 1 folds of reduced rows, each at most (p - 1)^2, so it holds at
+    # most (p - 1)^2 (2k - 1), which is 140 on F_{3^18} and 236 on F_{3^30}.
+    # So a digit array of p = 3 needs k <= 32.
 
     def _digits(self, a) -> np.ndarray:
-        """Digits of codes, shape (k,) + a.shape, from the half-digit table
-        applied to both halves of each code."""
-        table = self._half_digits()
-        hi, lo = np.divmod(np.asarray(a, dtype=np.int64), table.shape[1])
-        return np.concatenate([np.take(table, lo, axis=1), np.take(table[: self.k - len(table)], hi, axis=1)])
-
-    def _codes(self, digits: np.ndarray) -> np.ndarray:
-        """Codes of digit arrays, reducing each digit mod p first."""
-        powers = self.p ** np.arange(self.k, dtype=np.int64)
-        return (digits % self.p * powers.reshape((-1,) + (1,) * (digits.ndim - 1))).sum(axis=0)
-
-    def _linear(self, mat: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """The GF(p)-linear map mat on a reduced digit array, unreduced.  One
-        broadcast step per digit row: a matmul would call BLAS, whose own
-        threads contend with the count's thread pool."""
-        out = np.zeros((mat.shape[0],) + digits.shape[1:], dtype=np.uint8)
-        for i, row in enumerate(digits):
-            out += mat[:, i].reshape((-1,) + (1,) * row.ndim) * row
+        """Digits of codes, shape (k,) + a.shape, by repeated floor division
+        by p: each digit is the code less p times its quotient."""
+        a = np.asarray(a, dtype=np.int64)
+        out = np.empty((self.k,) + a.shape, dtype=np.uint8)
+        for i in range(self.k):
+            quotient = a // self.p
+            out[i] = a - quotient * self.p
+            a = quotient
         return out
 
-    def _reduction(self) -> np.ndarray:
-        """The k x (k-1) digit matrix whose columns are x^k, ..., x^(2k-2)."""
-        if self._reduction_matrix is None:
-            powers = [self.mul(self.p ** (self.k - 1), self.p**j) for j in range(1, self.k)]
-            self._reduction_matrix = self._digits(np.array(powers, dtype=np.int64))
-        return self._reduction_matrix
+    def _codes(self, digits: np.ndarray) -> np.ndarray:
+        """Codes of digit arrays, reducing each digit mod p first: Horner's
+        rule from the top row."""
+        out = (digits[-1] % self.p).astype(np.int64)
+        for row in digits[-2::-1]:
+            out *= self.p
+            out += row % self.p
+        return out
 
     # -- multiplicative structure ----------------------------------------
 
@@ -621,9 +610,9 @@ class FieldSpec:
     def precompute(self, d: int) -> None:
         """Build the lazy caches that a count at subfield degree d reads: in
         characteristic 3 the chunk sum tables, the exp/log tables up to
-        TABLE_LIMIT and beyond it the Frobenius tables, the digit table and
-        the reduction matrix of vpow and vmul, then the half tables of vtrace
-        at d (none at d = k), whose conjugates vpow forms, and of vspan at d.
+        TABLE_LIMIT and beyond it the Frobenius tables of vpow (vmul reads no
+        table there), then the half tables of vtrace at d (none at d = k),
+        whose conjugates vpow forms, and of vspan at d.
         Afterwards threads running that count share the field, and the chunk
         sum tables, read-only."""
         self._check_subfield(d)
@@ -633,7 +622,6 @@ class FieldSpec:
             self.tables()
         else:
             self._frobenius_tables()
-            self._reduction()
         if d < self.k:
             self._trace_tables(d)
         self._span_tables(d)

@@ -69,29 +69,44 @@ def test_stage_medians_of_verify_group_records(bench_record):
     }
 
 
-def test_verify_group_stages_of_this_checkout(bench_record):
-    got = bench_record.verify_group_stages(SCRIPT.parents[1], 2)
-    assert got["runs"] == 2
-    assert sorted(got["stages"]) == ["closure", "generators", "orbits", "order_search", "places", "rows"]
-    assert 0 < sum(got["stages"].values()) <= got["timing"] + 1e-5  # each value is rounded to 6 decimals
-    assert isinstance(got["minflt"], (int, float)) and got["minflt"] >= 0
+def test_stage_records_alternate_roots_round_by_round(bench_record, monkeypatch):
+    calls = []
+
+    def command_runs(root, command, runs):
+        calls.append((root, command[0]))
+        return [{"timing": len(calls), "stages": {"s": 0.0}, "minflt": 0}] * runs
+
+    monkeypatch.setattr(bench_record, "command_runs", command_runs)
+    commands = [("one", None, ["a"]), ("many", "x", ["b"]), ("many", "y", ["c"])]
+    got = bench_record.stage_records(["P", "C"], commands, 3, 2)
+    first = ["P", "C", "P"]
+    assert calls == [(root, cmd) for i in range(3) for cmd in "abc"
+                     for root in (first[i], "C" if first[i] == "P" else "P")]
+    assert sorted(got["P"]) == ["many", "one"] and sorted(got["P"]["many"]) == ["x", "y"]
+    # the runs of all rounds pooled: "a" ran 1st, 8th and 13th for P
+    assert got["P"]["one"] == {"runs": 6, "timing": 8, "minflt": 0, "stages": {"s": 0.0}}
+    assert got["C"]["many"]["y"]["timing"] == 11
 
 
-def test_spectrum_stages_of_this_checkout(bench_record):
-    got = bench_record.spectrum_stages(SCRIPT.parents[1], 2)
-    assert sorted(got) == ["ree-cover s=3", "suzuki-cover s=7"]
-    for stages in got.values():
-        assert stages["runs"] == 2
-        assert sorted(stages["stages"]) == ["sort", "sweep"]
-        assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
-        assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0
+# record key -> (names within it, None for one command's medians; stages)
+STAGE_RECORDS = {
+    "verify_group_stages": ([None], ["closure", "generators", "orbits", "order_search", "places", "rows"]),
+    "spectrum_stages": (["ree-cover s=3", "suzuki-cover s=7"], ["sort", "sweep"]),
+    "count_stages": (["ree-base s=1 ext=6", "ree-cover s=1 ext=6"], ["kernel", "reduction", "tables"]),
+}
 
 
-def test_count_stages_of_this_checkout(bench_record):
-    got = bench_record.count_stages(SCRIPT.parents[1], 2)
-    assert sorted(got) == ["ree-base s=1 ext=6", "ree-cover s=1 ext=6"]
-    for stages in got.values():
-        assert stages["runs"] == 2
-        assert sorted(stages["stages"]) == ["kernel", "reduction", "tables"]
-        assert 0 < sum(stages["stages"].values()) <= stages["timing"] + 1e-5
-        assert isinstance(stages["minflt"], (int, float)) and stages["minflt"] >= 0
+@pytest.mark.parametrize("key", list(STAGE_RECORDS))
+def test_stages_of_this_checkout(bench_record, key):
+    names, stages = STAGE_RECORDS[key]
+    root = SCRIPT.parents[1]
+    commands = [command for command in bench_record.STAGE_COMMANDS if command[0] == key]
+    got = bench_record.stage_records([root], commands, 2, 1)[root]
+    assert list(got) == [key]
+    records = {None: got[key]} if names == [None] else got[key]
+    assert sorted(records, key=str) == names
+    for record in records.values():
+        assert record["runs"] == 2  # one run in each of two rounds
+        assert sorted(record["stages"]) == stages
+        assert 0 < sum(record["stages"].values()) <= record["timing"] + 1e-5  # each value is rounded to 6 decimals
+        assert isinstance(record["minflt"], (int, float)) and record["minflt"] >= 0

@@ -386,7 +386,7 @@ class TestHermitian:
         assert rec["results"]["delta"] == 520
         assert rec["results"]["in_window"] is True
 
-    def test_ree_coincidence(self, capsys):
+    def test_ree_rh_identity(self, capsys):
         code, out, _ = run(capsys, "hermitian", "--family", "ree-cover", "--s", "1",
                            "--group-order", "784")
         rec = json.loads(out)

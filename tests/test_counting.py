@@ -352,12 +352,11 @@ class TestOrbitReduction:
     for family, s, r in (("suzuki-cover", 2, 4), ("ree-cover", 1, 3), ("ree-cover", 1, 1))])
 def test_threaded_count_builds_no_cache(family, s, r, tabled, monkeypatch):
     """After precompute(d), the threads of a count share the field read-only:
-    no lazy cache (exp/log tables, Frobenius tables, digit table, reduction
-    matrix, trace tables, span tables, and in characteristic 3 the chunk sum
-    tables) is created or replaced during the count, on F_{2^20} and
-    F_{3^9}, and on F_27, where d = k and no trace tables are built; on the
-    exp/log tables and, with TABLE_LIMIT forced to 0, on the past-limit
-    path."""
+    no lazy cache (exp/log tables, Frobenius tables, trace tables, span
+    tables, and in characteristic 3 the chunk sum tables) is created or
+    replaced during the count, on F_{2^20} and F_{3^9}, and on F_27, where
+    d = k and no trace tables are built; on the exp/log tables and, with
+    TABLE_LIMIT forced to 0, on the past-limit path."""
     if not tabled:
         monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
     monkeypatch.setattr(counting, "CHUNK", 8)  # many jobs, so the pool runs

@@ -84,7 +84,7 @@ class TestHermitianCover:
         assert not hermitian_cover_analysis("suzuki-cover", p, 1).in_window
         assert hermitian_cover_analysis("suzuki-cover", p, 10).in_window
 
-    def test_ree_window_exclusions_and_coincidence(self):
+    def test_ree_window_exclusions_and_rh_identity(self):
         p = params_from_s("ree-cover", 1)
         q = p.q
         rec = hermitian_cover_analysis("ree-cover", p, (q + 1) ** 2)

@@ -273,6 +273,12 @@ class TestArrayLayer:
         a = rng.integers(0, f.order, n, dtype=np.int64)
         b = rng.integers(0, f.order, n, dtype=np.int64)
         a[:3], b[3:6] = 0, 0
+        # every pair of the code whose digits are all p - 1 and its products
+        # with x^(k-1): on digit arrays, the largest unreduced rows of a product
+        top, x_top = f.order - 1, f.p ** (f.k - 1)
+        extreme = [top, f.mul(top, x_top), f.mul(f.mul(top, x_top), x_top)]
+        a = np.concatenate([a, np.repeat(extreme, len(extreme))])
+        b = np.concatenate([b, np.tile(extreme, len(extreme))])
         pairs = list(zip(a.tolist(), b.tolist()))
         assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
         assert f.vmul(a, int(b[7])).tolist() == [f.mul(x, int(b[7])) for x, _ in pairs]
@@ -302,7 +308,7 @@ class TestArrayLayer:
         e = (f.order - 1) // 19
         assert f.vpow(a, e).tolist() == [f.pow(x, e) for x in a.tolist()]
 
-    @pytest.mark.parametrize("p,k", [(2, 12), (3, 6)])
+    @pytest.mark.parametrize("p,k", [(2, 12), (3, 6), (2, 20)])
     def test_digit_path_of_tabled_fields(self, p, k, monkeypatch):
         monkeypatch.setattr(gf, "TABLE_LIMIT", 0)
         self.check(make_field(p, k), 300, k + 1)
