@@ -18,11 +18,13 @@ machine falls on every root alike.  Each root gets one record in --out
   reported;
 - per workload, the median and the runs of every end-to-end (--trace 0) and
   per-layer (--trace 1) metric, and the check counts;
-- `verify_group_stages`: the median `timing`, `stages` and `minflt` (minor
-  page faults, the `ru_minflt` delta of the process) of `maxcurve
-  verify-group --s 1 --json`;
-- `spectrum_stages`: the same for each wide spectrum, split in `sweep` and
-  `sort`;
+- `verify_group_stages`: the median `timing`, `stages`, `cpu_s` (the
+  `ru_utime + ru_stime` delta of the process over the whole command, its
+  output included) and `minflt` (minor page faults, the `ru_minflt` delta)
+  of `maxcurve verify-group --s 1 --json`;
+- `spectrum_stages`: the same for each wide spectrum and for ree-cover s=1,
+  the reference row that takes most of a spectra_table1 pass, split in
+  `sweep` and `sort`;
 - `count_stages`: the same for each degree-6 Ree count on one thread, split
   in `tables`, `kernel` and `reduction`.
 The stage records are taken after the benchmark runs, in STAGE_ROUNDS
@@ -50,28 +52,30 @@ SHORT = 12
 STAGE_ROUNDS = 5
 STAGE_RUNS = 4
 # (record key, name within it or None for a key that holds one command's
-# medians, maxcurve command): verify-group, the wide spectra in spectrum's
-# default JSON format, and the degree-6 Ree counts over F_{3^18}, which no
-# benchmark workload runs
+# medians, maxcurve command): verify-group, the wide spectra and ree-cover
+# s=1 in spectrum's default JSON format, and the degree-6 Ree counts over
+# F_{3^18}, which no benchmark workload runs
 STAGE_COMMANDS = [
     ("verify_group_stages", None, ["verify-group", "--s", "1", "--json"]),
     *(("spectrum_stages", f"{family} s={s}", ["spectrum", "--family", family, "--s", str(s)])
-      for family, s in (("suzuki-cover", 7), ("ree-cover", 3))),
+      for family, s in (("suzuki-cover", 7), ("ree-cover", 3), ("ree-cover", 1))),
     *(("count_stages", f"{family} s=1 ext=6", ["count", "--family", family, "--s", "1", "--ext", "6", "--threads", "1"])
       for family in ("ree-cover", "ree-base")),
 ]
 # one JSON record of the maxcurve command argv[2:] per line on stdout, all in
-# one process after a warm-up run, each with the minor page faults of its run
-# as `minflt`
+# one process after a warm-up run, each with the CPU seconds (user + sys) and
+# the minor page faults of its run as `cpu_s` and `minflt`
 STAGES_LOOP = """
 import contextlib, io, json, resource, sys
 from maxcurve import cli
 for i in range(int(sys.argv[1]) + 1):
     out = io.StringIO()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_SELF)
     with contextlib.redirect_stdout(out):
         cli.main(sys.argv[2:])
-    record = dict(json.loads(out.getvalue()), minflt=resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    record = dict(json.loads(out.getvalue()), minflt=after.ru_minflt - before.ru_minflt,
+                  cpu_s=after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
     if i:
         print(json.dumps(record))
 """
@@ -127,10 +131,11 @@ def summarize(runs: list[dict]) -> dict:
 
 def stage_medians(records: list[dict]) -> dict:
     """The median `timing`, the median of each of the `stages` and the
-    median `minflt` of the given command records."""
+    median `cpu_s` and `minflt` of the given command records."""
     return {
         "runs": len(records),
         "timing": statistics.median(r["timing"] for r in records),
+        "cpu_s": statistics.median(r["cpu_s"] for r in records),
         "minflt": statistics.median(r["minflt"] for r in records),
         "stages": {name: statistics.median(r["stages"][name] for r in records) for name in records[0]["stages"]},
     }

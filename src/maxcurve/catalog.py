@@ -30,11 +30,12 @@ records only: every H meets every n, so the specs swept are the H swept
 times the divisors of m, and SpectrumResult.invalid sweeps again, on first
 read, for the (spec, reason) rows of the rejected specs.
 
-Dual-path policy: the composition path is authoritative.  Closed formulas are
-transcribed verbatim; where a displayed formula disagrees with its own class
-assembly the kind carries a known-mismatch note and the composition value is
-adopted (the bundled reference genera confirm the composition side in every
-such case).
+Dual-path policy: the composition path is authoritative.  A closed formula
+gives each display's exact value as an integer pair (num, den), den > 0; the
+verbatim display lives in the test.  Where a display disagrees with its own
+class assembly the kind carries a known-mismatch note and the composition
+value is adopted (the bundled reference genera confirm the composition side
+in every such case).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
@@ -116,7 +116,7 @@ class KindDef:
     # H args -> (class census of H minus the identity, (c, d)): H x C_n has
     # c (gcd(d, n) - 1) special (sigma, tau^j) pairs
     counts: Callable
-    closed: Callable            # H args and n -> Fraction (displayed formula)
+    closed: Callable            # H args and n -> (num, den), den > 0 (displayed formula)
     certified: Callable         # H args -> (bool, reason)
     sweep: Callable             # params -> iterator of H arg dicts
     known_mismatch: str | None = None
@@ -228,7 +228,7 @@ def _subfield_kind(kid: str, p: int, census: Callable, closed: Callable, sweep: 
 def _mk_sz_b1():
     def closed(cp, a):
         q, r, n = cp.q, a["r"], a["n"]
-        return Fraction(1, 2) * Fraction(q - 1, r) * (Fraction(q * q + 1, n) - q - 1)
+        return (q - 1) * (q * q + 1 - n * (q + 1)), 2 * r * n
 
     return _normalizer_kind("SZ-B1", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1), 1, closed,
                             "cyclic subgroup of a split torus")
@@ -243,7 +243,7 @@ def _mk_sz_b2():
         q, q0, m = cp.q, cp.q0, cp.m
         u, v, n = a["u"], a["v"], a["n"]
         num = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v)) - n * (q * q - (1 << (v + 1)) + (1 << v))
-        return Fraction(num, (1 << (v + 1)) * n)
+        return num, (1 << (v + 1)) * n
 
     def certified(cp, a):
         s, u, v = cp.s, a["u"], a["v"]
@@ -278,7 +278,7 @@ def _mk_sz_b3():
         q, q0, m = cp.q, cp.q0, cp.m
         u, v, r, n = a["u"], a["v"], a["r"], a["n"]
         num = m * (q * q + 2 * q0 * q - n * q - 2 * (n + (1 << u)) * q0 - n - (1 << v)) + n * ((1 << (v + 1)) - (1 << v) + 1)
-        return Fraction(num, (1 << (v + 1)) * r * n)
+        return num, (1 << (v + 1)) * r * n
 
     def certified(cp, a):
         s, u, v, r = cp.s, a["u"], a["v"], a["r"]
@@ -309,7 +309,7 @@ def _mk_sz_b4():
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
         num = m * (q * q + 2 * q0 * q - n * q - (n + r + 1) * (2 * q0 + 1)) + n * (r + 2)
-        return Fraction(num, 4 * r * n)
+        return num, 4 * r * n
 
     return _normalizer_kind("SZ-B4", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1)[1:], 2, closed,
                             "dihedral over a split torus")
@@ -319,11 +319,13 @@ def _mk_sz_c(kid: str, factor: int):
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
-        if factor == 1:
-            return 1 + Fraction(q * q + 1, r * n) * Fraction(q - 1 - n, 2)
+        den = 2 * factor * r * n
+        num = (q * q + 1) * (q - n - 1)
         if factor == 2:
-            return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 4) - Fraction(Fraction(m, n) * (2 * q0 + 1) + 1, 4)
-        return 1 + Fraction(q * q + 1, r * n) * Fraction(q - n - 1, 8) - Fraction(Fraction(m, n) * (2 * q0 + 3) + 3, 8)
+            num -= r * (m * (2 * q0 + 1) + n)
+        elif factor == 4:
+            num -= r * (m * (2 * q0 + 3) + 3 * n)
+        return num + den, den
 
     return _normalizer_kind(kid, 2, "div_q_plus_2q0_plus_1", lambda cp: divisors(cp.q + 2 * cp.q0 + 1),
                             factor, closed, "inside a Singer normalizer")
@@ -334,14 +336,12 @@ def _mk_sz_d(kid: str, factor: int):
         q, q0, m = cp.q, cp.q0, cp.m
         r, n = a["r"], a["n"]
         g = math.gcd(r, n)
+        den = 2 * factor * r * n
         if factor == 1:
-            num = m * (q * q + (2 * q0 - n) * q - 2 * (n + 1) * q0 - n - 4 * g + 3)
-            return 1 + Fraction(num, 2 * r * n)
+            return m * (q * q + (2 * q0 - n) * q - 2 * (n + 1) * q0 - n - 4 * g + 3) + den, den
         if factor == 2:
-            num = q**3 - (n + 1) * q * q + q - (2 * q0 + 1) * r * m - 4 * m * (g - 1) + 3 * r * n - n - 1
-            return Fraction(num, 4 * r * n)
-        num = (q * q + 1) * (q - n - 1) - m * (2 * r * q0 + 3 * r - 4 + 4 * g) + 5 * r * n
-        return Fraction(num, 8 * r * n)
+            return q**3 - (n + 1) * q * q + q - (2 * q0 + 1) * r * m - 4 * m * (g - 1) + 3 * r * n - n - 1, den
+        return (q * q + 1) * (q - n - 1) - m * (2 * r * q0 + 3 * r - 4 + 4 * g) + 5 * r * n, den
 
     return _normalizer_kind(kid, 2, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -369,7 +369,8 @@ def _mk_sz_e():
             + (qh * qh + 1) * (qh * qh * (qh - 2) * n + (qh - 1) * (q * q - m * q + 1 + m * qh + n * qh + n))
             + delta_s
         )
-        return 1 + Fraction(_two_g_minus_2(cp) - big_delta, 2 * n * qh * qh * (qh * qh + 1) * (qh - 1))
+        den = 2 * n * qh * qh * (qh * qh + 1) * (qh - 1)
+        return _two_g_minus_2(cp) - big_delta + den, den
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -412,7 +413,7 @@ def _mk_re_b():
             + 3**v * (m - 1)
             + eps
         )
-        return Fraction(num, 2 * 3**w * r * n)
+        return num, 2 * 3**w * r * n
 
     def certified(cp, a):
         u, v, w, r = a["u"], a["v"], a["w"], a["r"]
@@ -453,7 +454,7 @@ def _mk_re_c1():
             + (m * (3**v - 1) + 3**v - n * (j - 1)) * q
             + 3**v * (j * n - 1)
         )
-        return Fraction(num, 2 * j * 3**v * n)
+        return num, 2 * j * 3**v * n
 
     return _involution_kind(
         "RE-C1", lambda cp, a: {"order3_noncentral": 3 ** a["v"] - 1},
@@ -476,17 +477,16 @@ def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
     def closed(cp, a):
         q = cp.q
         r, j, n = a["r"], a["j"], a["n"]
+        jn = j * n
         if plus and not dihedral:
-            return 1 + Fraction(q + 1, 2 * r) * (
-                Fraction((q * q - q + 1) * (q - 1), j * n) - Fraction(q * q - q, j) - math.gcd(r, 2)
-            )
+            den = 2 * r * jn
+            return (q + 1) * ((q * q - q + 1) * (q - 1) - n * (q * q - q) - jn * math.gcd(r, 2)) + den, den
         if not dihedral:
-            return Fraction(q - 1, 2 * r) * (Fraction(q**3 + 1, j * n) - Fraction(q * q + q, j) - 1)
+            return (q - 1) * (q**3 + 1 - n * (q * q + q) - jn), 2 * r * jn
         if plus:
-            return 1 + Fraction(q + 1, 2 * r) * (
-                Fraction(q - 1, 2) * Fraction(q * q - (n + 1) * q + 1, j * n) - Fraction(r + math.gcd(r, 2), 2)
-            )
-        return Fraction(q * q - 1, 4 * j * r) * (Fraction(q * q - q + 1, n) - q) - Fraction((r + 1) * (q - 1), 4 * r)
+            den = 4 * r * jn
+            return (q + 1) * ((q - 1) * (q * q - (n + 1) * q + 1) - jn * (r + math.gcd(r, 2))) + den, den
+        return (q * q - 1) * (q * q - q + 1 - n * q) - jn * (r + 1) * (q - 1), 4 * r * jn
 
     return _involution_kind(
         kid, census,
@@ -498,15 +498,9 @@ def _mk_re_c6():
     def closed(cp, a):
         q, q0, m = cp.q, cp.q0, cp.m
         j, n = a["j"], a["n"]
-        mn = Fraction(m, n)
-        inner = (
-            mn * (q * q - 1) * (q + 3 * q0)
-            - 4 * j * (q + 3)
-            + mn * (q * q - 9)
-            - 24 * (mn * q0 + 3)
-            + 8 * (9 - Fraction(q * (q * q - 1), 8))
-        )
-        return 1 + Fraction(1, 24 * j) * inner
+        x = (q * q - 1) * (q + 3 * q0) + q * q - 9 - 24 * q0
+        den = 24 * j * n
+        return m * x - n * (4 * j * (q + 3) + q * (q * q - 1)) + den, den
 
     return _involution_kind(
         "RE-C6", lambda cp, a: {"order2": 3, "order3_noncentral": 8}, lambda cp: ({"j": j} for j in (1, 2)),
@@ -528,7 +522,8 @@ def _mk_re_c7():
             + (3**v * m + 3**v - j * n - m + n) * q
             - 3**v * (2 * j * r * n - j * n - 2 * r * n + 4 * r + 2 * n - 3)
         )
-        return 1 + Fraction(num, 2 * j * 3**v * r * n)
+        den = 2 * j * 3**v * r * n
+        return num + den, den
 
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
@@ -555,18 +550,14 @@ def _mk_re_c8():
     def closed(cp, a):
         q, m = cp.q, cp.m
         qh, j, n = 3 ** a["d"], a["j"], a["n"]
-        term1 = Fraction(
-            q**4
-            - (n + 1) * q**3
-            - (qh * qh - 1) * q * q
-            - (qh * qh * (Fraction(n * j, 2) - n - 1) - Fraction(qh * n * j, 2) + n * (j - 1) + m) * q,
-            j * (qh + 1) * qh * (qh - 1) * n,
+        nj = n * j
+        den = 2 * nj * qh * (qh * qh - 1)
+        num = (
+            2 * (q**4 - (n + 1) * q**3 - (qh * qh - 1) * q * q)
+            - (qh * qh * (nj - 2 * n - 2) - qh * nj + 2 * n * (j - 1) + 2 * m) * q
+            - qh * (qh * qh * nj * (qh + 1) + 2 * qh - 4 * nj)
         )
-        term2 = Fraction(
-            Fraction(qh * qh * n * j * (qh + 1), 2) + qh - 2 * n * j,
-            j * (qh + 1) * (qh - 1) * n,
-        )
-        return 1 + term1 - term2
+        return num + den, den
 
     return _involution_kind(
         "RE-C8", census, lambda cp: ({"d": d, "j": j} for d in divisors(2 * cp.s + 1) for j in (1, 2)),
@@ -579,15 +570,16 @@ def _mk_re_p(kid: str, factor: int):
     def closed(cp, a):
         q, m = cp.q, cp.m
         r, n = a["r"], a["n"]
+        den = 2 * factor * r * n
         if factor == 1:
-            return 1 + Fraction(q + 1, 2) * Fraction(q * q - q + 1, r * n) * (q - n - 1)
-        if factor == 2:
-            return 1 + Fraction(q + 1, 4) * (Fraction(q * q - q + 1, r * n) * (q - n - 1) - 1)
-        if factor == 3:
+            num = (q + 1) * (q * q - q + 1) * (q - n - 1)
+        elif factor == 2:
+            num = (q + 1) * ((q * q - q + 1) * (q - n - 1) - r * n)
+        elif factor == 3:
             num = q**4 - (n + 1) * q**3 - 2 * r * q * q + (2 * r * (m + 1) + 1) * q - (2 * r + 1) * (n + 1)
-            return 1 + Fraction(num, 6 * r * n)
-        num = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
-        return 1 + Fraction(num, 12 * r * n)
+        else:
+            num = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
+        return num + den, den
 
     # the order-6r display's leading (q-2) should read (q-n-1): it disagrees
     # with its own class assembly for n > 1 while the parallel second-Singer
@@ -606,14 +598,15 @@ def _mk_re_m(kid: str, factor: int):
         q, m = cp.q, cp.m
         r, n = a["r"], a["n"]
         g = math.gcd(r, n)
-        lead = (q**3 + 1) * (q - n - 1) - 6 * (g - 1) * m
-        if factor == 1:
-            return 1 + Fraction(lead, 2 * r * n)
+        num = (q**3 + 1) * (q - n - 1) - 6 * (g - 1) * m
+        den = 2 * factor * r * n
         if factor == 2:
-            return 1 + Fraction(lead - r * n * (q + 1), 4 * r * n)
-        if factor == 3:
-            return 1 + Fraction(lead - 2 * r * (q * q - q + n + 1 - m * q), 6 * r * n)
-        return 1 + Fraction(lead - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2), 12 * r * n)
+            num -= r * n * (q + 1)
+        elif factor == 3:
+            num -= 2 * r * (q * q - q + n + 1 - m * q)
+        elif factor == 6:
+            num -= r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
+        return num + den, den
 
     return _normalizer_kind(kid, 3, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -628,7 +621,8 @@ def _mk_re_q1():
         q = cp.q
         i, j, r, n = a["i"], a["j"], a["r"], a["n"]
         num = (q + 1) * ((q * q - q + 1) * (q - n - 1) - n * (i * (j - 1) * r + i - 1))
-        return 1 + Fraction(num, 2 * i * j * r * n)
+        den = 2 * i * j * r * n
+        return num + den, den
 
     def sweep(cp):
         for i in (1, 2, 4):
@@ -660,7 +654,7 @@ def _mk_re_q2():
             - 8 * r * m * (3 * q0 + 1)
             + 16 * j * r * n
         )
-        return Fraction(num, 24 * j * r * n)
+        return num, 24 * j * r * n
 
     return _involution_kind("RE-Q2", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -679,7 +673,8 @@ def _mk_re_q3():
             - 2 * r * m * (3 * q0 + 1)
             - 2 * j * r * n
         )
-        return 1 + Fraction(num, 6 * j * r * n)
+        den = 6 * j * r * n
+        return num + den, den
 
     return _involution_kind("RE-Q3", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -701,7 +696,7 @@ def _mk_re_s():
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
         [(_, order, delta)] = _orders_and_deltas(kind.counts(cp, a), class_table(cp), (a["n"],))
-        return 1 + Fraction(_two_g_minus_2(cp) - delta, 2 * order)
+        return _two_g_minus_2(cp) - delta + 2 * order, 2 * order
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -784,8 +779,8 @@ def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_mi
             certified = kind.certified(cp, h)[0]
         args[n_at] = ("n", n)
         hn["n"] = n
-        closed = kind.closed(cp, hn)
-        gc = closed.numerator if closed.denominator == 1 else None
+        g, rem = divmod(*kind.closed(cp, hn))
+        gc = None if rem else g
         mismatch = gc != gd
         note = (kind.known_mismatch or "") if mismatch else ""
         records.append(GenusRecord(QuotientSpec(kind.id, cp, tuple(args)), order, delta, gd, gc, certified,

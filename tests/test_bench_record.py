@@ -57,13 +57,14 @@ def test_summarize_takes_medians_and_sums_checks(bench_record):
 
 
 def test_stage_medians_of_verify_group_records(bench_record):
-    def rec(timing, places, rows, minflt):
-        return {"timing": timing, "stages": {"places": places, "rows": rows}, "minflt": minflt}
+    def rec(timing, places, rows, cpu_s, minflt):
+        return {"timing": timing, "stages": {"places": places, "rows": rows}, "cpu_s": cpu_s, "minflt": minflt}
 
-    assert bench_record.stage_medians([rec(0.03, 0.002, 0.001, 500), rec(0.01, 0.004, 0.003, 300),
-                                       rec(0.02, 0.003, 0.002, 900)]) == {
+    assert bench_record.stage_medians([rec(0.03, 0.002, 0.001, 0.04, 500), rec(0.01, 0.004, 0.003, 0.01, 300),
+                                       rec(0.02, 0.003, 0.002, 0.02, 900)]) == {
         "runs": 3,
         "timing": 0.02,
+        "cpu_s": 0.02,
         "minflt": 500,
         "stages": {"places": 0.003, "rows": 0.002},
     }
@@ -74,7 +75,7 @@ def test_stage_records_alternate_roots_round_by_round(bench_record, monkeypatch)
 
     def command_runs(root, command, runs):
         calls.append((root, command[0]))
-        return [{"timing": len(calls), "stages": {"s": 0.0}, "minflt": 0}] * runs
+        return [{"timing": len(calls), "stages": {"s": 0.0}, "cpu_s": 0.0, "minflt": 0}] * runs
 
     monkeypatch.setattr(bench_record, "command_runs", command_runs)
     commands = [("one", None, ["a"]), ("many", "x", ["b"]), ("many", "y", ["c"])]
@@ -84,14 +85,14 @@ def test_stage_records_alternate_roots_round_by_round(bench_record, monkeypatch)
                      for root in (first[i], "C" if first[i] == "P" else "P")]
     assert sorted(got["P"]) == ["many", "one"] and sorted(got["P"]["many"]) == ["x", "y"]
     # the runs of all rounds pooled: "a" ran 1st, 8th and 13th for P
-    assert got["P"]["one"] == {"runs": 6, "timing": 8, "minflt": 0, "stages": {"s": 0.0}}
+    assert got["P"]["one"] == {"runs": 6, "timing": 8, "cpu_s": 0.0, "minflt": 0, "stages": {"s": 0.0}}
     assert got["C"]["many"]["y"]["timing"] == 11
 
 
 # record key -> (names within it, None for one command's medians; stages)
 STAGE_RECORDS = {
     "verify_group_stages": ([None], ["closure", "generators", "orbits", "order_search", "places", "rows"]),
-    "spectrum_stages": (["ree-cover s=3", "suzuki-cover s=7"], ["sort", "sweep"]),
+    "spectrum_stages": (["ree-cover s=1", "ree-cover s=3", "suzuki-cover s=7"], ["sort", "sweep"]),
     "count_stages": (["ree-base s=1 ext=6", "ree-cover s=1 ext=6"], ["kernel", "reduction", "tables"]),
 }
 
@@ -110,3 +111,4 @@ def test_stages_of_this_checkout(bench_record, key):
         assert sorted(record["stages"]) == stages
         assert 0 < sum(record["stages"].values()) <= record["timing"] + 1e-5  # each value is rounded to 6 decimals
         assert isinstance(record["minflt"], (int, float)) and record["minflt"] >= 0
+        assert isinstance(record["cpu_s"], (int, float)) and record["cpu_s"] >= 0
