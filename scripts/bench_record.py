@@ -33,7 +33,9 @@ the first root changing from round to round as for the benchmark runs: a
 fresh process per command and root, which makes one unrecorded warm-up run
 and STAGE_RUNS recorded ones.  The medians are over the runs of all rounds.
 A record is named BENCH_<sha>.json, or BENCH_<sha>+<src tree>.json when the
-measured src/ differs from that of the sha.
+measured src/ differs from that of the sha.  A root that measures the same
+sources as an earlier root, such as a second clone of the parent run as a
+same-tree control, gets `-root<i>` appended, i its place among the roots.
 """
 
 from __future__ import annotations
@@ -175,6 +177,15 @@ def stage_records(roots: list[Path], commands: list[tuple], rounds: int, runs: i
     return out
 
 
+def record_names(ids: list[dict]) -> list[str]:
+    """The record name of each root's checkout_id, in root order."""
+    names = []
+    for i, ident in enumerate(ids, 1):
+        name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
+        names.append(f"{name}-root{i}" if name in names else name)
+    return names
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, action="append", help="checkout to measure (repeatable; default: this one)")
@@ -198,7 +209,7 @@ def main() -> int:
     stages = stage_records(roots, STAGE_COMMANDS, STAGE_ROUNDS, STAGE_RUNS)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for root in roots:
+    for root, name in zip(roots, record_names([ids[root] for root in roots])):
         ident = ids[root]
         header = runs[root, workloads[0], 0][0]["header"]
         record = {
@@ -213,7 +224,6 @@ def main() -> int:
                           for w in workloads},
             **stages[root],
         }
-        name = ident["sha"][:SHORT] + (f"+{ident['src_tree'][:SHORT]}" if ident["dirty"] else "")
         path = args.out / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(path)

@@ -326,14 +326,21 @@ def _walk_order(a: np.ndarray) -> int:
 def power(a: np.ndarray, n: int) -> np.ndarray:
     """a^n for n >= 0, a fresh array for n > 0; a^0 is the shared read-only
     identity."""
-    result = _identity(len(a))
+    if not n:
+        return _identity(len(a))
     base = a
+    while not n & 1:
+        base = base.take(base)
+        n >>= 1
+    # the lowest set bit starts the product: a square of a, fresh already,
+    # or a copy of a
+    result = a.copy() if base is a else base
+    n >>= 1
     while n:
+        base = base.take(base)
         if n & 1:
             result = base.take(result)
         n >>= 1
-        if n:
-            base = base.take(base)
     return result
 
 

@@ -7,43 +7,47 @@ sweep yields the args of H, and the sweep times the divisors n of m is its
 parameter domain: a spec outside it is invalid.  Its class counts are the
 class census of H minus the identity, so the class equation gives the order,
 |H x C_n| = n (1 + sum of the counts), and the different degree is affine in
-n (see _orders_and_deltas).  The 16 kinds whose H is C_r . C_f inside the
-normalizer of a cyclic torus share one census and sweep (_normalizer_kind);
-their factories state only the displayed formula.  The 11 involution kinds
-RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an involution iota, share
-one coset rule (_involution_kind); each states only the census of K, and
-RE-C2..5 share that too.  SZ-E and RE-S, whose H is the Suzuki or Ree group
-over a subfield, share one subfield rule (_subfield_kind) that places its
-two Singer tori; each states only the census outside them.  SZ-B2, SZ-B3
-and RE-B state their census by hand.
+n apart from a gcd term (see _different).  The 16 kinds whose H is C_r . C_f
+inside the normalizer of a cyclic torus share one census and sweep
+(_normalizer_kind); their factories state only the displayed formula.  The
+11 involution kinds RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an
+involution iota, share one coset rule (_involution_kind); each states only
+the census of K, and RE-C2..5 share that too.  SZ-E and RE-S, whose H is the
+Suzuki or Ree group over a subfield, share one subfield rule
+(_subfield_kind) that places its two Singer tori; each states only the
+census outside them.  SZ-B2, SZ-B3 and RE-B state their census by hand.
 
 A spec is a QuotientSpec and its result a GenusRecord, both immutable,
 hashable named tuples.  A sweep computes the curve's constants once: 2g - 2,
 the class table (ramification.class_table) and the divisors n of m.  Per H
-it makes one pass over the class census (census_different) and gets the
-order and different degree of every H x C_n in one call
-(_orders_and_deltas).  Per n it tests Riemann-Hurwitz integrality with
-rh_genus, which most specs fail.  Only an H with a valid n gets its
-certificate, its sorted args and a copy of its args with n, and only a
-valid spec gets the closed formula, a spec and a record.  The sweep keeps
-records only: every H meets every n, so the specs swept are the H swept
-times the divisors of m, and SpectrumResult.invalid sweeps again, on first
-read, for the (spec, reason) rows of the rejected specs.
+it makes one pass over the class census (census_different), which gives |H|
+and the different degree of H x C_n as a function of n (_different).  Per n
+it tests Riemann-Hurwitz integrality with rh_genus, which most specs fail.
+Only an H with a valid n gets its certificate, its sorted args and its
+closed display, each made once per H, and only a valid spec gets the
+display's value, a spec and a record.  The sweep keeps records only: every
+H meets every n, so the specs swept are the H swept times the divisors of
+m, and SpectrumResult.invalid sweeps again, on first read, for the (spec,
+reason) rows of the rejected specs.
 
-Dual-path policy: the composition path is authoritative.  A closed formula
-gives each display's exact value as an integer pair (num, den), den > 0; the
-verbatim display lives in the test.  Where a display disagrees with its own
-class assembly the kind carries a known-mismatch note and the composition
-value is adopted (the bundled reference genera confirm the composition side
-in every such case).
+Dual-path policy: the composition path is authoritative.  A kind's
+closed(params, H args) binds H once and returns its display as a function of
+n, whose value is the exact integer pair (num, den), den > 0.  Each display
+is (top + slope n) / (den n), less c gcd(d, n) in the numerator for the
+kinds with special pairs, so what depends on H alone (the powers of q, 2^u
+and 3^u, the subfield branch, a census) is computed once per H.  The
+verbatim displays live in the tests.  Where a display disagrees with its
+own class assembly the kind carries a known-mismatch note and the
+composition value is adopted (the bundled reference genera confirm the
+composition side in every such case).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -116,7 +120,7 @@ class KindDef:
     # H args -> (class census of H minus the identity, (c, d)): H x C_n has
     # c (gcd(d, n) - 1) special (sigma, tau^j) pairs
     counts: Callable
-    closed: Callable            # H args and n -> (num, den), den > 0 (displayed formula)
+    closed: Callable            # H args -> (n -> (num, den), den > 0): the displayed formula
     certified: Callable         # H args -> (bool, reason)
     sweep: Callable             # params -> iterator of H arg dicts
     known_mismatch: str | None = None
@@ -226,9 +230,10 @@ def _subfield_kind(kid: str, p: int, census: Callable, closed: Callable, sweep: 
 
 
 def _mk_sz_b1():
-    def closed(cp, a):
-        q, r, n = cp.q, a["r"], a["n"]
-        return (q - 1) * (q * q + 1 - n * (q + 1)), 2 * r * n
+    def closed(cp, h):
+        q, den = cp.q, 2 * h["r"]
+        top, slope = (q - 1) * (q * q + 1), -(q - 1) * (q + 1)
+        return lambda n: (top + slope * n, den * n)
 
     return _normalizer_kind("SZ-B1", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1), 1, closed,
                             "cyclic subgroup of a split torus")
@@ -239,11 +244,12 @@ def _mk_sz_b2():
         u, v = a["u"], a["v"]
         return {"order2": (1 << u) - 1, "order4": (1 << v) - (1 << u)}, NO_SPECIAL_PAIRS
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, q0, m = cp.q, cp.q0, cp.m
-        u, v, n = a["u"], a["v"], a["n"]
-        num = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v)) - n * (q * q - (1 << (v + 1)) + (1 << v))
-        return num, (1 << (v + 1)) * n
+        u, v = h["u"], h["v"]
+        top = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v))
+        slope, den = (1 << (v + 1)) - (1 << v) - q * q, 1 << (v + 1)
+        return lambda n: (top + slope * n, den * n)
 
     def certified(cp, a):
         s, u, v = cp.s, a["u"], a["v"]
@@ -274,11 +280,13 @@ def _mk_sz_b3():
             "div_q_minus_1": (1 << v) * (r - 1),
         }, NO_SPECIAL_PAIRS
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, q0, m = cp.q, cp.q0, cp.m
-        u, v, r, n = a["u"], a["v"], a["r"], a["n"]
-        num = m * (q * q + 2 * q0 * q - n * q - 2 * (n + (1 << u)) * q0 - n - (1 << v)) + n * ((1 << (v + 1)) - (1 << v) + 1)
-        return num, (1 << (v + 1)) * r * n
+        u, v = h["u"], h["v"]
+        top = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v))
+        slope = (1 << (v + 1)) - (1 << v) + 1 - m * (q + 2 * q0 + 1)
+        den = (1 << (v + 1)) * h["r"]
+        return lambda n: (top + slope * n, den * n)
 
     def certified(cp, a):
         s, u, v, r = cp.s, a["u"], a["v"], a["r"]
@@ -305,43 +313,42 @@ def _mk_sz_b3():
 
 
 def _mk_sz_b4():
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        r, n = a["r"], a["n"]
-        num = m * (q * q + 2 * q0 * q - n * q - (n + r + 1) * (2 * q0 + 1)) + n * (r + 2)
-        return num, 4 * r * n
+    def closed(cp, h):
+        q, q0, m, r = cp.q, cp.q0, cp.m, h["r"]
+        top = m * (q * q + 2 * q0 * q - (r + 1) * (2 * q0 + 1))
+        slope, den = r + 2 - m * (q + 2 * q0 + 1), 4 * r
+        return lambda n: (top + slope * n, den * n)
 
     return _normalizer_kind("SZ-B4", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1)[1:], 2, closed,
                             "dihedral over a split torus")
 
 
 def _mk_sz_c(kid: str, factor: int):
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        r, n = a["r"], a["n"]
-        den = 2 * factor * r * n
-        num = (q * q + 1) * (q - n - 1)
+    def closed(cp, h):
+        q, q0, m, r = cp.q, cp.q0, cp.m, h["r"]
+        den = 2 * factor * r
+        top, slope = (q * q + 1) * (q - 1), den - (q * q + 1)
         if factor == 2:
-            num -= r * (m * (2 * q0 + 1) + n)
+            top, slope = top - r * m * (2 * q0 + 1), slope - r
         elif factor == 4:
-            num -= r * (m * (2 * q0 + 3) + 3 * n)
-        return num + den, den
+            top, slope = top - r * m * (2 * q0 + 3), slope - 3 * r
+        return lambda n: (top + slope * n, den * n)
 
     return _normalizer_kind(kid, 2, "div_q_plus_2q0_plus_1", lambda cp: divisors(cp.q + 2 * cp.q0 + 1),
                             factor, closed, "inside a Singer normalizer")
 
 
 def _mk_sz_d(kid: str, factor: int):
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        r, n = a["r"], a["n"]
-        g = math.gcd(r, n)
-        den = 2 * factor * r * n
+    def closed(cp, h):
+        q, q0, m, r = cp.q, cp.q0, cp.m, h["r"]
+        den, special = 2 * factor * r, 4 * m
         if factor == 1:
-            return m * (q * q + (2 * q0 - n) * q - 2 * (n + 1) * q0 - n - 4 * g + 3) + den, den
-        if factor == 2:
-            return q**3 - (n + 1) * q * q + q - (2 * q0 + 1) * r * m - 4 * m * (g - 1) + 3 * r * n - n - 1, den
-        return (q * q + 1) * (q - n - 1) - m * (2 * r * q0 + 3 * r - 4 + 4 * g) + 5 * r * n, den
+            top, slope = m * (q * q + 2 * q0 * q - 2 * q0 + 3), den - m * (q + 2 * q0 + 1)
+        elif factor == 2:
+            top, slope = q**3 - q * q + q - (2 * q0 + 1) * r * m + 4 * m - 1, 3 * r - q * q - 1
+        else:
+            top, slope = (q * q + 1) * (q - 1) - m * (2 * r * q0 + 3 * r - 4), 5 * r - q * q - 1
+        return lambda n: (top + slope * n - special * gcd(r, n), den * n)
 
     return _normalizer_kind(kid, 2, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -355,22 +362,20 @@ def _mk_sz_e():
             "div_q_minus_1": qh * qh * (qh * qh + 1) * (qh - 2) // 2,
         }
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, m = cp.q, cp.m
-        qh0 = 2 ** a["shat"]
-        qh, n = 2 * qh0 * qh0, a["n"]
+        qh0 = 2 ** h["shat"]
+        qh = 2 * qh0 * qh0
         dm, dp = qh - 2 * qh0 + 1, qh + 2 * qh0 + 1
-        if _subfield_branch(cp, a["shat"]) == 1:
-            delta_s = qh * qh * dp * (qh - 1) * (math.gcd(dm, n) - 1) * m
-        else:
-            delta_s = qh * qh * dm * (qh - 1) * (math.gcd(dp, n) - 1) * m
-        big_delta = (
-            (n - 1) * (q * q + 1)
-            + (qh * qh + 1) * (qh * qh * (qh - 2) * n + (qh - 1) * (q * q - m * q + 1 + m * qh + n * qh + n))
-            + delta_s
-        )
-        den = 2 * n * qh * qh * (qh * qh + 1) * (qh - 1)
-        return _two_g_minus_2(cp) - big_delta + den, den
+        # the display is 1 + (2g - 2 - D) / (den n) with D = (n - 1)(q^2 + 1)
+        # + (qh^2 + 1)(qh^2 (qh - 2) n + (qh - 1)(q^2 - m q + 1 + m qh + n qh
+        # + n)) + special (gcd(period, n) - 1)
+        period, other = (dm, dp) if _subfield_branch(cp, h["shat"]) == 1 else (dp, dm)
+        special = qh * qh * other * (qh - 1) * m
+        den = 2 * qh * qh * (qh * qh + 1) * (qh - 1)
+        top = _two_g_minus_2(cp) + q * q + 1 - (qh * qh + 1) * (qh - 1) * (q * q - m * q + 1 + m * qh) + special
+        slope = den - q * q - 1 - (qh * qh + 1) * (qh * qh * (qh - 2) + (qh - 1) * (qh + 1))
+        return lambda n: (top + slope * n - special * gcd(period, n), den * n)
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -400,27 +405,25 @@ def _mk_re_b():
             base["div_q_minus_1"] = (r - 1) * 3**w
         return base, NO_SPECIAL_PAIRS
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, m = cp.q, cp.m
-        u, v, w, r, n = a["u"], a["v"], a["w"], a["r"], a["n"]
-        eps = 3 ** (w - v + u) * n * (q + 3 ** (v - u)) if r % 2 == 0 else 0
-        num = (
-            q**4
-            - (n + 1) * q**3
-            - (3**v - 1) * q * q
-            + (m * (3**v - 3**u) + 3**v) * q
-            - 3**w * (m - n)
-            + 3**v * (m - 1)
-            + eps
-        )
-        return num, 2 * 3**w * r * n
+        u, v, w, r = h["u"], h["v"], h["w"], h["r"]
+        three_v, three_w = 3**v, 3**w
+        top = (q**4 - q**3 - (three_v - 1) * q * q + (m * (three_v - 3**u) + three_v) * q
+               - three_w * m + three_v * (m - 1))
+        slope = three_w - q**3
+        if r % 2 == 0:
+            # the displayed even-r correction 3^(w-v+u) n (q + 3^(v-u))
+            slope += 3 ** (w - v + u) * (q + 3 ** (v - u))
+        den = 2 * three_w * r
+        return lambda n: (top + slope * n, den * n)
 
     def certified(cp, a):
         u, v, w, r = a["u"], a["v"], a["w"], a["r"]
         s = cp.s
         if w == v >= u >= 0 and u <= 2 * s + 1 and v - u <= 2 * s + 1:
-            g = math.gcd(3 ** (2 * s + 1) - 1, 3**u - 1)
-            g = math.gcd(g, 3 ** (v - u) - 1)
+            g = gcd(3 ** (2 * s + 1) - 1, 3**u - 1)
+            g = gcd(g, 3 ** (v - u) - 1)
             if g == 0 or g % r == 0:
                 return True, "stabilizer subgroup from subfield data"
         return False, "no existence certificate applies"
@@ -444,17 +447,12 @@ def _mk_re_b():
 
 
 def _mk_re_c1():
-    def closed(cp, a):
+    def closed(cp, h):
         q, m = cp.q, cp.m
-        v, j, n = a["v"], a["j"], a["n"]
-        num = (
-            q**4
-            - (n + 1) * q**3
-            - (3**v - 1) * q * q
-            + (m * (3**v - 1) + 3**v - n * (j - 1)) * q
-            + 3**v * (j * n - 1)
-        )
-        return num, 2 * j * 3**v * n
+        three_v, j = 3 ** h["v"], h["j"]
+        top = q**4 - q**3 - (three_v - 1) * q * q + (m * (three_v - 1) + three_v) * q - three_v
+        slope, den = three_v * j - (j - 1) * q - q**3, 2 * j * three_v
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind(
         "RE-C1", lambda cp, a: {"order3_noncentral": 3 ** a["v"] - 1},
@@ -474,19 +472,19 @@ def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
         inv = 1 - r % 2
         return {"order2": inv + (r if dihedral else 0), torus: r - 1 - inv}
 
-    def closed(cp, a):
-        q = cp.q
-        r, j, n = a["r"], a["j"], a["n"]
-        jn = j * n
+    def closed(cp, h):
+        q, r, j = cp.q, h["r"], h["j"]
         if plus and not dihedral:
-            den = 2 * r * jn
-            return (q + 1) * ((q * q - q + 1) * (q - 1) - n * (q * q - q) - jn * math.gcd(r, 2)) + den, den
-        if not dihedral:
-            return (q - 1) * (q**3 + 1 - n * (q * q + q) - jn), 2 * r * jn
-        if plus:
-            den = 4 * r * jn
-            return (q + 1) * ((q - 1) * (q * q - (n + 1) * q + 1) - jn * (r + math.gcd(r, 2))) + den, den
-        return (q * q - 1) * (q * q - q + 1 - n * q) - jn * (r + 1) * (q - 1), 4 * r * jn
+            den = 2 * r * j
+            top, slope = (q**3 + 1) * (q - 1), den - (q + 1) * (q * q - q + j * gcd(r, 2))
+        elif not dihedral:
+            top, slope, den = (q - 1) * (q**3 + 1), -(q - 1) * (q * q + q + j), 2 * r * j
+        elif plus:
+            den = 4 * r * j
+            top, slope = (q**3 + 1) * (q - 1), den - (q + 1) * ((q - 1) * q + j * (r + gcd(r, 2)))
+        else:
+            top, slope, den = (q * q - 1) * (q * q - q + 1), -(q * q - 1) * q - j * (r + 1) * (q - 1), 4 * r * j
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind(
         kid, census,
@@ -495,12 +493,12 @@ def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
 
 
 def _mk_re_c6():
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        j, n = a["j"], a["n"]
-        x = (q * q - 1) * (q + 3 * q0) + q * q - 9 - 24 * q0
-        den = 24 * j * n
-        return m * x - n * (4 * j * (q + 3) + q * (q * q - 1)) + den, den
+    def closed(cp, h):
+        q, q0, m, j = cp.q, cp.q0, cp.m, h["j"]
+        top = m * ((q * q - 1) * (q + 3 * q0) + q * q - 9 - 24 * q0)
+        den = 24 * j
+        slope = den - 4 * j * (q + 3) - q * (q * q - 1)
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind(
         "RE-C6", lambda cp, a: {"order2": 3, "order3_noncentral": 8}, lambda cp: ({"j": j} for j in (1, 2)),
@@ -512,22 +510,17 @@ def _mk_re_c7():
         v, r = a["v"], a["r"]
         return {"order3_noncentral": 3**v - 1, "div_q_minus_1": 3**v * (r - 1)}
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, m = cp.q, cp.m
-        v, r, j, n = a["v"], a["r"], a["j"], a["n"]
-        num = (
-            q**4
-            - (n + 1) * q**3
-            - (3**v - 1) * q * q
-            + (3**v * m + 3**v - j * n - m + n) * q
-            - 3**v * (2 * j * r * n - j * n - 2 * r * n + 4 * r + 2 * n - 3)
-        )
-        den = 2 * j * 3**v * r * n
-        return num + den, den
+        three_v, r, j = 3 ** h["v"], h["r"], h["j"]
+        top = q**4 - q**3 - (three_v - 1) * q * q + (three_v * m + three_v - m) * q - three_v * (4 * r - 3)
+        den = 2 * j * three_v * r
+        slope = den - q**3 + (1 - j) * q - three_v * (2 * j * r - j - 2 * r + 2)
+        return lambda n: (top + slope * n, den * n)
 
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
-            for r in divisors(math.gcd((cp.q - 1) // 2, 3**v - 1)):
+            for r in divisors(gcd((cp.q - 1) // 2, 3**v - 1)):
                 for j in (1, 2):
                     yield {"v": v, "r": r, "j": j}
 
@@ -547,17 +540,13 @@ def _mk_re_c8():
             "div_q_plus_1": (qh * (qh - 1) // 2) * ((qh + 1) // 2 - 2),
         }
 
-    def closed(cp, a):
+    def closed(cp, h):
         q, m = cp.q, cp.m
-        qh, j, n = 3 ** a["d"], a["j"], a["n"]
-        nj = n * j
-        den = 2 * nj * qh * (qh * qh - 1)
-        num = (
-            2 * (q**4 - (n + 1) * q**3 - (qh * qh - 1) * q * q)
-            - (qh * qh * (nj - 2 * n - 2) - qh * nj + 2 * n * (j - 1) + 2 * m) * q
-            - qh * (qh * qh * nj * (qh + 1) + 2 * qh - 4 * nj)
-        )
-        return num + den, den
+        qh, j = 3 ** h["d"], h["j"]
+        top = 2 * (q**4 - q**3 - (qh * qh - 1) * q * q) + 2 * (qh * qh - m) * q - 2 * qh * qh
+        den = 2 * j * qh * (qh * qh - 1)
+        slope = den - 2 * q**3 - (qh * qh * (j - 2) - qh * j + 2 * (j - 1)) * q - qh * j * (qh * qh * (qh + 1) - 4)
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind(
         "RE-C8", census, lambda cp: ({"d": d, "j": j} for d in divisors(2 * cp.s + 1) for j in (1, 2)),
@@ -567,19 +556,19 @@ def _mk_re_c8():
 
 
 def _mk_re_p(kid: str, factor: int):
-    def closed(cp, a):
-        q, m = cp.q, cp.m
-        r, n = a["r"], a["n"]
-        den = 2 * factor * r * n
+    def closed(cp, h):
+        q, m, r = cp.q, cp.m, h["r"]
+        den = 2 * factor * r
         if factor == 1:
-            num = (q + 1) * (q * q - q + 1) * (q - n - 1)
+            top, slope = (q**3 + 1) * (q - 1), den - q**3 - 1
         elif factor == 2:
-            num = (q + 1) * ((q * q - q + 1) * (q - n - 1) - r * n)
+            top, slope = (q**3 + 1) * (q - 1), den - q**3 - 1 - (q + 1) * r
         elif factor == 3:
-            num = q**4 - (n + 1) * q**3 - 2 * r * q * q + (2 * r * (m + 1) + 1) * q - (2 * r + 1) * (n + 1)
+            top = q**4 - q**3 - 2 * r * q * q + (2 * r * (m + 1) + 1) * q - 2 * r - 1
+            slope = den - q**3 - 2 * r - 1
         else:
-            num = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
-        return num + den, den
+            top, slope = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m + 2) * q + 2), den - r * (q + 5)
+        return lambda n: (top + slope * n, den * n)
 
     # the order-6r display's leading (q-2) should read (q-n-1): it disagrees
     # with its own class assembly for n > 1 while the parallel second-Singer
@@ -594,19 +583,17 @@ def _mk_re_p(kid: str, factor: int):
 
 
 def _mk_re_m(kid: str, factor: int):
-    def closed(cp, a):
-        q, m = cp.q, cp.m
-        r, n = a["r"], a["n"]
-        g = math.gcd(r, n)
-        num = (q**3 + 1) * (q - n - 1) - 6 * (g - 1) * m
-        den = 2 * factor * r * n
+    def closed(cp, h):
+        q, m, r = cp.q, cp.m, h["r"]
+        den, special = 2 * factor * r, 6 * m
+        top, slope = (q**3 + 1) * (q - 1) + special, den - q**3 - 1
         if factor == 2:
-            num -= r * n * (q + 1)
+            slope -= r * (q + 1)
         elif factor == 3:
-            num -= 2 * r * (q * q - q + n + 1 - m * q)
+            top, slope = top - 2 * r * (q * q - q + 1 - m * q), slope - 2 * r
         elif factor == 6:
-            num -= r * (2 * q * q - (2 * m - n + 2) * q + 5 * n + 2)
-        return num + den, den
+            top, slope = top - r * (2 * q * q - (2 * m + 2) * q + 2), slope - r * (q + 5)
+        return lambda n: (top + slope * n - special * gcd(r, n), den * n)
 
     return _normalizer_kind(kid, 3, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -617,12 +604,11 @@ def _mk_re_q1():
         i, r = a["i"], a["r"]
         return {"order2": i - 1, "div_q_plus_1": i * (r - 1)}
 
-    def closed(cp, a):
-        q = cp.q
-        i, j, r, n = a["i"], a["j"], a["r"], a["n"]
-        num = (q + 1) * ((q * q - q + 1) * (q - n - 1) - n * (i * (j - 1) * r + i - 1))
-        den = 2 * i * j * r * n
-        return num + den, den
+    def closed(cp, h):
+        q, i, j, r = cp.q, h["i"], h["j"], h["r"]
+        den = 2 * i * j * r
+        top, slope = (q**3 + 1) * (q - 1), den - q**3 - 1 - (q + 1) * (i * (j - 1) * r + i - 1)
+        return lambda n: (top + slope * n, den * n)
 
     def sweep(cp):
         for i in (1, 2, 4):
@@ -645,16 +631,11 @@ def _mk_re_q2():
         r = a["r"]
         return {"order2": 3, "order3_noncentral": 8 * r, "div_q_plus_1": 4 * (r - 1)}
 
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        j, r, n = a["j"], a["r"], a["n"]
-        num = (
-            (q**3 + 1) * (q - n - 1)
-            - n * (q + 1) * (3 + 4 * (j - 1) * r)
-            - 8 * r * m * (3 * q0 + 1)
-            + 16 * j * r * n
-        )
-        return num, 24 * j * r * n
+    def closed(cp, h):
+        q, q0, m, j, r = cp.q, cp.q0, cp.m, h["j"], h["r"]
+        top = (q**3 + 1) * (q - 1) - 8 * r * m * (3 * q0 + 1)
+        slope, den = 16 * j * r - q**3 - 1 - (q + 1) * (3 + 4 * (j - 1) * r), 24 * j * r
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind("RE-Q2", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -664,17 +645,12 @@ def _mk_re_q3():
         r = a["r"]
         return {"order3_noncentral": 2 * r, "div_q_plus_1": r - 1}
 
-    def closed(cp, a):
-        q, q0, m = cp.q, cp.q0, cp.m
-        j, r, n = a["j"], a["r"], a["n"]
-        num = (
-            (q**3 + 1) * (q - n - 1)
-            - n * (q + 1) * (j - 1) * r
-            - 2 * r * m * (3 * q0 + 1)
-            - 2 * j * r * n
-        )
-        den = 6 * j * r * n
-        return num + den, den
+    def closed(cp, h):
+        q, q0, m, j, r = cp.q, cp.q0, cp.m, h["j"], h["r"]
+        den = 6 * j * r
+        top = (q**3 + 1) * (q - 1) - 2 * r * m * (3 * q0 + 1)
+        slope = den - q**3 - 1 - (q + 1) * (j - 1) * r - 2 * j * r
+        return lambda n: (top + slope * n, den * n)
 
     return _involution_kind("RE-Q3", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -692,11 +668,12 @@ def _mk_re_s():
             "div_q_plus_1": qh**3 * (qh * qh - qh + 1) * (qh - 1) // 6 * (qh - 3),
         }
 
-    def closed(cp, a):
+    def closed(cp, h):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        [(_, order, delta)] = _orders_and_deltas(kind.counts(cp, a), class_table(cp), (a["n"],))
-        return _two_g_minus_2(cp) - delta + 2 * order, 2 * order
+        size, delta_of = _different(kind.counts(cp, h), class_table(cp))
+        two_g_minus_2 = _two_g_minus_2(cp)
+        return lambda n: (two_g_minus_2 - delta_of(n) + 2 * n * size, 2 * n * size)
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -733,19 +710,18 @@ KINDS: dict[str, KindDef] = {kind.id: kind for kind in (
 # evaluation
 
 
-def _orders_and_deltas(counts, table: ClassTable, ns: Iterable[int]) -> list[tuple[int, int, int]]:
-    """(n, |H x C_n|, its different degree) for each n in ns, from the
-    counts of H.  The elements h tau^k with k = 0 are H's census (different
-    A); each of the n - 1 powers tau^k != 0 brings tau^k and the census with
-    a tau component (different B); c (gcd(d, n) - 1) of them are special
-    pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B + c (gcd(d, n) - 1) S:
-    one pass over the class census per H, and integer arithmetic per n, all
-    in one call."""
+def _different(counts, table: ClassTable) -> tuple[int, Callable[[int], int]]:
+    """(|H|, n -> the different degree of H x C_n), from the counts of H;
+    |H x C_n| = n |H|.  The elements h tau^k with k = 0 are H's census
+    (different A); each of the n - 1 powers tau^k != 0 brings tau^k and the
+    census with a tau component (different B); c (gcd(d, n) - 1) of them are
+    special pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B +
+    c (gcd(d, n) - 1) S: one pass over the class census per H, and integer
+    arithmetic per n."""
     census, (pairs, period) = counts
     size, plain, cross, special = census_different(census, pairs, table)
-    gcd = math.gcd
     # `special and` skips the gcd for an H without special pairs
-    return [(n, n * size, plain + (n - 1) * cross + (special and special * (gcd(period, n) - 1))) for n in ns]
+    return size, lambda n: plain + (n - 1) * cross + (special and special * (gcd(period, n) - 1))
 
 
 def _subgroups(cp: CurveParams) -> Iterable[tuple[KindDef, dict]]:
@@ -760,26 +736,27 @@ def _subgroups(cp: CurveParams) -> Iterable[tuple[KindDef, dict]]:
 def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_minus_2: int,
             table: ClassTable) -> list[GenusRecord]:
     """The records of the valid specs (H, n), n in ns, in the order of ns;
-    two_g_minus_2 and table are those of cp.  Each n costs integer
-    arithmetic and one rh_genus; the certificate, the sorted args and the
-    closed formula are computed, and a spec and its record built, only for
-    valid n (_rejections builds the rejected ones).  H must come from the
-    kind's sweep and each n must divide m."""
+    two_g_minus_2 and table are those of cp.  Each n costs its different
+    degree and one rh_genus; the certificate, the sorted args and the closed
+    display are made once per H, and a spec and its record per n, only for
+    valid n (_rejections builds the rejected ones).  H must come
+    from the kind's sweep and each n must divide m."""
     records: list[GenusRecord] = []
-    args = None
-    for n, order, delta in _orders_and_deltas(kind.counts(cp, h), table, ns):
+    size, delta_of = _different(kind.counts(cp, h), table)
+    display = None
+    for n in ns:
+        order, delta = n * size, delta_of(n)
         gd = rh_genus(two_g_minus_2, order, delta)
         if gd is None:
             continue
-        if args is None:
+        if display is None:
             # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
             args = sorted({**h, "n": 0}.items())
             n_at = args.index(("n", 0))
-            hn = dict(h)
             certified = kind.certified(cp, h)[0]
+            display = kind.closed(cp, h)
         args[n_at] = ("n", n)
-        hn["n"] = n
-        g, rem = divmod(*kind.closed(cp, hn))
+        g, rem = divmod(*display(n))
         gc = None if rem else g
         mismatch = gc != gd
         note = (kind.known_mismatch or "") if mismatch else ""
@@ -792,10 +769,14 @@ def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_
                 table: ClassTable) -> list[tuple[QuotientSpec, str]]:
     """The (spec, reason) rows of the specs (H, n), n in ns, that RH
     rejects (those _assess makes no record of), in the order of ns."""
-    return [(QuotientSpec.make(kind.id, cp, **h, n=n),
-             "composition fails the RH oracle: " + solve_rh(two_g_minus_2, order, delta)[1])
-            for n, order, delta in _orders_and_deltas(kind.counts(cp, h), table, ns)
-            if rh_genus(two_g_minus_2, order, delta) is None]
+    size, delta_of = _different(kind.counts(cp, h), table)
+    rows = []
+    for n in ns:
+        order, delta = n * size, delta_of(n)
+        if rh_genus(two_g_minus_2, order, delta) is None:
+            rows.append((QuotientSpec.make(kind.id, cp, **h, n=n),
+                         "composition fails the RH oracle: " + solve_rh(two_g_minus_2, order, delta)[1]))
+    return rows
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:

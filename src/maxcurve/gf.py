@@ -465,8 +465,11 @@ class FieldSpec:
 
         So n runs through the GF(p^d)-span of x, ..., x^(k/d - 1), and the
         n in [p^(d (j-1)), 2 p^(d (j-1))) are the sums of c_i x^i with c_j = 1
-        and c_i = 0 beyond j.  One GF(p)-linear map, through half tables."""
+        and c_i = 0 beyond j.  One GF(p)-linear map, through half tables.
+        At d = k the only index is 0 and x_0 = 0: zeros, read from no table."""
         self._check_subfield(d)
+        if d == self.k:
+            return np.zeros(np.shape(n), dtype=np.int64)
         return self._half_lookup(self._span_tables(d), n)
 
     def _check_subfield(self, d: int) -> None:
@@ -611,8 +614,8 @@ class FieldSpec:
         """Build the lazy caches that a count at subfield degree d reads: in
         characteristic 3 the chunk sum tables, the exp/log tables up to
         TABLE_LIMIT and beyond it the Frobenius tables of vpow (vmul reads no
-        table there), then the half tables of vtrace at d (none at d = k),
-        whose conjugates vpow forms, and of vspan at d.
+        table there), then the half tables of vtrace at d, whose conjugates
+        vpow forms, and of vspan at d (neither at d = k).
         Afterwards threads running that count share the field, and the chunk
         sum tables, read-only."""
         self._check_subfield(d)
@@ -624,7 +627,7 @@ class FieldSpec:
             self._frobenius_tables()
         if d < self.k:
             self._trace_tables(d)
-        self._span_tables(d)
+            self._span_tables(d)
 
     def subfield_codes(self, d: int) -> list[int]:
         """All codes fixed by the d-th Frobenius power, i.e. GF(p^d): 0 and

@@ -44,6 +44,14 @@ def test_checkout_id_names_the_measured_sources(bench_record, tmp_path):
     assert (tmp_path / ".git" / "index").read_bytes() == index
 
 
+def test_record_names_keep_a_control_of_the_same_sources(bench_record):
+    parent = {"sha": "a" * 40, "dirty": False, "src_tree": "b" * 40}
+    change = {"sha": "a" * 40, "dirty": True, "src_tree": "c" * 40}
+    assert bench_record.record_names([parent, parent, change]) == ["a" * 12, "a" * 12 + "-root2",
+                                                                    "a" * 12 + "+" + "c" * 12]
+    assert bench_record.record_names([change, parent]) == ["a" * 12 + "+" + "c" * 12, "a" * 12]
+
+
 def test_summarize_takes_medians_and_sums_checks(bench_record):
     def run(value, failed):
         return {"result": {"attempted": 4, "failed": failed,

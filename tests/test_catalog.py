@@ -22,8 +22,8 @@ def frac_delta_genus(kind, cp, args) -> Fraction:
     any integrality requirement (for identity testing).  The order comes from
     the class equation, so the closed formulas' denominators also check the
     class census."""
-    [(_, order, delta)] = cat._orders_and_deltas(kind.counts(cp, args), class_table(cp), (args["n"],))
-    return 1 + Fraction(cat._two_g_minus_2(cp) - delta, 2 * order)
+    size, delta_of = cat._different(kind.counts(cp, args), class_table(cp))
+    return 1 + Fraction(cat._two_g_minus_2(cp) - delta_of(args["n"]), 2 * args["n"] * size)
 
 
 SUZUKI_SPOT = [
@@ -124,7 +124,7 @@ class TestDualPathIdentities:
         kind = KINDS[kid]
         for cp in params_list:
             for args in arg_grids(cp):
-                closed = Fraction(*kind.closed(cp, args))
+                closed = Fraction(*kind.closed(cp, args)(args["n"]))
                 viadelta = frac_delta_genus(kind, cp, args)
                 assert closed == viadelta, (kid, cp.s, args)
 
@@ -162,7 +162,7 @@ class TestDualPathIdentities:
             cp = params_from_s("suzuki-cover", s)
             for n in range(1, 8):
                 args = dict(shat=shat, n=n)
-                closed = Fraction(*KINDS["SZ-E"].closed(cp, args))
+                closed = Fraction(*KINDS["SZ-E"].closed(cp, args)(n))
                 assert closed == frac_delta_genus(KINDS["SZ-E"], cp, args), (s, shat, n)
 
     def test_ree_simple_kinds(self):
@@ -217,7 +217,7 @@ class TestDualPathIdentities:
                         for r in (2, 4, 26):
                             for n in (1, 2, 3, 19):
                                 args = dict(u=u, v=v, w=w, r=r, n=n)
-                                closed = Fraction(*KINDS["RE-B"].closed(cp, args))
+                                closed = Fraction(*KINDS["RE-B"].closed(cp, args)(n))
                                 viadelta = frac_delta_genus(KINDS["RE-B"], cp, args)
                                 assert closed - viadelta == Fraction(cp.q, 3 ** (v - u) * r)
 
@@ -230,7 +230,7 @@ class TestDualPathIdentities:
                     for j in (1, 2):
                         for n in range(1, 6):
                             args = dict(v=v, r=r, j=j, n=n)
-                            closed = Fraction(*KINDS["RE-C7"].closed(cp, args))
+                            closed = Fraction(*KINDS["RE-C7"].closed(cp, args)(n))
                             viadelta = frac_delta_genus(KINDS["RE-C7"], cp, args)
                             assert closed - viadelta == Fraction((r - 1) * (n - 2), j * r * n)
 
@@ -241,7 +241,7 @@ class TestDualPathIdentities:
             for r in range(1, 8):
                 for n in range(1, 8):
                     args = dict(r=r, n=n)
-                    closed = Fraction(*KINDS["RE-P4"].closed(cp, args))
+                    closed = Fraction(*KINDS["RE-P4"].closed(cp, args)(n))
                     viadelta = frac_delta_genus(KINDS["RE-P4"], cp, args)
                     assert closed - viadelta == Fraction((cp.q**3 + 1) * (n - 1), 12 * r * n)
 
@@ -252,7 +252,7 @@ class TestDualPathIdentities:
             cp = params_from_s("ree-cover", s)
             for n in range(1, 6):
                 args = dict(shat=0, n=n)
-                assert Fraction(*KINDS["RE-S"].closed(cp, args)) == frac_delta_genus(KINDS["RE-S"], cp, args)
+                assert Fraction(*KINDS["RE-S"].closed(cp, args)(n)) == frac_delta_genus(KINDS["RE-S"], cp, args)
 
 
 def _swept(kid, cp):
@@ -362,7 +362,29 @@ def test_closed_pair_equals_the_verbatim_display(kid):
         for h in kind.sweep(cp):
             for n in sorted(set(range(1, 8)) | set(cat.divisors(cp.m))):
                 args = {**h, "n": n}
-                assert Fraction(*kind.closed(cp, args)) == display(cp, args), (kid, s, args)
+                assert Fraction(*kind.closed(cp, h)(n)) == display(cp, args), (kid, s, args)
+
+
+@pytest.mark.parametrize("family,n_values,digest", [
+    ("suzuki-cover", 1423, "071f1f7f525f4b4a4a53409160f6b9519ebecfd0dc7132853f5f431ab66170f0"),
+    ("ree-cover", 23444, "dea2f4de5d1220c61ac423e637f857ebd6cdc7503da9b1002673fab72cd7bc41"),
+])
+def test_closed_values_pinned(family, n_values, digest):
+    # sha256 of str(Fraction) of every kind's display over s=1..3, every
+    # swept H and n in 1..7 and the divisors of m, in KINDS order, sweep
+    # order and ascending n; the specs that RH rejects are included, whose
+    # closed value no spectrum pin reads
+    values = []
+    for s in (1, 2, 3):
+        cp = params_from_s(family, s)
+        ns = sorted(set(range(1, 8)) | set(cat.divisors(cp.m)))
+        for kind in KINDS.values():
+            if kind.char == cp.p:
+                for h in kind.sweep(cp):
+                    display = kind.closed(cp, h)
+                    values += [str(Fraction(*display(n))) for n in ns]
+    assert len(values) == n_values
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family", ["suzuki-cover", "ree-cover"])
@@ -373,7 +395,7 @@ def test_closed_returns_an_int_pair(family):
             if kind.char != cp.p:
                 continue
             for args in _swept(kind.id, cp):
-                value = kind.closed(cp, args)
+                value = kind.closed(cp, args)(args["n"])
                 assert type(value) is tuple and len(value) == 2, (kind.id, s, args, value)
                 num, den = value
                 assert type(num) is int and type(den) is int and den > 0, (kind.id, s, args, value)
@@ -420,8 +442,8 @@ def _named_orders():
 def test_class_census_gives_the_group_order():
     seen = set()
     for kid, cp, args, named in _named_orders():
-        [(_, order, _)] = cat._orders_and_deltas(KINDS[kid].counts(cp, args), class_table(cp), (args["n"],))
-        assert order == named, (kid, cp.s, args)
+        size, _ = cat._different(KINDS[kid].counts(cp, args), class_table(cp))
+        assert args["n"] * size == named, (kid, cp.s, args)
         seen.add(kid)
     assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3",
                     "RE-C1", "RE-C2", "RE-C3", "RE-C4", "RE-C5", "RE-C6", "RE-C7"}

@@ -338,7 +338,7 @@ class TestArrayLayer:
     def test_precompute_builds_only_the_count_tables(self, d, traced):
         f = gf.FieldSpec(2, 12, default_modulus(2, 12))
         f.precompute(d)
-        assert list(f._traces) == traced and list(f._spans) == [d]
+        assert list(f._traces) == traced and list(f._spans) == traced
         assert f._frobenius is None  # read past TABLE_LIMIT only
         with pytest.raises(FieldError):
             f.precompute(5)

@@ -152,7 +152,8 @@ class TestDeltaFromComposition:
             n = args["n"]
             order = n * (1 + sum(census.values()))
             delta = delta_from_composition(_composition_from_counts(census, special, n), params)
-            assert cat._orders_and_deltas(kind.counts(params, args), class_table(params), (n,)) == [(n, order, delta)]
+            size, delta_of = cat._different(kind.counts(params, args), class_table(params))
+            assert (n * size, delta_of(n)) == (order, delta)
             key = (kind.id, tuple(sorted(args.items())))
             if key in records:
                 assert (records[key].order, records[key].delta) == (order, delta), key
@@ -291,8 +292,9 @@ class TestGenusFromRH:
             if kind.char != params.p:
                 continue
             for h in kind.sweep(params):
-                for n, order, delta in cat._orders_and_deltas(kind.counts(params, h), class_table(params),
-                                                              divisors(params.m)):
+                size, delta_of = cat._different(kind.counts(params, h), class_table(params))
+                for n in divisors(params.m):
+                    order, delta = n * size, delta_of(n)
                     genus, reason = solve_rh(two_g_minus_2, order, delta)
                     assert rh_genus(two_g_minus_2, order, delta) == genus, (kind.id, h, n)
                     assert (genus is None) == (reason is not None)
