@@ -18,6 +18,11 @@ so does the rank of t; the index is four tables over the field codes.
 A generator's coordinate maps are evaluated once over the field codes and
 gathered by the coordinates of the places.
 
+verify_group is the check of the group at q=8 that `maxcurve verify-group`
+prints: which generator plays which role, the rows with their measured and
+expected values, and the seconds of each stage.  Every element order, on
+the 65 F_q-rational places as on all places, is element_order's.
+
 A permutation is a plain int32 array whose entry i is the image of place i,
 so a[b] (computed as a.take(b)) applies b first, and the field arithmetic
 is FieldSpec's.
@@ -35,12 +40,14 @@ from __future__ import annotations
 import functools
 import math
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import CurveParams
 from .gf import FieldSpec, _factorize, make_field
+from .ramification import i_sigma
 
 
 # The random words find_element_of_order tries, and the most elements
@@ -307,22 +314,6 @@ def element_order(a: np.ndarray) -> int:
     return math.lcm(*(np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist())
 
 
-def _walk_order(a: np.ndarray) -> int:
-    """The lcm of the cycle lengths, found by walking each cycle.  On the 65
-    places of the small orbit this is several times faster than
-    element_order, whose array passes cost microseconds each at any size."""
-    image, seen, order = a.tolist(), [False] * len(a), 1
-    for start in range(len(image)):
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = image[i]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
-
-
 def power(a: np.ndarray, n: int) -> np.ndarray:
     """a^n for n >= 0, a fresh array for n > 0; a^0 is the shared read-only
     identity."""
@@ -426,7 +417,7 @@ def find_element_of_order(ps: PlaceSet, target: int, generators: list[np.ndarray
         perm = small[word[0]]
         for i in word[1:]:
             perm = small[i].take(perm)
-        o = _walk_order(perm)
+        o = element_order(perm)
         if o % target == 0:
             full = generators[word[0]]
             for i in word[1:]:  # a word has at least two letters, so full is a fresh array
@@ -459,3 +450,67 @@ def stabilizer_subgroup_order(ps: PlaceSet, generators: list[np.ndarray]) -> int
                     nxt.append(prod)
         frontier = nxt
     return len(seen)
+
+
+def verify_group(params: CurveParams) -> tuple[list[dict], dict[str, float], tuple[int, ...]]:
+    """The q=8 check of the group: its rows (check, measured, expected, ok)
+    in a fixed order, the seconds of each stage, and the field modulus.
+
+    The roles of default_generators: gamma is tau, whose powers tau^j
+    (j = 1..m-1) fix the small orbit; wild_c is an involution, wild_b has
+    order 4 and torus7 order 7; torus7, wild_b, wild_c and phi generate the
+    lifted simple group, in which the searches find elements of order 13
+    and 5, and the first three its stabilizer of the infinite place, of
+    order q^2 (q - 1).  Each stage runs once, in order, and its seconds
+    run from the end of the one before; rows builds the tau powers and the
+    rows from the results of the others."""
+    q, m = params.q, params.m
+    marks = [time.perf_counter()]
+    ps = build_places(params)
+    marks.append(time.perf_counter())
+    gens = default_generators(ps)
+    marks.append(time.perf_counter())
+    sgens = [gens["torus7"], gens["wild_b"], gens["wild_c"], gens["phi"]]
+    e13 = find_element_of_order(ps, 13, sgens)
+    e5 = find_element_of_order(ps, 5, sgens)
+    marks.append(time.perf_counter())
+    orbits = list(verify_orbits(ps, list(gens.values())))
+    marks.append(time.perf_counter())
+    closure = stabilizer_subgroup_order(ps, sgens[:3])
+    marks.append(time.perf_counter())
+
+    gamma = gens["gamma"]
+    gamma_powers = [gamma]  # gamma^j for j = 1..m-1
+    for _ in range(m - 2):
+        gamma_powers.append(gamma.take(gamma_powers[-1]))
+    rows = []
+
+    def row(name, measured, expected):
+        rows.append({"check": name, "measured": measured, "expected": expected,
+                     "ok": measured == expected})
+
+    row("place count", len(ps), 29185)
+    row("small-field places", len(ps.fq_rational_ids()), q * q + 1)
+    row("t=0 affine places", ps.t_zero_affine_count(), q * q)
+    row("tau fixed places (all powers)", [fixed_points(g) for g in gamma_powers],
+        [i_sigma("tau_power", params)] * (m - 1))
+    row("involution fixed places", fixed_points(gens["wild_c"]), 1)
+    row("involution order", element_order(gens["wild_c"]), 2)
+    row("order-4 fixed places", fixed_points(gens["wild_b"]), 1)
+    t7 = gens["torus7"]
+    row("order-7 fixed places", fixed_points(t7), i_sigma("div_q_minus_1", params))
+    row("order-7 tau products", [fixed_points(t7.take(g)) for g in gamma_powers], [2] * (m - 1))
+    row("order-13 fixed places", fixed_points(e13), i_sigma("div_q_plus_2q0_plus_1", params))
+    row("order-13 tau products", [fixed_points(e13.take(g)) for g in gamma_powers], [0] * (m - 1))
+    row("order-5 fixed places", fixed_points(e5), i_sigma("div_m_plain", params))
+    pattern = [fixed_points(e5.take(g)) for g in gamma_powers]
+    # measured reality: the contribution spreads as m at each power; the
+    # aggregate 4m is what every different-degree computation consumes
+    row("order-5 tau products (aggregate)", sum(pattern), 4 * m)
+    row("order-5 tau products (pattern)", sorted(pattern), [m] * (m - 1))
+    row("orbit sizes", orbits, [65, 29120])
+    row("stabilizer closure order", closure, q * q * (q - 1))
+    marks.append(time.perf_counter())
+
+    names = ("places", "generators", "order_search", "orbits", "closure", "rows")
+    return rows, {k: b - a for k, a, b in zip(names, marks, marks[1:])}, ps.field.modulus

@@ -176,76 +176,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify_group(args) -> int:
-    from . import action as act
-    from .ramification import i_sigma
+    from .action import verify_group
 
     started = time.perf_counter()
     if args.s != 1:
         print("error: group verification is desk scale; only --s 1 is supported", file=sys.stderr)
         return EXIT_USAGE
-    params = params_from_s(Family.SUZUKI_COVER, args.s)
-    q, m = params.q, params.m
-    stages = dict.fromkeys(["places", "generators", "order_search", "orbits", "closure", "rows"], 0.0)
-
-    def timed(stage, fn, *fn_args):
-        """fn(*fn_args), its seconds added to the stage."""
-        t = time.perf_counter()
-        out = fn(*fn_args)
-        stages[stage] += time.perf_counter() - t
-        return out
-
-    ps = timed("places", act.build_places, params)
-    gens = timed("generators", act.default_generators, ps)
-    rows_start = time.perf_counter()
-    gamma = gens["gamma"]
-    gamma_powers = [gamma]  # gamma^j for j = 1..m-1
-    for _ in range(m - 2):
-        gamma_powers.append(gamma.take(gamma_powers[-1]))
-    sgens = [gens["torus7"], gens["wild_b"], gens["wild_c"], gens["phi"]]
-
-    rows = []
-
-    def row(name, measured, expected):
-        rows.append({"check": name, "measured": measured, "expected": expected,
-                     "ok": measured == expected})
-
-    row("place count", len(ps), 29185)
-    row("small-field places", len(ps.fq_rational_ids()), q * q + 1)
-    row("t=0 affine places", ps.t_zero_affine_count(), q * q)
-    row("tau fixed places (all powers)",
-        [act.fixed_points(g) for g in gamma_powers],
-        [i_sigma("tau_power", params)] * (m - 1))
-    inv = gens["wild_c"]
-    row("involution fixed places", act.fixed_points(inv), 1)
-    row("involution order", act.element_order(inv), 2)
-    w4 = gens["wild_b"]
-    row("order-4 fixed places", act.fixed_points(w4), 1)
-    t7 = gens["torus7"]
-    row("order-7 fixed places", act.fixed_points(t7), i_sigma("div_q_minus_1", params))
-    row("order-7 tau products", [act.fixed_points(t7.take(g)) for g in gamma_powers],
-        [2] * (m - 1))
-    e13 = timed("order_search", act.find_element_of_order, ps, 13, sgens)
-    row("order-13 fixed places", act.fixed_points(e13), i_sigma("div_q_plus_2q0_plus_1", params))
-    row("order-13 tau products", [act.fixed_points(e13.take(g)) for g in gamma_powers],
-        [0] * (m - 1))
-    e5 = timed("order_search", act.find_element_of_order, ps, 5, sgens)
-    row("order-5 fixed places", act.fixed_points(e5), i_sigma("div_m_plain", params))
-    pattern = [act.fixed_points(e5.take(g)) for g in gamma_powers]
-    # measured reality: the contribution spreads as m at each power; the
-    # aggregate 4m is what every different-degree computation consumes
-    row("order-5 tau products (aggregate)", sum(pattern), 4 * m)
-    row("order-5 tau products (pattern)", sorted(pattern), [m] * (m - 1))
-    row("orbit sizes", list(timed("orbits", act.verify_orbits, ps, list(gens.values()))), [65, 29120])
-    row("stabilizer closure order", timed("closure", act.stabilizer_subgroup_order, ps, sgens[:3]),
-        q * q * (q - 1))
-    # rows: the tau powers and the checks, the rest of the run after the generators
-    stages["rows"] = time.perf_counter() - rows_start - sum(
-        stages[s] for s in ("order_search", "orbits", "closure"))
-
+    rows, stages, modulus = verify_group(params_from_s(Family.SUZUKI_COVER, args.s))
     ok = all(r["ok"] for r in rows)
     if args.json:
         print(_record("verify-group", {"s": args.s}, {"rows": rows, "all_ok": ok}, started,
-                      ps.field.modulus, stages={k: round(v, 6) for k, v in stages.items()}))
+                      modulus, stages={k: round(v, 6) for k, v in stages.items()}))
     else:
         for r in rows:
             mark = "ok " if r["ok"] else "FAIL"

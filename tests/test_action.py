@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import re
@@ -278,7 +280,6 @@ class TestElementOrder:
     def test_random_permutations(self, perm):
         arr = np.array(perm, dtype=np.int32)
         assert act.element_order(arr) == cycle_walk_order(perm)
-        assert act._walk_order(arr) == cycle_walk_order(perm)
 
     def test_default_generators(self, generators):
         for name, a in generators.items():
@@ -420,6 +421,107 @@ class TestPhi:
                             lambda ps, x, y, t, what: np.roll(np.arange(2, len(ps), dtype=np.int32), 1))
         with pytest.raises(ModelError, match="completed map is not an involution"):
             act.gen_phi(place_set)
+
+
+def schreier_sims(gens, points):
+    """The base and the basic orbit sizes of the group generated by gens,
+    int permutation arrays of one length, by deterministic Schreier-Sims
+    with sifting (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 4.4.2).  The base starts at points[0]; then each generator
+    that fixes the base so far, and later each sifted residue, which fixes
+    it too, adds the first of points that it moves.  Levels are worked
+    from the deepest up: a Schreier generator u_(s p)^-1 s u_p of level i
+    that does not sift to the identity joins the strong generators, and
+    the work resumes at the level where its sift stopped."""
+    one = np.arange(len(gens[0]), dtype=gens[0].dtype)
+    base, strong = [points[0]], list(gens)
+
+    def moved(g):  # the first of points that g moves, None for the identity
+        return next((p for p in points if g[p] != p), None)
+
+    for g in gens:
+        if all(g[b] == b for b in base) and moved(g) is not None:
+            base.append(moved(g))
+
+    def inverse(u):
+        inv = np.empty_like(u)
+        inv[u] = one
+        return inv
+
+    def level(i):  # the generators of the stabilizer of base[:i], and the
+        # transversal of its orbit of base[i]: point -> u with u[base[i]] = point
+        sgens = [s for s in strong if all(s[b] == b for b in base[:i])]
+        trans, frontier = {base[i]: one}, [base[i]]
+        while frontier:
+            reached = []
+            for p in frontier:
+                for s in sgens:
+                    if int(s[p]) not in trans:
+                        trans[int(s[p])] = s.take(trans[p])
+                        reached.append(int(s[p]))
+            frontier = reached
+        return sgens, trans
+
+    levels = [level(i) for i in range(len(base))]
+    i = len(base) - 1
+    while i >= 0:
+        sgens, trans = levels[i]
+        for p, s in ((p, s) for p in list(trans) for s in sgens):
+            h, j = inverse(trans[int(s[p])]).take(s.take(trans[p])), i + 1
+            while j < len(base) and int(h[base[j]]) in levels[j][1]:
+                h, j = inverse(levels[j][1][int(h[base[j]])]).take(h), j + 1
+            if not np.array_equal(h, one):
+                strong.append(h)
+                if j == len(base):
+                    base.append(moved(h))
+                    levels.append(None)
+                levels[i + 1:j + 1] = [level(k) for k in range(i + 1, j + 1)]
+                i = j
+                break
+        else:
+            i -= 1
+    return base, tuple(len(trans) for _, trans in levels)
+
+
+class TestGroupOrder:
+    """|Aut(S~_8)| = |Sz(8)| m from the engine's own generators, and its
+    image on the F_q-rational places: the split Sz(8) x C_5 that
+    test_missing_genus_analysis's small_model sets by hand."""
+
+    def test_all_places(self, place_set, generators):
+        fq = place_set.fq_rational_ids()  # the infinite place first
+        points = fq + sorted(set(range(len(place_set))) - set(fq))
+        base, orbits = schreier_sims(list(generators.values()), points)
+        # two F_q-rational places, then one whose orbit under their stabilizer C_7 x C_5 is regular
+        assert base[0] == act.PlaceSet.INFTY and base[1] in fq and base[2] not in fq
+        assert orbits == (65, 64, 35)
+        assert math.prod(orbits) == 145_600 == 29_120 * place_set.params.m
+
+    def test_fq_rational_places(self, place_set, generators):
+        fq = np.array(place_set.fq_rational_ids())
+        position = np.full(len(place_set), -1)
+        position[fq] = np.arange(len(fq))
+        restricted = [position.take(g.take(fq)) for g in generators.values()]
+        assert all((r >= 0).all() for r in restricted)
+        _, orbits = schreier_sims(restricted, list(range(len(fq))))
+        assert orbits == (65, 64, 7)
+        assert math.prod(orbits) == 29_120  # |Sz(8)|: the kernel is <tau>, of order m = 5
+
+    def test_chain_of_a_known_group(self):
+        # the symmetric group of 5 points from a 5-cycle and a transposition
+        base, orbits = schreier_sims([np.array([1, 2, 3, 4, 0]), np.array([1, 0, 2, 3, 4])], range(5))
+        assert math.prod(orbits) == 120 and len(set(base)) == len(base)
+
+
+class TestVerifyGroup:
+    def test_rows_stages_and_modulus(self, q8_params, place_set):
+        rows, stages, modulus = act.verify_group(q8_params)
+        assert all(r["ok"] for r in rows) and len(rows) == 16
+        results = {"rows": rows, "all_ok": True}  # the `results` of verify-group's record
+        assert hashlib.sha256((json.dumps(results, sort_keys=True) + "\n").encode()).hexdigest()[:12] == "c399470caabc"
+        assert list(stages) == ["places", "generators", "order_search", "orbits", "closure", "rows"]
+        assert all(v >= 0 for v in stages.values())
+        assert modulus == place_set.field.modulus
 
 
 class TestGroupStructure:

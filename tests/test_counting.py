@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +235,13 @@ BIJECTIVE_KUMMER_JOBS = [
 ]
 
 
+@functools.cache
+def admitted_count(family: str, s: int, r: int) -> CountReport:
+    """count_points of an admitted job on one thread, once per session: the
+    streamed-sum test and the zeta test read the same reports."""
+    return count_points(family, params_from_s(family, s), r, threads=1)
+
+
 class TestOrbitReduction:
     """The orbit-reduced count against the streamed sum over every x."""
 
@@ -240,7 +249,7 @@ class TestOrbitReduction:
     def test_matches_streamed_sum(self, family, s, r):
         """Every admitted count runs; up to STREAMED_ORDER_LIMIT elements it
         equals the streamed sum (count_points itself checks Hasse-Weil)."""
-        rep = count_points(family, params_from_s(family, s), r, threads=1)
+        rep = admitted_count(family, s, r)
         if rep.ell <= STREAMED_ORDER_LIMIT:
             streamed = _streamed_count(family, params_from_s(family, s), r)
             assert (rep.n_points, rep.t0_affine) == streamed
@@ -344,6 +353,74 @@ class TestOrbitReduction:
         results = json.dumps(count_results(rep), sort_keys=True) + "\n"
         digest = {"ree-cover": "9e7581e908e7", "ree-base": "92675ee11ed8"}[family]
         assert hashlib.sha256(results.encode()).hexdigest()[:12] == digest
+
+
+# Maximality over F_{q^4} (Suzuki) or F_{q^6} (Ree) leaves Frobenius the
+# eigenvalues sqrt(q) z with z^4 = -1 resp. z^6 = -1, in conjugate pairs.
+# One of each pair, divided by 2^s resp. 3^s, as (a, b): the Gaussian
+# integers a + b i for z = e^(i pi/4), e^(3i pi/4), and the Eisenstein
+# integers a + b w, w = e^(2i pi/3), for z = e^(i pi/6), e^(i pi/2), e^(5i pi/6).
+EIGENVALUES = {2: [(1, 1), (-1, 1)], 3: [(2, 1), (1, 2), (-1, 1)]}
+# the curves whose first len(EIGENVALUES) - 1 counts are admitted, so that
+# they fix the multiplicities: every Suzuki s, and Ree up to s = 4 (N_2 of
+# ree s >= 5 lies past SUPPORTED_DEGREES)
+ZETA_CURVES = sorted({(family, s) for family, s, _ in ADMITTED_JOBS
+                      if (family, s, len(EIGENVALUES[Family(family).char]) - 1) in ADMITTED_JOBS})
+ZETA_MULTIPLICITIES = {
+    ("suzuki-base", 1): (0, 14),
+    ("suzuki-base", 2): (0, 124),
+    ("suzuki-cover", 1): (91, 105),
+    ("suzuki-cover", 2): (7626, 7750),
+    ("ree-base", 1): (0, 1443, 2184),
+    ("ree-base", 2): (0, 295119, 531432),
+    ("ree-cover", 1): (80808, 82251, 82992),
+    ("ree-cover", 2): (576072288, 576367407, 576603720),
+}
+
+
+def eigenvalue_trace(p: int, s: int, alpha: tuple[int, int], r: int) -> int:
+    """(p^s alpha)^r plus its conjugate, alpha = a + b i (p = 2) or a + b w
+    (p = 3), in integer arithmetic: i^2 = -1, w^2 = -1 - w."""
+    a, b = 1, 0
+    c, d = alpha
+    for _ in range(r):
+        a, b = a * c - b * d, a * d + b * c - (b * d if p == 3 else 0)
+    return p ** (s * r) * (2 * a - (b if p == 3 else 0))
+
+
+def solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """The solution of a square nonsingular integer system, by Gauss-Jordan
+    elimination over the rationals."""
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    for c in range(len(m)):
+        pivot = next(r for r in range(c, len(m)) if m[r][c])
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(len(m)):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[-1] for row in m]
+
+
+@pytest.mark.parametrize("family,s", ZETA_CURVES)
+def test_counts_match_the_zeta_function_of_maximality(family, s):
+    """N_1 (Suzuki), or N_1 and N_2 (Ree), and the genus fix the
+    multiplicities of the eigenvalues, which must be nonnegative integers;
+    then every other admitted N_r is q^r + 1 - sum of m Tr(alpha^r)."""
+    p, params = Family(family).char, params_from_s(family, s)
+    q, alphas = params.q, EIGENVALUES[p]
+    counts = {r: admitted_count(family, s, r).n_points
+              for fam, s_, r in ADMITTED_JOBS if (fam, s_) == (family, s)}
+    fixed = range(1, len(alphas))
+    mults = solve_exact([[1] * len(alphas)] + [[eigenvalue_trace(p, s, a, r) for a in alphas] for r in fixed],
+                        [genus(params)] + [q**r + 1 - counts[r] for r in fixed])
+    assert all(x.denominator == 1 and x >= 0 for x in mults), mults
+    mults = tuple(int(x) for x in mults)
+    assert sum(mults) == genus(params)
+    if (family, s) in ZETA_MULTIPLICITIES:
+        assert mults == ZETA_MULTIPLICITIES[(family, s)]
+    for r, n in counts.items():
+        assert n == q**r + 1 - sum(x * eigenvalue_trace(p, s, a, r) for x, a in zip(mults, alphas)), r
 
 
 @pytest.mark.parametrize("family,s,r,tabled", [
