@@ -26,7 +26,12 @@ machine falls on every root alike.  Each root gets one record in --out
   the reference row that takes most of a spectra_table1 pass, split in
   `sweep` and `sort`;
 - `count_stages`: the same for each degree-6 Ree count on one thread, split
-  in `tables`, `kernel` and `reduction`.
+  in `tables`, `kernel` and `reduction`;
+- `vs_first_root`, in the record of every root after the first: per
+  workload and end-to-end metric, the ratio of this root's median to the
+  first root's, and the seeds on which this root did better, by the metric's
+  `better` in BENCHMARK.json (ties count for neither).  With roots (parent,
+  parent clone, change) the clone's entry is the A/A spread.
 The stage records are taken after the benchmark runs, in STAGE_ROUNDS
 rounds.  Each round runs every command of STAGE_COMMANDS once in each root,
 the first root changing from round to round as for the benchmark runs: a
@@ -177,6 +182,27 @@ def stage_records(roots: list[Path], commands: list[tuple], rounds: int, runs: i
     return out
 
 
+def versus(first: dict, other: dict, better: dict[str, str]) -> dict:
+    """{workload: {metric: ratio of medians and seeds better}} of the
+    `workloads` of one record against those of the first root's, over the
+    end-to-end metrics named in `better` ({name: "lower" or "higher"});
+    the runs of both records are in seed order."""
+    out = {}
+    for w, entry in other.items():
+        out[w] = {}
+        for name, metric in entry["end_to_end"]["metrics"].items():
+            if name not in better:
+                continue
+            base = first[w]["end_to_end"]["metrics"][name]
+            sign = 1 if better[name] == "lower" else -1
+            out[w][name] = {
+                "ratio": metric["median"] / base["median"] if base["median"] else None,
+                "better_seeds": sum(sign * (b - m) > 0 for m, b in zip(metric["runs"], base["runs"])),
+                "seeds": len(metric["runs"]),
+            }
+    return out
+
+
 def record_names(ids: list[dict]) -> list[str]:
     """The record name of each root's checkout_id, in root order."""
     names = []
@@ -208,7 +234,9 @@ def main() -> int:
                     print(f"{root}: {w} seed {seed} trace {trace} done", file=sys.stderr)
     stages = stage_records(roots, STAGE_COMMANDS, STAGE_ROUNDS, STAGE_RUNS)
 
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     args.out.mkdir(parents=True, exist_ok=True)
+    first = None
     for root, name in zip(roots, record_names([ids[root] for root in roots])):
         ident = ids[root]
         header = runs[root, workloads[0], 0][0]["header"]
@@ -224,6 +252,10 @@ def main() -> int:
                           for w in workloads},
             **stages[root],
         }
+        if first is None:
+            first = record["workloads"]
+        else:
+            record["vs_first_root"] = versus(first, record["workloads"], better)
         path = args.out / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(path)

@@ -7,7 +7,7 @@ sweep yields the args of H, and the sweep times the divisors n of m is its
 parameter domain: a spec outside it is invalid.  Its class counts are the
 class census of H minus the identity, so the class equation gives the order,
 |H x C_n| = n (1 + sum of the counts), and the different degree is affine in
-n apart from a gcd term (see _different).  The 16 kinds whose H is C_r . C_f
+n apart from a gcd term (see _composition).  The 16 kinds whose H is C_r . C_f
 inside the normalizer of a cyclic torus share one census and sweep
 (_normalizer_kind); their factories state only the displayed formula.  The
 11 involution kinds RE-C1..8 and RE-Q1..3, whose H is K or K<iota> for an
@@ -18,28 +18,24 @@ Suzuki or Ree group over a subfield, share one subfield rule
 census outside them.  SZ-B2, SZ-B3 and RE-B state their census by hand.
 
 A spec is a QuotientSpec and its result a GenusRecord, both immutable,
-hashable named tuples.  A sweep computes the curve's constants once: 2g - 2,
-the class table (ramification.class_table) and the divisors n of m.  Per H
-it makes one pass over the class census (census_different), which gives |H|
-and the different degree of H x C_n as a function of n (_different).  Per n
-it tests Riemann-Hurwitz integrality with rh_genus, which most specs fail.
-Only an H with a valid n gets its certificate, its sorted args and its
-closed display, each made once per H, and only a valid spec gets the
-display's value, a spec and a record.  The sweep keeps records only: every
-H meets every n, so the specs swept are the H swept times the divisors of
-m, and SpectrumResult.invalid sweeps again, on first read, for the (spec,
-reason) rows of the rejected specs.
+hashable named tuples.  Both genus paths of an H are forms of five integers
+(top, slope, c, d, den), whose value at n is (top + slope n - c gcd(d, n)) /
+(den n).  A sweep computes 2g - 2, the class table (ramification.class_table)
+and the divisors n of m once.  Per H it makes one pass over the class census
+for the composition form (_composition) and tests Riemann-Hurwitz
+integrality on it inline for each n; most specs fail.  Only an H with a
+valid n gets its certificate, sorted args and display form, and only a
+valid spec a spec and a record.  The sweep keeps records only: the specs
+swept are the H swept times the divisors of m, and SpectrumResult.invalid
+sweeps again, on first read, for the (spec, reason) rows of the rejected.
 
 Dual-path policy: the composition path is authoritative.  A kind's
-closed(params, H args) binds H once and returns its display as a function of
-n, whose value is the exact integer pair (num, den), den > 0.  Each display
-is (top + slope n) / (den n), less c gcd(d, n) in the numerator for the
-kinds with special pairs, so what depends on H alone (the powers of q, 2^u
-and 3^u, the subfield branch, a census) is computed once per H.  The
-verbatim displays live in the tests.  Where a display disagrees with its
-own class assembly the kind carries a known-mismatch note and the
-composition value is adopted (the bundled reference genera confirm the
-composition side in every such case).
+closed(params, H args) returns its display's form, so what depends on H
+alone (the powers of q, 2^u and 3^u, the subfield branch, a census) is
+computed once per H.  The verbatim displays live in the tests.  Where a
+display disagrees with its own class assembly the kind carries a
+known-mismatch note and the composition value is adopted (the bundled
+reference genera confirm the composition side in every such case).
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .curves import CurveParams, Family, genus, params_from_s, require, resolve_curve
 from .gf import _factorize
-from .ramification import ClassTable, census_different, class_table, rh_genus, solve_rh
+from .ramification import ClassTable, census_different, class_table, solve_rh
 
 
 def divisors(n: int) -> list[int]:
@@ -120,7 +116,7 @@ class KindDef:
     # H args -> (class census of H minus the identity, (c, d)): H x C_n has
     # c (gcd(d, n) - 1) special (sigma, tau^j) pairs
     counts: Callable
-    closed: Callable            # H args -> (n -> (num, den), den > 0): the displayed formula
+    closed: Callable            # H args -> the displayed formula's form (top, slope, c, d, den), den > 0
     certified: Callable         # H args -> (bool, reason)
     sweep: Callable             # params -> iterator of H arg dicts
     known_mismatch: str | None = None
@@ -233,7 +229,7 @@ def _mk_sz_b1():
     def closed(cp, h):
         q, den = cp.q, 2 * h["r"]
         top, slope = (q - 1) * (q * q + 1), -(q - 1) * (q + 1)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _normalizer_kind("SZ-B1", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1), 1, closed,
                             "cyclic subgroup of a split torus")
@@ -249,7 +245,7 @@ def _mk_sz_b2():
         u, v = h["u"], h["v"]
         top = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v))
         slope, den = (1 << (v + 1)) - (1 << v) - q * q, 1 << (v + 1)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     def certified(cp, a):
         s, u, v = cp.s, a["u"], a["v"]
@@ -286,7 +282,7 @@ def _mk_sz_b3():
         top = m * (q * q + 2 * q0 * q - (1 << (u + 1)) * q0 - (1 << v))
         slope = (1 << (v + 1)) - (1 << v) + 1 - m * (q + 2 * q0 + 1)
         den = (1 << (v + 1)) * h["r"]
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     def certified(cp, a):
         s, u, v, r = cp.s, a["u"], a["v"], a["r"]
@@ -317,7 +313,7 @@ def _mk_sz_b4():
         q, q0, m, r = cp.q, cp.q0, cp.m, h["r"]
         top = m * (q * q + 2 * q0 * q - (r + 1) * (2 * q0 + 1))
         slope, den = r + 2 - m * (q + 2 * q0 + 1), 4 * r
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _normalizer_kind("SZ-B4", 2, "div_q_minus_1", lambda cp: divisors(cp.q - 1)[1:], 2, closed,
                             "dihedral over a split torus")
@@ -332,7 +328,7 @@ def _mk_sz_c(kid: str, factor: int):
             top, slope = top - r * m * (2 * q0 + 1), slope - r
         elif factor == 4:
             top, slope = top - r * m * (2 * q0 + 3), slope - 3 * r
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _normalizer_kind(kid, 2, "div_q_plus_2q0_plus_1", lambda cp: divisors(cp.q + 2 * cp.q0 + 1),
                             factor, closed, "inside a Singer normalizer")
@@ -348,7 +344,7 @@ def _mk_sz_d(kid: str, factor: int):
             top, slope = q**3 - q * q + q - (2 * q0 + 1) * r * m + 4 * m - 1, 3 * r - q * q - 1
         else:
             top, slope = (q * q + 1) * (q - 1) - m * (2 * r * q0 + 3 * r - 4), 5 * r - q * q - 1
-        return lambda n: (top + slope * n - special * gcd(r, n), den * n)
+        return top, slope, special, r, den
 
     return _normalizer_kind(kid, 2, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -375,7 +371,7 @@ def _mk_sz_e():
         den = 2 * qh * qh * (qh * qh + 1) * (qh - 1)
         top = _two_g_minus_2(cp) + q * q + 1 - (qh * qh + 1) * (qh - 1) * (q * q - m * q + 1 + m * qh) + special
         slope = den - q * q - 1 - (qh * qh + 1) * (qh * qh * (qh - 2) + (qh - 1) * (qh + 1))
-        return lambda n: (top + slope * n - special * gcd(period, n), den * n)
+        return top, slope, special, period, den
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -416,7 +412,7 @@ def _mk_re_b():
             # the displayed even-r correction 3^(w-v+u) n (q + 3^(v-u))
             slope += 3 ** (w - v + u) * (q + 3 ** (v - u))
         den = 2 * three_w * r
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     def certified(cp, a):
         u, v, w, r = a["u"], a["v"], a["w"], a["r"]
@@ -452,7 +448,7 @@ def _mk_re_c1():
         three_v, j = 3 ** h["v"], h["j"]
         top = q**4 - q**3 - (three_v - 1) * q * q + (m * (three_v - 1) + three_v) * q - three_v
         slope, den = three_v * j - (j - 1) * q - q**3, 2 * j * three_v
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind(
         "RE-C1", lambda cp, a: {"order3_noncentral": 3 ** a["v"] - 1},
@@ -484,7 +480,7 @@ def _mk_re_c_torus(kid: str, torus: str, dihedral: bool):
             top, slope = (q**3 + 1) * (q - 1), den - (q + 1) * ((q - 1) * q + j * (r + gcd(r, 2)))
         else:
             top, slope, den = (q * q - 1) * (q * q - q + 1), -(q * q - 1) * q - j * (r + 1) * (q - 1), 4 * r * j
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind(
         kid, census,
@@ -498,7 +494,7 @@ def _mk_re_c6():
         top = m * ((q * q - 1) * (q + 3 * q0) + q * q - 9 - 24 * q0)
         den = 24 * j
         slope = den - 4 * j * (q + 3) - q * (q * q - 1)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind(
         "RE-C6", lambda cp, a: {"order2": 3, "order3_noncentral": 8}, lambda cp: ({"j": j} for j in (1, 2)),
@@ -516,7 +512,7 @@ def _mk_re_c7():
         top = q**4 - q**3 - (three_v - 1) * q * q + (three_v * m + three_v - m) * q - three_v * (4 * r - 3)
         den = 2 * j * three_v * r
         slope = den - q**3 + (1 - j) * q - three_v * (2 * j * r - j - 2 * r + 2)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     def sweep(cp):
         for v in range(1, 2 * cp.s + 1 + 1):
@@ -546,7 +542,7 @@ def _mk_re_c8():
         top = 2 * (q**4 - q**3 - (qh * qh - 1) * q * q) + 2 * (qh * qh - m) * q - 2 * qh * qh
         den = 2 * j * qh * (qh * qh - 1)
         slope = den - 2 * q**3 - (qh * qh * (j - 2) - qh * j + 2 * (j - 1)) * q - qh * j * (qh * qh * (qh + 1) - 4)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind(
         "RE-C8", census, lambda cp: ({"d": d, "j": j} for d in divisors(2 * cp.s + 1) for j in (1, 2)),
@@ -568,7 +564,7 @@ def _mk_re_p(kid: str, factor: int):
             slope = den - q**3 - 2 * r - 1
         else:
             top, slope = _two_g_minus_2(cp) - r * (2 * q * q - (2 * m + 2) * q + 2), den - r * (q + 5)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     # the order-6r display's leading (q-2) should read (q-n-1): it disagrees
     # with its own class assembly for n > 1 while the parallel second-Singer
@@ -593,7 +589,7 @@ def _mk_re_m(kid: str, factor: int):
             top, slope = top - 2 * r * (q * q - q + 1 - m * q), slope - 2 * r
         elif factor == 6:
             top, slope = top - r * (2 * q * q - (2 * m + 2) * q + 2), slope - r * (q + 5)
-        return lambda n: (top + slope * n - special * gcd(r, n), den * n)
+        return top, slope, special, r, den
 
     return _normalizer_kind(kid, 3, "div_m_plain", lambda cp: divisors(cp.m), factor, closed,
                             "inside the second Singer normalizer")
@@ -608,7 +604,7 @@ def _mk_re_q1():
         q, i, j, r = cp.q, h["i"], h["j"], h["r"]
         den = 2 * i * j * r
         top, slope = (q**3 + 1) * (q - 1), den - q**3 - 1 - (q + 1) * (i * (j - 1) * r + i - 1)
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     def sweep(cp):
         for i in (1, 2, 4):
@@ -635,7 +631,7 @@ def _mk_re_q2():
         q, q0, m, j, r = cp.q, cp.q0, cp.m, h["j"], h["r"]
         top = (q**3 + 1) * (q - 1) - 8 * r * m * (3 * q0 + 1)
         slope, den = 16 * j * r - q**3 - 1 - (q + 1) * (3 + 4 * (j - 1) * r), 24 * j * r
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind("RE-Q2", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -650,7 +646,7 @@ def _mk_re_q3():
         den = 6 * j * r
         top = (q**3 + 1) * (q - 1) - 2 * r * m * (3 * q0 + 1)
         slope = den - q**3 - 1 - (q + 1) * (j - 1) * r - 2 * j * r
-        return lambda n: (top + slope * n, den * n)
+        return top, slope, 0, 1, den
 
     return _involution_kind("RE-Q3", census, _quartic_j_r, False, closed, "inside the quartic-torus normalizer")
 
@@ -671,9 +667,7 @@ def _mk_re_s():
     def closed(cp, h):
         # the statement's different degree is its own class assembly, so the
         # two paths coincide by construction
-        size, delta_of = _different(kind.counts(cp, h), class_table(cp))
-        two_g_minus_2 = _two_g_minus_2(cp)
-        return lambda n: (two_g_minus_2 - delta_of(n) + 2 * n * size, 2 * n * size)
+        return _composition(kind.counts(cp, h), class_table(cp), _two_g_minus_2(cp))
 
     def sweep(cp):
         for shat in range(0, cp.s):
@@ -710,58 +704,51 @@ KINDS: dict[str, KindDef] = {kind.id: kind for kind in (
 # evaluation
 
 
-def _different(counts, table: ClassTable) -> tuple[int, Callable[[int], int]]:
-    """(|H|, n -> the different degree of H x C_n), from the counts of H;
-    |H x C_n| = n |H|.  The elements h tau^k with k = 0 are H's census
-    (different A); each of the n - 1 powers tau^k != 0 brings tau^k and the
-    census with a tau component (different B); c (gcd(d, n) - 1) of them are
-    special pairs at S = 4m resp. 6m.  So delta = A + (n - 1) B +
-    c (gcd(d, n) - 1) S: one pass over the class census per H, and integer
-    arithmetic per n."""
+def _composition(counts, table: ClassTable, two_g_minus_2: int) -> tuple[int, int, int, int, int]:
+    """H's composition form (top, slope, c, d, den), a display of its
+    different-degree path (see KindDef.closed).  census_different gives |H|
+    and the different degrees A of H, B of a coset H tau^k (k != 0) and C of
+    H's special pairs, of period d: delta = A + (n - 1) B + (gcd(d, n) - 1) C.
+    RH over |H x C_n| = n |H| gives the genus as the form's value num / (den n)
+    with top = 2g - 2 - A + B + C, slope = 2 |H| - B and den = 2 |H|: (H, n)
+    is valid when num >= 0 and den n | num, and its delta is 2g - 2 + den n - num."""
     census, (pairs, period) = counts
     size, plain, cross, special = census_different(census, pairs, table)
-    # `special and` skips the gcd for an H without special pairs
-    return size, lambda n: plain + (n - 1) * cross + (special and special * (gcd(period, n) - 1))
+    return two_g_minus_2 - plain + cross + special, 2 * size - cross, special, period, 2 * size
 
 
-def _subgroups(cp: CurveParams) -> Iterable[tuple[KindDef, dict]]:
-    """(kind, H args) of every H that the spectrum of cp sweeps, in sweep
-    order."""
-    for kind in KINDS.values():
-        if kind.char == cp.p:
-            for h in kind.sweep(cp):
-                yield kind, h
-
-
-def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_g_minus_2: int,
-            table: ClassTable) -> list[GenusRecord]:
-    """The records of the valid specs (H, n), n in ns, in the order of ns;
-    two_g_minus_2 and table are those of cp.  Each n costs its different
-    degree and one rh_genus; the certificate, the sorted args and the closed
-    display are made once per H, and a spec and its record per n, only for
-    valid n (_rejections builds the rejected ones).  H must come
-    from the kind's sweep and each n must divide m."""
+def _assess(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[tuple[int, tuple[str, int]]],
+            two_g_minus_2: int, table: ClassTable) -> list[GenusRecord]:
+    """The records of the valid specs (H, n), (n, ("n", n)) in ns, in the
+    order of ns; two_g_minus_2 and table are those of cp.  Only an H with a
+    valid n gets its certificate, sorted args and display form (_rejections
+    builds the rejected specs).  H must come from the kind's sweep and each
+    n must divide m."""
     records: list[GenusRecord] = []
-    size, delta_of = _different(kind.counts(cp, h), table)
+    top, slope, c, d, den = _composition(kind.counts(cp, h), table, two_g_minus_2)
     display = None
-    for n in ns:
-        order, delta = n * size, delta_of(n)
-        gd = rh_genus(two_g_minus_2, order, delta)
-        if gd is None:
+    for n, n_item in ns:
+        dn = den * n
+        # `c and` skips the gcd for an H without special pairs
+        num = top + slope * n - (c and c * gcd(d, n))
+        if num < 0 or num % dn:
             continue
         if display is None:
             # QuotientSpec.make(kind.id, cp, **h, n=n), sorted once per H
             args = sorted({**h, "n": 0}.items())
             n_at = args.index(("n", 0))
             certified = kind.certified(cp, h)[0]
-            display = kind.closed(cp, h)
-        args[n_at] = ("n", n)
-        g, rem = divmod(*display(n))
+            display = d_top, d_slope, d_c, d_d, d_den = kind.closed(cp, h)
+        args[n_at] = n_item
+        gd = num // dn
+        g, rem = divmod(d_top + d_slope * n - (d_c and d_c * gcd(d_d, n)), d_den * n)
         gc = None if rem else g
         mismatch = gc != gd
         note = (kind.known_mismatch or "") if mismatch else ""
-        records.append(GenusRecord(QuotientSpec(kind.id, cp, tuple(args)), order, delta, gd, gc, certified,
-                                   mismatch, note))
+        # the NamedTuples without their Python-level __new__
+        spec = tuple.__new__(QuotientSpec, (kind.id, cp, tuple(args)))
+        records.append(tuple.__new__(GenusRecord, (spec, dn // 2, two_g_minus_2 + dn - num, gd, gc, certified,
+                                                   mismatch, note)))
     return records
 
 
@@ -769,21 +756,23 @@ def _rejections(kind: KindDef, cp: CurveParams, h: dict, ns: Iterable[int], two_
                 table: ClassTable) -> list[tuple[QuotientSpec, str]]:
     """The (spec, reason) rows of the specs (H, n), n in ns, that RH
     rejects (those _assess makes no record of), in the order of ns."""
-    size, delta_of = _different(kind.counts(cp, h), table)
+    top, slope, c, d, den = _composition(kind.counts(cp, h), table, two_g_minus_2)
     rows = []
     for n in ns:
-        order, delta = n * size, delta_of(n)
-        if rh_genus(two_g_minus_2, order, delta) is None:
-            rows.append((QuotientSpec.make(kind.id, cp, **h, n=n),
-                         "composition fails the RH oracle: " + solve_rh(two_g_minus_2, order, delta)[1]))
+        dn = den * n
+        num = top + slope * n - c * gcd(d, n)
+        if num < 0 or num % dn:
+            reason = solve_rh(two_g_minus_2, dn // 2, two_g_minus_2 + dn - num)[1]
+            rows.append((QuotientSpec.make(kind.id, cp, **h, n=n), "composition fails the RH oracle: " + reason))
     return rows
 
 
 def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
     """_assess for a spec that did not come from the sweep: its kind must be
     known, its params those of a cover curve of the kind's family, and its
-    args must lie in the kind's parameter domain: int H args that the sweep
-    yields, and n dividing m."""
+    args must be sorted by name with each name once, as QuotientSpec.make
+    builds them, and lie in the kind's parameter domain: int H args that
+    the sweep yields, and n dividing m."""
     kind = KINDS.get(spec.kind)
     cp, h = spec.params, spec.arg_dict
     if kind is None:
@@ -794,11 +783,13 @@ def _assess_spec(spec: QuotientSpec) -> tuple[Validation, GenusRecord | None]:
                                         f"not {cp.family.value}"), None
     if kind.char != cp.p:
         return Validation(False, False, "kind belongs to the other family"), None
+    if spec.args != tuple(sorted(h.items())):
+        return Validation(False, False, "args are not sorted by name with each name once"), None
     n = h.pop("n", None)
     if not (all(type(v) is int for v in (n, *h.values())) and n in divisors(cp.m) and h in kind.sweep(cp)):
         return Validation(False, False, f"outside the {spec.kind} parameter domain"), None
     two_g_minus_2, table = _two_g_minus_2(cp), class_table(cp)
-    records = _assess(kind, cp, h, (n,), two_g_minus_2, table)
+    records = _assess(kind, cp, h, ((n, ("n", n)),), two_g_minus_2, table)
     if not records:
         return Validation(False, False, _rejections(kind, cp, h, (n,), two_g_minus_2, table)[0][1]), None
     return Validation(True, *kind.certified(cp, h)), records[0]._replace(spec=spec)
@@ -841,7 +832,8 @@ class SpectrumResult:
         """The rejected specs with their reasons, in sweep order."""
         cp = self.params
         two_g_minus_2, table, ns = _two_g_minus_2(cp), class_table(cp), divisors(cp.m)
-        return [row for kind, h in _subgroups(cp) for row in _rejections(kind, cp, h, ns, two_g_minus_2, table)]
+        return [row for kind in KINDS.values() if kind.char == cp.p for h in kind.sweep(cp)
+                for row in _rejections(kind, cp, h, ns, two_g_minus_2, table)]
 
     def genera(self) -> list[int]:
         return sorted({rec.genus for rec in self.records})
@@ -851,11 +843,13 @@ class SpectrumResult:
 _SPECTRUM_ORDER = attrgetter("genus_delta", "spec.kind", "spec.args")
 
 
-def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
+def spectrum(family: Family | str, params: CurveParams,
+             progress: Callable[[str, int, int, float], None] | None = None) -> SpectrumResult:
     """Enumerate all valid specs of every kind over its parameter domain (its
     sweep of H times the divisors n of m), with the dual-path comparison
     applied to each.  Rejected specs are not kept; SpectrumResult.invalid
-    sweeps again for them on first read."""
+    sweeps again for them on first read.  progress, if given, gets after each
+    kind its id, the H and records so far, and the seconds since the start."""
     family, params = resolve_curve(family, params)
     if not family.is_cover:
         raise ValueError("spectra are computed for the cover families")
@@ -863,12 +857,17 @@ def spectrum(family: Family | str, params: CurveParams) -> SpectrumResult:
     # the per-curve constants, once per sweep
     two_g_minus_2 = _two_g_minus_2(params)
     table = class_table(params)
-    ns = divisors(params.m)
+    ns = [(n, ("n", n)) for n in divisors(params.m)]
     records: list[GenusRecord] = []
     n_subgroups = 0
-    for kind, h in _subgroups(params):
-        n_subgroups += 1
-        records += _assess(kind, params, h, ns, two_g_minus_2, table)
+    for kind in KINDS.values():
+        if kind.char != params.p:
+            continue
+        for h in kind.sweep(params):
+            n_subgroups += 1
+            records += _assess(kind, params, h, ns, two_g_minus_2, table)
+        if progress is not None:
+            progress(kind.id, n_subgroups, len(records), time.perf_counter() - started)
     mismatches = [rec for rec in records if rec.mismatch]
     # a mismatch carries its kind's known-mismatch note, if the kind has one
     unexplained = [rec for rec in mismatches if not rec.note]

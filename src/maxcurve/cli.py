@@ -107,6 +107,15 @@ def _load_baseline(path: str) -> set[int]:
     return values
 
 
+PROGRESS_AFTER_S = 2.0  # a spectrum sweep this old reports each kind it finishes on stderr
+
+
+def _spectrum_progress(kind: str, n_subgroups: int, n_records: int, elapsed: float) -> None:
+    if elapsed >= PROGRESS_AFTER_S:
+        print(f"spectrum: {kind} swept, {n_subgroups} H and {n_records} records so far, {elapsed:.1f} s",
+              file=sys.stderr, flush=True)
+
+
 def cmd_spectrum(args) -> int:
     from .catalog import TABLE1_PARAMS, spectrum, table1_check
 
@@ -125,7 +134,7 @@ def cmd_spectrum(args) -> int:
             print("error: no bundled reference row for this family and s", file=sys.stderr)
             return EXIT_USAGE
 
-    res = spectrum(family, params)
+    res = spectrum(family, params, progress=_spectrum_progress)
     genera = res.genera()
     new_genera = None if baseline is None else sorted(set(genera) - baseline)
     table1 = None

@@ -64,6 +64,28 @@ def test_summarize_takes_medians_and_sums_checks(bench_record):
     }
 
 
+def test_versus_first_root_on_synthetic_runs(bench_record):
+    def workloads(pass_rel, ok_ratio):
+        runs = [{"result": {"attempted": 1, "failed": 0,
+                            "metrics": {"pass_rel": {"value": p, "unit": "ref"},
+                                        "ok_ratio": {"value": o, "unit": "ratio"},
+                                        "extra": {"value": 1.0, "unit": "s"}}}}
+                for p, o in zip(pass_rel, ok_ratio)]
+        return {"w": {"end_to_end": bench_record.summarize(runs)}}
+
+    parent = workloads([2.0, 4.0, 3.0, 5.0], [1.0, 1.0, 0.5, 1.0])
+    change = workloads([1.0, 4.0, 2.0, 6.0], [1.0, 0.9, 1.0, 1.0])
+    better = {"pass_rel": "lower", "ok_ratio": "higher"}
+    # pass_rel: lower on seeds 1 and 3, a tie on seed 2; ok_ratio: higher
+    # on seed 3 only; a metric not in BENCHMARK.json is left out
+    assert bench_record.versus(parent, change, better) == {"w": {
+        "pass_rel": {"ratio": 3.0 / 3.5, "better_seeds": 2, "seeds": 4},
+        "ok_ratio": {"ratio": 1.0, "better_seeds": 1, "seeds": 4},
+    }}
+    assert bench_record.versus(parent, parent, better)["w"]["pass_rel"] == {"ratio": 1.0, "better_seeds": 0,
+                                                                            "seeds": 4}
+
+
 def test_stage_medians_of_verify_group_records(bench_record):
     def rec(timing, places, rows, cpu_s, minflt):
         return {"timing": timing, "stages": {"places": places, "rows": rows}, "cpu_s": cpu_s, "minflt": minflt}

@@ -17,13 +17,24 @@ P32 = params_from_s("suzuki-cover", 2)
 P27 = params_from_s("ree-cover", 1)
 
 
+def at(form, n) -> tuple[int, int]:
+    """The (numerator, denominator) of a five-integer form (top, slope, c, d,
+    den) at n: (top + slope n - c gcd(d, n), den n)."""
+    top, slope, c, d, den = form
+    return top + slope * n - c * math.gcd(d, n), den * n
+
+
+def composition(kind, cp, args):
+    """The composition form of H x C_n, from the counts of H."""
+    return cat._composition(kind.counts(cp, args), class_table(cp), cat._two_g_minus_2(cp))
+
+
 def frac_delta_genus(kind, cp, args) -> Fraction:
     """Genus as an exact fraction straight from the class assembly, without
     any integrality requirement (for identity testing).  The order comes from
     the class equation, so the closed formulas' denominators also check the
     class census."""
-    size, delta_of = cat._different(kind.counts(cp, args), class_table(cp))
-    return 1 + Fraction(cat._two_g_minus_2(cp) - delta_of(args["n"]), 2 * args["n"] * size)
+    return Fraction(*at(composition(kind, cp, args), args["n"]))
 
 
 SUZUKI_SPOT = [
@@ -124,7 +135,7 @@ class TestDualPathIdentities:
         kind = KINDS[kid]
         for cp in params_list:
             for args in arg_grids(cp):
-                closed = Fraction(*kind.closed(cp, args)(args["n"]))
+                closed = Fraction(*at(kind.closed(cp, args), args["n"]))
                 viadelta = frac_delta_genus(kind, cp, args)
                 assert closed == viadelta, (kid, cp.s, args)
 
@@ -162,7 +173,7 @@ class TestDualPathIdentities:
             cp = params_from_s("suzuki-cover", s)
             for n in range(1, 8):
                 args = dict(shat=shat, n=n)
-                closed = Fraction(*KINDS["SZ-E"].closed(cp, args)(n))
+                closed = Fraction(*at(KINDS["SZ-E"].closed(cp, args), n))
                 assert closed == frac_delta_genus(KINDS["SZ-E"], cp, args), (s, shat, n)
 
     def test_ree_simple_kinds(self):
@@ -217,7 +228,7 @@ class TestDualPathIdentities:
                         for r in (2, 4, 26):
                             for n in (1, 2, 3, 19):
                                 args = dict(u=u, v=v, w=w, r=r, n=n)
-                                closed = Fraction(*KINDS["RE-B"].closed(cp, args)(n))
+                                closed = Fraction(*at(KINDS["RE-B"].closed(cp, args), n))
                                 viadelta = frac_delta_genus(KINDS["RE-B"], cp, args)
                                 assert closed - viadelta == Fraction(cp.q, 3 ** (v - u) * r)
 
@@ -230,7 +241,7 @@ class TestDualPathIdentities:
                     for j in (1, 2):
                         for n in range(1, 6):
                             args = dict(v=v, r=r, j=j, n=n)
-                            closed = Fraction(*KINDS["RE-C7"].closed(cp, args)(n))
+                            closed = Fraction(*at(KINDS["RE-C7"].closed(cp, args), n))
                             viadelta = frac_delta_genus(KINDS["RE-C7"], cp, args)
                             assert closed - viadelta == Fraction((r - 1) * (n - 2), j * r * n)
 
@@ -241,7 +252,7 @@ class TestDualPathIdentities:
             for r in range(1, 8):
                 for n in range(1, 8):
                     args = dict(r=r, n=n)
-                    closed = Fraction(*KINDS["RE-P4"].closed(cp, args)(n))
+                    closed = Fraction(*at(KINDS["RE-P4"].closed(cp, args), n))
                     viadelta = frac_delta_genus(KINDS["RE-P4"], cp, args)
                     assert closed - viadelta == Fraction((cp.q**3 + 1) * (n - 1), 12 * r * n)
 
@@ -252,7 +263,7 @@ class TestDualPathIdentities:
             cp = params_from_s("ree-cover", s)
             for n in range(1, 6):
                 args = dict(shat=0, n=n)
-                assert Fraction(*KINDS["RE-S"].closed(cp, args)(n)) == frac_delta_genus(KINDS["RE-S"], cp, args)
+                assert Fraction(*at(KINDS["RE-S"].closed(cp, args), n)) == frac_delta_genus(KINDS["RE-S"], cp, args)
 
 
 def _swept(kid, cp):
@@ -362,7 +373,7 @@ def test_closed_pair_equals_the_verbatim_display(kid):
         for h in kind.sweep(cp):
             for n in sorted(set(range(1, 8)) | set(cat.divisors(cp.m))):
                 args = {**h, "n": n}
-                assert Fraction(*kind.closed(cp, h)(n)) == display(cp, args), (kid, s, args)
+                assert Fraction(*at(kind.closed(cp, h), n)) == display(cp, args), (kid, s, args)
 
 
 @pytest.mark.parametrize("family,n_values,digest", [
@@ -381,24 +392,23 @@ def test_closed_values_pinned(family, n_values, digest):
         for kind in KINDS.values():
             if kind.char == cp.p:
                 for h in kind.sweep(cp):
-                    display = kind.closed(cp, h)
-                    values += [str(Fraction(*display(n))) for n in ns]
+                    form = kind.closed(cp, h)
+                    values += [str(Fraction(*at(form, n))) for n in ns]
     assert len(values) == n_values
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family", ["suzuki-cover", "ree-cover"])
-def test_closed_returns_an_int_pair(family):
+def test_closed_returns_five_ints(family):
     for s in (1, 2):
         cp = params_from_s(family, s)
         for kind in KINDS.values():
             if kind.char != cp.p:
                 continue
-            for args in _swept(kind.id, cp):
-                value = kind.closed(cp, args)(args["n"])
-                assert type(value) is tuple and len(value) == 2, (kind.id, s, args, value)
-                num, den = value
-                assert type(num) is int and type(den) is int and den > 0, (kind.id, s, args, value)
+            for h in kind.sweep(cp):
+                form = kind.closed(cp, h)
+                assert type(form) is tuple and len(form) == 5, (kind.id, s, h, form)
+                assert all(type(v) is int for v in form) and form[4] > 0, (kind.id, s, h, form)
 
 
 def _named_orders():
@@ -442,8 +452,8 @@ def _named_orders():
 def test_class_census_gives_the_group_order():
     seen = set()
     for kid, cp, args, named in _named_orders():
-        size, _ = cat._different(KINDS[kid].counts(cp, args), class_table(cp))
-        assert args["n"] * size == named, (kid, cp.s, args)
+        den = composition(KINDS[kid], cp, args)[4]
+        assert args["n"] * den == 2 * named, (kid, cp.s, args)
         seen.add(kid)
     assert seen == {"SZ-E", "RE-S", "RE-C8", "RE-Q1", "RE-Q2", "RE-Q3",
                     "RE-C1", "RE-C2", "RE-C3", "RE-C4", "RE-C5", "RE-C6", "RE-C7"}
@@ -576,6 +586,20 @@ class TestValidate:
         assert (val.valid, val.existence_certified) == (False, False)
         assert val.reason == f"outside the {kid} parameter domain"
         with pytest.raises(ValueError, match="parameter domain"):
+            evaluate(spec)
+
+    @pytest.mark.parametrize("args", [
+        (("n", 5), ("n", 1), ("r", 7)),             # n twice: dict() keeps the last
+        (("r", 7), ("n", 1)),                        # a valid spec's args, unsorted
+        (("n", 1), ("r", 7), ("r", 7)),
+    ])
+    def test_args_not_as_make_builds_them(self, args):
+        spec = QuotientSpec("SZ-B1", P8, args)
+        assert validate(QuotientSpec("SZ-B1", P8, tuple(sorted(dict(args).items())))).valid
+        val = validate(spec)
+        assert (val.valid, val.existence_certified) == (False, False)
+        assert val.reason == "args are not sorted by name with each name once"
+        with pytest.raises(ValueError, match="not sorted by name"):
             evaluate(spec)
 
     def test_unknown_kind(self):

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import maxcurve
-from maxcurve import counting, gf
-from maxcurve.catalog import divisors, spectrum
+from maxcurve import cli, counting, gf
+from maxcurve.catalog import KINDS, divisors, spectrum
 from maxcurve.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from maxcurve.curves import params_from_s
 
@@ -326,6 +326,25 @@ class TestSpectrum:
         results = json.loads(plain.stdout)["results"]
         assert json.loads(optimized.stdout)["results"] == results
         assert results_digest(results) == digest
+
+    @pytest.mark.parametrize("family,n_kinds", [("suzuki-cover", 11), ("ree-cover", 21)])
+    def test_progress_per_kind_past_the_threshold(self, capsys, monkeypatch, family, n_kinds):
+        # a sweep under PROGRESS_AFTER_S prints nothing on stderr; past it,
+        # one line per kind, and stdout is the same
+        _, quiet, err = run(capsys, "spectrum", "--family", family, "--s", "1", "--format", "csv")
+        assert err == ""
+        monkeypatch.setattr(cli, "PROGRESS_AFTER_S", 0.0)
+        code, out, err = run(capsys, "spectrum", "--family", family, "--s", "1", "--format", "csv")
+        assert code == EXIT_OK and out == quiet
+        params = params_from_s(family, 1)
+        kinds = [kind.id for kind in KINDS.values() if kind.char == params.p]
+        lines = err.splitlines()
+        assert len(lines) == len(kinds) == n_kinds
+        assert [line.split()[1] for line in lines] == kinds
+        res = spectrum(family, params)
+        assert lines[-1].startswith(f"spectrum: {kinds[-1]} swept, {res.n_subgroups} H and "
+                                    f"{len(res.records)} records so far, ")
+        assert lines[-1].endswith(" s")
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

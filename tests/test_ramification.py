@@ -152,8 +152,7 @@ class TestDeltaFromComposition:
             n = args["n"]
             order = n * (1 + sum(census.values()))
             delta = delta_from_composition(_composition_from_counts(census, special, n), params)
-            size, delta_of = cat._different(kind.counts(params, args), class_table(params))
-            assert (n * size, delta_of(n)) == (order, delta)
+            assert _order_and_delta(kind, params, args) == (order, delta)
             key = (kind.id, tuple(sorted(args.items())))
             if key in records:
                 assert (records[key].order, records[key].delta) == (order, delta), key
@@ -200,6 +199,42 @@ class TestDeltaFromComposition:
             assert delta_from_composition([("order4", 1), ("div_m_special_j", 1)], P32) == 26 + 100
         # an equal parameter set built anew reads the same table
         assert i_sigma("order2", params_from_s("suzuki-cover", 2)) == 226
+
+
+def _order_and_delta(kind, params, args):
+    """|H x C_n| and delta, read off the sweep's composition form (top,
+    slope, c, d, den): num = top + slope n - c gcd(d, n) is 2g - 2 - delta
+    + 2 |H x C_n|, and den n = 2 |H x C_n|."""
+    two_g_minus_2, n = cat._two_g_minus_2(params), args["n"]
+    top, slope, c, d, den = cat._composition(kind.counts(params, args), class_table(params), two_g_minus_2)
+    num = top + slope * n - c * math.gcd(d, n)
+    return den * n // 2, two_g_minus_2 + den * n - num
+
+
+@pytest.mark.parametrize("family,s", [("suzuki-cover", s) for s in (1, 2, 3, 4)] + [("ree-cover", 1), ("ree-cover", 2)])
+def test_composition_form_matches_rh_genus_per_entry(family, s):
+    # the sweep tests num >= 0 and den n | num on H's composition form and
+    # reads the genus num // (den n) and delta 2g - 2 + den n - num; the
+    # reference is rh_genus on the per-entry delta of the explicit class
+    # composition of H x C_n
+    params = params_from_s(family, s)
+    two_g_minus_2 = cat._two_g_minus_2(params)
+    table = class_table(params)
+    seen = valid = 0
+    for kind, args, census, special in _swept_specs(params):
+        n = args["n"]
+        order = n * (1 + sum(census.values()))
+        delta = delta_from_composition(_composition_from_counts(census, special, n), params)
+        genus = rh_genus(two_g_minus_2, order, delta)
+        top, slope, c, d, den = cat._composition(kind.counts(params, args), table, two_g_minus_2)
+        num = top + slope * n - c * math.gcd(d, n)
+        ok = num >= 0 and num % (den * n) == 0
+        assert (den * n, two_g_minus_2 + den * n - num) == (2 * order, delta), (kind.id, args)
+        assert (num // (den * n) if ok else None) == genus, (kind.id, args)
+        seen += 1
+        valid += ok
+    res = spectrum(family, params)
+    assert (seen, valid) == (res.n_specs, len(res.records))
 
 
 def _composition_from_counts(census, special, n):
@@ -292,9 +327,8 @@ class TestGenusFromRH:
             if kind.char != params.p:
                 continue
             for h in kind.sweep(params):
-                size, delta_of = cat._different(kind.counts(params, h), class_table(params))
                 for n in divisors(params.m):
-                    order, delta = n * size, delta_of(n)
+                    order, delta = _order_and_delta(kind, params, {**h, "n": n})
                     genus, reason = solve_rh(two_g_minus_2, order, delta)
                     assert rh_genus(two_g_minus_2, order, delta) == genus, (kind.id, h, n)
                     assert (genus is None) == (reason is not None)
